@@ -9,10 +9,11 @@ map stays smooth on its guard by construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 Env = Mapping[str, float]
 
@@ -171,7 +172,11 @@ def eval_expr(e: Expr, env: Env) -> float:
             raise OutOfDomainError("division by zero")
         return eval_expr(e.args[0], env) / d
     if k == "pow":
-        return eval_expr(e.args[0], env) ** e.exponent
+        x = eval_expr(e.args[0], env)
+        try:
+            return x ** e.exponent
+        except OverflowError:
+            raise OutOfDomainError("overflow in pow") from None
     if k == "neg":
         return -eval_expr(e.args[0], env)
     x = eval_expr(e.args[0], env)
@@ -464,6 +469,169 @@ def domain_atoms(e: Expr) -> tuple[GuardAtom, ...]:
 
     walk(e)
     return tuple(out)
+
+
+# --- straight-line evaluation -------------------------------------------------
+
+_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv, "pow": operator.pow}
+_UNARY_OPS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
+              "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+# The exceptions the ops raise, translated into eval_expr's faults.  Any other
+# exception (math.sin of an infinity) propagates as it does from eval_expr.
+_FAULTS = {
+    (operator.truediv, ZeroDivisionError): "division by zero",
+    (operator.pow, OverflowError): "overflow in pow",
+    (math.exp, OverflowError): "overflow in exp",
+    (math.log, ValueError): "log of non-positive argument",
+    (math.sqrt, ValueError): "sqrt of negative argument",
+}
+_FAULT_FREE_KINDS = frozenset(("const", "var", "add", "sub", "mul", "neg"))
+
+
+def _run(steps, v: list) -> None:
+    """Append the value of each (op, a, b) step to the slot list v."""
+    append = v.append
+    try:
+        for op, a, b in steps:
+            if b is None:
+                append(op(v[a]))
+            else:
+                append(op(v[a], v[b]))
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        message = _FAULTS.get((op, type(err)))
+        if message is None:
+            raise
+        raise OutOfDomainError(message) from None
+
+
+class Tape:
+    """A guard and coordinate expressions compiled into straight-line steps
+    over one list of slots: the inputs, then the constants, then one slot per
+    step.  Built by compile_tape."""
+
+    __slots__ = ("arity", "consts", "atoms", "steps", "roots")
+
+    def __init__(self, arity, consts, atoms, steps, roots):
+        self.arity = arity    # number of input slots
+        self.consts = consts  # constant slot values, as floats (pow exponents as ints)
+        self.atoms = atoms    # per guard atom: (steps, root slot, True for "> 0")
+        self.steps = steps    # coordinate steps, run after the guard's
+        self.roots = roots    # coordinate slots
+
+    def guard_values(self, point: Sequence[float]) -> list | None:
+        """The slots after every guard atom holds at point, or None where an
+        atom is false or faults (guard_eval's semantics).  Coordinates past
+        the arity are ignored; a point short of it raises
+        UnboundVariableError."""
+        if len(point) != self.arity:
+            if len(point) < self.arity:
+                raise UnboundVariableError(var_name(len(point)))
+            point = point[:self.arity]
+        v = [float(x) for x in point]
+        v += self.consts
+        for steps, root, positive in self.atoms:
+            try:
+                _run(steps, v)
+            except OutOfDomainError:
+                return None
+            x = v[root]
+            if not (x > 0.0 if positive else x != 0.0):
+                return None
+        return v
+
+    def coord_values(self, v: list) -> tuple[float, ...]:
+        """Continue guard_values' slots to the coordinate values.  Raises
+        OutOfDomainError with the message eval_expr gives."""
+        _run(self.steps, v)
+        return tuple([v[r] for r in self.roots])
+
+
+def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
+    """Compile a map's guard atoms (each in turn) and then its coordinates
+    over the inputs x1..x{arity}.  Nodes are visited in eval_expr's order and
+    structurally equal nodes share one step (value numbering), so each is
+    evaluated once; values and the first fault are bit-identical to
+    eval_expr/guard_eval on the same point."""
+    # Refs below arity are inputs.  Until all constants are known, constant
+    # c is ref ~c and step k is ref arity + k; place() gives the final slots.
+    inputs = {var_name(i): i for i in range(arity)}
+    memo: dict = {}      # id(node) -> ref
+    numbered: dict = {}  # (op, a, b) -> ref
+    consts: dict = {}    # (type, value) -> ref; a float 2.0 and an exponent 2 differ
+    const_values: list = []
+    steps: list = []
+
+    def constant(value) -> int:
+        key = (type(value), value)
+        if key not in consts:
+            consts[key] = ~len(const_values)
+            const_values.append(value)
+        return consts[key]
+
+    def emit(step) -> int:
+        ref = numbered.get(step)
+        if ref is None:
+            ref = numbered[step] = arity + len(steps)
+            steps.append(step)
+        return ref
+
+    def may_fault(e: Expr, walked: set) -> bool:
+        """Whether evaluating e can reach a not yet evaluated node that raises."""
+        if id(e) in memo or id(e) in walked:
+            return False
+        walked.add(id(e))
+        return e.kind not in _FAULT_FREE_KINDS or any(may_fault(a, walked) for a in e.args)
+
+    def visit(e: Expr) -> int:
+        ref = memo.get(id(e))
+        if ref is not None:
+            return ref
+        k = e.kind
+        if k == "var":
+            if e.name not in inputs:
+                raise UnboundVariableError(e.name)
+            ref = inputs[e.name]
+        elif k == "const":
+            ref = constant(float(e.value))
+        elif k == "div":
+            b = visit(e.args[1])
+            # eval_expr tests the denominator before it evaluates the
+            # numerator: dividing 1.0 by it raises the same fault first
+            if may_fault(e.args[0], set()):
+                emit((operator.truediv, constant(1.0), b))
+            ref = emit((operator.truediv, visit(e.args[0]), b))
+        elif k == "pow":
+            a = visit(e.args[0])
+            ref = emit((operator.pow, a, constant(e.exponent)))
+        elif k in _BINARY_OPS:
+            a = visit(e.args[0])
+            ref = emit((_BINARY_OPS[k], a, visit(e.args[1])))
+        else:
+            ref = emit((_UNARY_OPS[k], visit(e.args[0]), None))
+        memo[id(e)] = ref
+        return ref
+
+    atoms = [(len(steps), visit(atom.expr), atom.op == ">0") for atom in guard.atoms]
+    guard_end = len(steps)
+    coord_refs = [visit(e) for e in coords]
+
+    n_consts = len(const_values)
+
+    def place(ref):
+        if ref is None or 0 <= ref < arity:
+            return ref
+        return arity + ~ref if ref < 0 else ref + n_consts
+
+    placed = [(op, place(a), place(b)) for op, a, b in steps]
+    ends = [start for start, _, _ in atoms[1:]] + [guard_end]
+    return Tape(
+        arity,
+        tuple(const_values),
+        tuple((tuple(placed[start:end]), place(root), positive)
+              for (start, root, positive), end in zip(atoms, ends)),
+        tuple(placed[guard_end:]),
+        tuple(place(r) for r in coord_refs))
 
 
 # --- parsing ----------------------------------------------------------------

@@ -36,6 +36,7 @@ from .smooth import (
     LAssignment,
     SMOOTH,
     SmoothMap,
+    _residual,
     apply_map,
     componentwise_monoid,
     d_n,
@@ -112,7 +113,7 @@ def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str,
                     right_u = value(comp, blocks[:i] + [u] + blocks[i + 1:], x)
                     right_w = value(comp, blocks[:i] + [w] + blocks[i + 1:], x)
                     for lv, ru, rw in zip(left, right_u, right_w):
-                        res = abs(lv - (ru + rw)) / max(abs(lv), abs(ru + rw), floor)
+                        res = _residual(lv, ru + rw, floor)
                         worst = max(worst, res)
                         if res > cfg.tol_rel:
                             return EqOutcome("fail", worst, x, f"not additive in block {i + 1}")
@@ -120,7 +121,7 @@ def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str,
                     scaled = blocks[:i] + [tuple(float(q) * p for p in blocks[i])] + blocks[i + 1:]
                     left = value(comp, scaled, x)
                     for lv, bv in zip(left, base_val):
-                        res = abs(lv - float(q) * bv) / max(abs(lv), abs(float(q) * bv), floor)
+                        res = _residual(lv, float(q) * bv, floor)
                         worst = max(worst, res)
                         if res > cfg.tol_rel:
                             return EqOutcome("fail", worst, x, f"not homogeneous in block {i + 1}")
@@ -128,7 +129,7 @@ def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str,
                     permuted = [blocks[p] for p in perm]
                     left = value(comp, permuted, x)
                     for lv, bv in zip(left, base_val):
-                        res = abs(lv - bv) / max(abs(lv), abs(bv), floor)
+                        res = _residual(lv, bv, floor)
                         worst = max(worst, res)
                         if res > cfg.tol_rel:
                             return EqOutcome("fail", worst, x, f"not symmetric under {perm}")

@@ -9,8 +9,9 @@ D[f](v, x) = Jacobian of f at x applied to v, whose guard depends only on x.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .config import RunConfig, derive_seed
@@ -19,13 +20,13 @@ from .expr import (
     Guard,
     OutOfDomainError,
     TRUE_GUARD,
+    Tape,
     add,
+    compile_tape,
     const,
     diff,
-    eval_expr,
     free_vars,
     guard_and,
-    guard_eval,
     guard_subst,
     guard_vars,
     mul,
@@ -63,6 +64,8 @@ class SmoothMap:
     cod: SpaceObject
     coords: tuple[Expr, ...]
     guard: Guard = TRUE_GUARD
+    _tape: Tape | None = field(default=None, init=False, repr=False,
+                               compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.coords) != self.cod.dim:
@@ -78,23 +81,28 @@ class SmoothMap:
     def __str__(self):
         return pretty_map(self.dom.dim, self.coords, self.guard)
 
+    def tape(self) -> Tape:
+        """The guard and coordinates compiled on first evaluation and kept
+        with the map."""
+        if self._tape is None:
+            object.__setattr__(self, "_tape",
+                               compile_tape(self.coords, self.guard, self.dom.dim))
+        return self._tape
+
 
 Point = tuple[float, ...]
 
 
-def point_env(point: Sequence[float]) -> dict[str, float]:
-    return {var_name(i): float(v) for i, v in enumerate(point)}
-
-
 def in_domain(f: SmoothMap, point: Sequence[float]) -> bool:
-    return guard_eval(f.guard, point_env(point))
+    return f.tape().guard_values(point) is not None
 
 
 def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
-    env = point_env(point)
-    if not guard_eval(f.guard, env):
+    tape = f.tape()
+    slots = tape.guard_values(point)
+    if slots is None:
         raise OutOfDomainError(f"point {tuple(point)} outside guard {f.guard}")
-    return tuple(eval_expr(e, env) for e in f.coords)
+    return tape.coord_values(slots)
 
 
 # --- category structure -------------------------------------------------------
@@ -361,6 +369,10 @@ class EqOutcome:
 
 
 def _residual(a: float, b: float, floor: float) -> float:
+    """Relative residual with an absolute floor.  A non-finite value on either
+    side is infinitely far from anything, so it never passes a tolerance."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
@@ -387,27 +399,34 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
         yield tuple(rng.uniform(-cfg.radius, cfg.radius) for _ in range(dim))
 
 
-def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-    """Partial-map equality: guards agree as booleans at every sampled point,
-    values agree on the common domain within tol_rel (abs floor tol_abs)."""
+def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
+                       relation: str) -> EqOutcome:
+    """The one sampling loop behind maps_equal ("equal"), map_leq ("leq") and
+    maps_compatible ("compatible"); they differ only in what a point where
+    one guard fails means."""
     if f.dom != g.dom or f.cod != g.cod:
-        return EqOutcome("fail", float("inf"), None, "shape mismatch")
+        return EqOutcome("fail", math.inf, None, "shape mismatch")
+    tf, tg = f.tape(), g.tape()
     worst = 0.0
     accepted = 0
     target = cfg.samples if f.dom.dim > 0 else 1
     for point in sample_points(f.dom.dim, cfg, label):
-        env = point_env(point)
-        gf = guard_eval(f.guard, env)
-        gg = guard_eval(g.guard, env)
-        if gf != gg:
-            return EqOutcome("fail", float("inf"), point, "guard mismatch", accepted)
-        if not gf:
+        fs = tf.guard_values(point)
+        if fs is None and relation != "equal":
+            continue
+        gs = tg.guard_values(point)
+        if gs is None and fs is not None and relation == "compatible":
+            continue
+        if (fs is None) != (gs is None):
+            note = "guard mismatch" if relation == "equal" else "domain not contained"
+            return EqOutcome("fail", math.inf, point, note, accepted)
+        if fs is None:
             continue
         try:
-            fv = tuple(eval_expr(e, env) for e in f.coords)
-            gv = tuple(eval_expr(e, env) for e in g.coords)
+            fv = tf.coord_values(fs)
+            gv = tg.coord_values(gs)
         except OutOfDomainError as fault:
-            return EqOutcome("fail", float("inf"), point, f"eval fault: {fault}", accepted)
+            return EqOutcome("fail", math.inf, point, f"eval fault: {fault}", accepted)
         for a, b in zip(fv, gv):
             worst = max(worst, _residual(a, b, cfg.abs_floor))
         accepted += 1
@@ -416,73 +435,36 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
         if accepted >= target:
             return EqOutcome("pass", worst, None, "", accepted)
     return EqOutcome("starved", worst, None, "sampling starvation", accepted)
+
+
+def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
+    """Partial-map equality: guards agree as booleans at every sampled point,
+    values agree on the common domain within tol_rel (abs floor tol_abs)."""
+    return _sampled_agreement(f, g, cfg, label, "equal")
 
 
 def map_total(f: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """Totality: the guard holds at every sampled point of the ambient box."""
+    tape = f.tape()
     count = 0
     target = cfg.samples if f.dom.dim > 0 else 1
     for point in sample_points(f.dom.dim, cfg, label):
-        if not in_domain(f, point):
-            return EqOutcome("fail", float("inf"), point, "guard fails", count)
+        if tape.guard_values(point) is None:
+            return EqOutcome("fail", math.inf, point, "guard fails", count)
         count += 1
         if count >= target:
             return EqOutcome("pass", 0.0, None, "", count)
-    return EqOutcome("pass", 0.0, None, "", count)
+    return EqOutcome("starved", 0.0, None, "sampling starvation", count)
 
 
 def map_leq(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """f <= g: wherever f is defined, g is defined and agrees."""
-    if f.dom != g.dom or f.cod != g.cod:
-        return EqOutcome("fail", float("inf"), None, "shape mismatch")
-    worst = 0.0
-    accepted = 0
-    target = cfg.samples if f.dom.dim > 0 else 1
-    for point in sample_points(f.dom.dim, cfg, label):
-        env = point_env(point)
-        if not guard_eval(f.guard, env):
-            continue
-        if not guard_eval(g.guard, env):
-            return EqOutcome("fail", float("inf"), point, "domain not contained", accepted)
-        try:
-            fv = tuple(eval_expr(e, env) for e in f.coords)
-            gv = tuple(eval_expr(e, env) for e in g.coords)
-        except OutOfDomainError as fault:
-            return EqOutcome("fail", float("inf"), point, f"eval fault: {fault}", accepted)
-        for a, b in zip(fv, gv):
-            worst = max(worst, _residual(a, b, cfg.abs_floor))
-        accepted += 1
-        if worst > cfg.tol_rel:
-            return EqOutcome("fail", worst, point, "value mismatch", accepted)
-        if accepted >= target:
-            return EqOutcome("pass", worst, None, "", accepted)
-    return EqOutcome("starved", worst, None, "sampling starvation", accepted)
+    return _sampled_agreement(f, g, cfg, label, "leq")
 
 
 def maps_compatible(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """f and g agree on the intersection of their domains."""
-    if f.dom != g.dom or f.cod != g.cod:
-        return EqOutcome("fail", float("inf"), None, "shape mismatch")
-    worst = 0.0
-    accepted = 0
-    target = cfg.samples if f.dom.dim > 0 else 1
-    for point in sample_points(f.dom.dim, cfg, label):
-        env = point_env(point)
-        if not (guard_eval(f.guard, env) and guard_eval(g.guard, env)):
-            continue
-        try:
-            fv = tuple(eval_expr(e, env) for e in f.coords)
-            gv = tuple(eval_expr(e, env) for e in g.coords)
-        except OutOfDomainError as fault:
-            return EqOutcome("fail", float("inf"), point, f"eval fault: {fault}", accepted)
-        for a, b in zip(fv, gv):
-            worst = max(worst, _residual(a, b, cfg.abs_floor))
-        accepted += 1
-        if worst > cfg.tol_rel:
-            return EqOutcome("fail", worst, point, "value mismatch", accepted)
-        if accepted >= target:
-            return EqOutcome("pass", worst, None, "", accepted)
-    return EqOutcome("starved", worst, None, "sampling starvation", accepted)
+    return _sampled_agreement(f, g, cfg, label, "compatible")
 
 
 def symbolically_equal(f: SmoothMap, g: SmoothMap) -> bool:

@@ -136,13 +136,10 @@ def _d_guard_rows(suite, idx, m: SplitMap, L, cfg) -> list[CheckResult]:
     structural = guard_vars(df.guard) <= point_vars
     rows = [_bool_row(suite, idx, "split.D-guard-structural", structural, cfg,
                       "" if structural else "guard mentions vector variables")]
-    from .expr import guard_eval
-    from .smooth import point_env
     agreed = 0
     witness = None
     for point in sample_points(l + n, cfg, f"{suite}:{idx}:dguard"):
-        env = point_env(point)
-        lhs = guard_eval(df.guard, env)
+        lhs = in_domain(df, point)
         rhs = in_domain(m.src.idem, point[l:])
         if lhs != rhs:
             witness = point

@@ -58,6 +58,25 @@ def test_cli_jet_out_of_domain(capsys):
     assert "outside guard" in capsys.readouterr().err
 
 
+def test_cli_jet_pow_overflow_is_a_domain_fault(capsys):
+    assert main(["jet", "fn(x) -> (x^2000)", "--order", "1", "--point", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow in pow" in err
+    assert "Traceback" not in err
+
+
+def test_cli_jet_ignores_point_coordinates_past_the_arity(capsys):
+    assert main(["jet", "fn(x) -> (x + 1)", "--order", "1", "--point", "3,5"]) == 0
+    assert "tower at [3.0, 5.0]: [4.0, 1.0]" in capsys.readouterr().out
+
+
+def test_cli_jet_short_point_is_an_error(capsys):
+    assert main(["jet", "fn(x, y) -> (x + y)", "--order", "1", "--point", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x2" in err
+    assert "Traceback" not in err
+
+
 def test_cli_parse_error_exit_code(capsys):
     assert main(["jet", "fn(x) -> (x +* 2)"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,18 +1,21 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faadibruno import expr as E
 from faadibruno.expr import (
+    ExprError,
     Guard,
     GuardAtom,
     OutOfDomainError,
     ParseError,
     TRUE_GUARD,
     UnboundVariableError,
+    compile_tape,
     const,
     diff,
     eval_expr,
@@ -206,6 +209,11 @@ def test_guard_atom_fault_means_false():
     assert guard_eval(g, {"x1": 0.0}) is False
 
 
+def test_pow_overflow_is_a_domain_fault():
+    with pytest.raises(OutOfDomainError, match="overflow in pow"):
+        eval_expr(E.ipow(X, 2000), {"x1": 3.0})
+
+
 def test_guard_and_idempotent():
     g = Guard((GuardAtom(">0", X),))
     assert guard_and(g, g) == g
@@ -283,3 +291,96 @@ def test_map_pretty_roundtrip():
         again = parse_map(pretty_map(m.arity_in, m.coords, m.guard))
         assert again.coords == tuple(simplify(c) for c in m.coords)
         assert again.guard == m.guard
+
+
+# --- the compiled tape against eval_expr ----------------------------------------
+
+_TAPE_KINDS = ("add", "sub", "mul", "div", "pow", "neg", "sin", "cos", "exp",
+               "log", "sqrt")
+
+
+@st.composite
+def shared_exprs(draw):
+    """A pool of expressions over every node kind in which later nodes take
+    their arguments from earlier ones, so subterms are shared; some nodes are
+    rebuilt as equal but distinct objects."""
+    pool = [X, Y, const(0), const(1)]
+    pool += [const(Fraction(n, d)) for n, d in
+             draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=3))]
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(_TAPE_KINDS))
+        a = draw(st.sampled_from(pool))
+        if kind == "pow":
+            node = E.ipow(a, draw(st.sampled_from([0, 1, 2, 3, 7, 400])))
+        elif kind in ("add", "sub", "mul", "div"):
+            node = E.Expr(kind, (a, draw(st.sampled_from(pool))))
+        else:
+            node = E.Expr(kind, (a,))
+        if draw(st.booleans()):
+            node = E.Expr(node.kind, node.args, node.name, node.value, node.exponent)
+        pool.append(node)
+    return pool
+
+
+POINT_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e10, -1e200]),
+    st.floats(-4, 4))
+
+
+def _bits(values):
+    return tuple(struct.pack("<d", v) for v in values)
+
+
+def _outcome(run):
+    """What a call gives: its result, with floats as their bit patterns, or
+    its exception (math.sin of an infinity raises ValueError in both)."""
+    try:
+        out = run()
+    except (ExprError, ValueError) as err:
+        return (type(err), str(err))
+    return ("ok", out if isinstance(out, bool) else _bits(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_exprs(), st.data(), POINT_COORDS, POINT_COORDS)
+def test_tape_matches_eval_expr_bit_for_bit(pool, data, a, b):
+    roots = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)) + [pool[-1]]
+    atoms = data.draw(st.lists(
+        st.builds(GuardAtom, st.sampled_from([">0", "!=0"]), st.sampled_from(pool)),
+        max_size=3))
+    guard = Guard(tuple(atoms))
+    env = {"x1": a, "x2": b}
+    want = _outcome(lambda: [eval_expr(e, env) for e in roots])
+
+    plain = compile_tape(roots, TRUE_GUARD, 2)
+    assert _outcome(lambda: plain.coord_values(plain.guard_values((a, b)))) == want
+    if want[0] == "ok":
+        values = plain.coord_values(plain.guard_values((a, b)))
+        for v, e in zip(values, roots):
+            ref = eval_expr(e, env)
+            assert v == ref or (math.isnan(v) and math.isnan(ref))
+
+    tape = compile_tape(roots, guard, 2)
+    holds = _outcome(lambda: tape.guard_values((a, b)) is not None)
+    assert holds == _outcome(lambda: guard_eval(guard, env))
+    if holds == ("ok", True):
+        assert _outcome(lambda: tape.coord_values(tape.guard_values((a, b)))) == want
+
+
+@pytest.mark.parametrize("text, point, message", [
+    # arguments left to right; the denominator is tested before the
+    # numerator is evaluated
+    ("log(x1) + sqrt(x1)", (-1.0,), "log of non-positive argument"),
+    ("sqrt(x1) * log(x1)", (-1.0,), "sqrt of negative argument"),
+    ("log(x1 - 2)/(x1 - x1)", (1.0,), "division by zero"),
+    ("sqrt(0 - x1)/x1", (1.0,), "sqrt of negative argument"),
+    ("x1^2000/(x1 - 3)", (3.0,), "division by zero"),
+    ("exp(x1^3)", (10.0,), "overflow in exp"),
+])
+def test_tape_first_fault_follows_eval_expr(text, point, message):
+    e = parse_expression(text)
+    with pytest.raises(OutOfDomainError, match=message):
+        eval_expr(e, {"x1": point[0]})
+    tape = compile_tape((e,), TRUE_GUARD, 1)
+    with pytest.raises(OutOfDomainError, match=message):
+        tape.coord_values(tape.guard_values(point))

@@ -328,6 +328,23 @@ def test_map_total():
     assert not map_total(pm("fn(x) -> (1/x)"), FAST, "part").ok
 
 
+def test_map_total_starves_when_points_run_out():
+    # 1-dimensional: six probes and five random points, short of 50 samples
+    out = map_total(pm("fn(x) -> (x)"), RunConfig(samples=50, retry_cap=5), "few")
+    assert out.status == "starved"
+    assert out.samples == 11
+
+
+def test_maps_equal_rejects_non_finite_values():
+    # for |x| > 2^(1024/1200) ~ 1.807 both products overflow to inf and the
+    # quotient is nan, which must not be accepted as agreeing with 1
+    f = pm("fn(x) -> ((x^600*x^600) / (x^600*x^600))")
+    g = pm("fn(x) -> (1) where x^600*x^600 != 0")
+    out = maps_equal(f, g, RunConfig(samples=200), "nan")
+    assert out.status == "fail"
+    assert abs(out.witness[0]) > 1.8
+
+
 def test_deterministic_outcomes():
     f = pm("fn(x) -> (sin(x))")
     g = pm("fn(x) -> (cos(x))")
