@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from typing import Mapping, Sequence
 
 Env = Mapping[str, float]
@@ -41,34 +42,62 @@ FUNCTION_KINDS = ("sin", "cos", "exp", "log", "sqrt")
 BINARY_KINDS = ("add", "sub", "mul", "div")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Expr:
-    kind: str
-    args: tuple["Expr", ...] = ()
-    name: str = ""
-    value: Fraction | None = None
-    exponent: int = 0
-    _hash: int = field(init=False, repr=False)
+# The intern table: every live node, keyed by its structure with the
+# arguments given by id (a live node keeps its arguments alive, so their ids
+# are not reused while its entry stands).  It holds each node by a weak
+# reference whose callback drops the entry and holds no node strongly, so a
+# node and the results cached on it go when nothing else refers to it.
+_NODES: dict = {}
+_set_slot = object.__setattr__  # writes a node slot past Expr.__setattr__
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash",
-            hash((self.kind, self.args, self.name, self.value, self.exponent)))
+
+class Expr:
+    """An immutable expression node, hash-consed (Filliâtre & Conchon,
+    *Type-safe modular hash-consing*, 2006): Expr(...) returns the live node
+    of the same structure if there is one, so structurally equal nodes are
+    one object and == is identity.  The private slots cache the node's
+    free_vars, simplify and diff results.  Construction is not thread-safe:
+    two threads could each build a node of the same structure."""
+
+    __slots__ = ("kind", "args", "name", "value", "exponent", "_hash",
+                 "_free_vars", "_simplified", "_simplified_once", "_diffs",
+                 "__weakref__")
+
+    def __new__(cls, kind: str, args: tuple["Expr", ...] = (), name: str = "",
+                value: Fraction | None = None, exponent: int = 0):
+        key = (kind, tuple(map(id, args)), name, value, exponent)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _set_slot(node, "kind", kind)
+            _set_slot(node, "args", args)
+            _set_slot(node, "name", name)
+            _set_slot(node, "value", value)
+            _set_slot(node, "exponent", exponent)
+            _set_slot(node, "_hash", hash((kind, args, name, value, exponent)))
+            _set_slot(node, "_free_vars", None)
+            _set_slot(node, "_simplified", None)
+            _set_slot(node, "_simplified_once", None)
+            _set_slot(node, "_diffs", None)
+            _NODES[key] = weakref.ref(node, partial(_NODES.pop, key))
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Expr nodes are immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Expr nodes are immutable; cannot delete {name!r}")
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.kind == other.kind
-                and self.name == other.name
-                and self.value == other.value
-                and self.exponent == other.exponent
-                and self.args == other.args)
+    def __reduce__(self):
+        return (Expr, (self.kind, self.args, self.name, self.value, self.exponent))
+
+    def __repr__(self):
+        return (f"Expr({self.kind!r}, {self.args!r}, {self.name!r}, "
+                f"{self.value!r}, {self.exponent!r})")
 
     def __str__(self):
         return pretty_expr(self)
@@ -128,23 +157,21 @@ def sqrt(a: Expr) -> Expr:
     return Expr("sqrt", (a,))
 
 
+# Interned, so any constant 0 or 1 is one of these two nodes.
 ZERO = const(0)
 ONE = const(1)
 
 
-def is_const(e: Expr, value=None) -> bool:
-    if e.kind != "const":
-        return False
-    return value is None or e.value == Fraction(value)
-
-
-@lru_cache(maxsize=None)
 def free_vars(e: Expr) -> frozenset[str]:
-    if e.kind == "var":
-        return frozenset((e.name,))
-    out: frozenset[str] = frozenset()
-    for a in e.args:
-        out |= free_vars(a)
+    out = e._free_vars
+    if out is None:
+        if e.kind == "var":
+            out = frozenset((e.name,))
+        else:
+            out = frozenset()
+            for a in e.args:
+                out |= free_vars(a)
+        _set_slot(e, "_free_vars", out)
     return out
 
 
@@ -197,53 +224,76 @@ def eval_expr(e: Expr, env: Env) -> float:
             return math.sqrt(x)
     except OverflowError:
         raise OutOfDomainError(f"overflow in {k}") from None
+    except ValueError:  # math.sin/math.cos of an infinity
+        raise OutOfDomainError(f"{k} of an infinite argument") from None
     raise ExprError(f"unknown node kind {k!r}")
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of expressions for variables (no simplify)."""
+    return _subst(e, mapping, {})
+
+
+def _subst(e: Expr, mapping: Mapping[str, Expr], memo: dict) -> Expr:
+    """subst, with memo holding each node already rewritten in this call."""
     if e.kind == "var":
         return mapping.get(e.name, e)
     if not e.args:
         return e
-    new_args = tuple(subst(a, mapping) for a in e.args)
-    if new_args == e.args:
-        return e
-    return Expr(e.kind, new_args, e.name, e.value, e.exponent)
+    out = memo.get(e)
+    if out is None:
+        args = tuple([_subst(a, mapping, memo) for a in e.args])
+        out = memo[e] = Expr(e.kind, args, e.name, e.value, e.exponent)
+    return out
 
 
-@lru_cache(maxsize=None)
 def diff(e: Expr, v: str) -> Expr:
     """Exact symbolic partial derivative with respect to variable v."""
-    return simplify(_diff(e, v))
+    diffs = e._diffs
+    if diffs is None:
+        diffs = {}
+        _set_slot(e, "_diffs", diffs)
+    out = diffs.get(v)
+    if out is None:
+        out = diffs[v] = simplify(_diff(e, v, {}))
+    return out
 
 
-def _diff(e: Expr, v: str) -> Expr:
+def _diff(e: Expr, v: str, memo: dict) -> Expr:
+    """The unsimplified derivative, with memo holding each node already
+    differentiated in this call."""
+    out = memo.get(e)
+    if out is None:
+        out = memo[e] = _diff_rule(e, v, memo)
+    return out
+
+
+def _diff_rule(e: Expr, v: str, memo: dict) -> Expr:
     k = e.kind
     if k == "var":
         return ONE if e.name == v else ZERO
     if k == "const":
         return ZERO
     if k == "add":
-        return add(_diff(e.args[0], v), _diff(e.args[1], v))
+        return add(_diff(e.args[0], v, memo), _diff(e.args[1], v, memo))
     if k == "sub":
-        return sub(_diff(e.args[0], v), _diff(e.args[1], v))
+        return sub(_diff(e.args[0], v, memo), _diff(e.args[1], v, memo))
     if k == "mul":
         a, b = e.args
-        return add(mul(_diff(a, v), b), mul(a, _diff(b, v)))
+        return add(mul(_diff(a, v, memo), b), mul(a, _diff(b, v, memo)))
     if k == "div":
         a, b = e.args
-        return div(sub(mul(_diff(a, v), b), mul(a, _diff(b, v))), ipow(b, 2))
+        return div(sub(mul(_diff(a, v, memo), b), mul(a, _diff(b, v, memo))), ipow(b, 2))
     if k == "pow":
         (a,) = e.args
         n = e.exponent
         if n == 0:
             return ZERO
-        return mul(mul(const(n), ipow(a, n - 1)), _diff(a, v))
+        return mul(mul(const(n), ipow(a, n - 1)), _diff(a, v, memo))
     if k == "neg":
-        return neg(_diff(e.args[0], v))
+        return neg(_diff(e.args[0], v, memo))
     (a,) = e.args
-    da = _diff(a, v)
+    da = _diff(a, v, memo)
     if k == "sin":
         return mul(cos(a), da)
     if k == "cos":
@@ -257,23 +307,35 @@ def _diff(e: Expr, v: str) -> Expr:
     raise ExprError(f"unknown node kind {k!r}")
 
 
-@lru_cache(maxsize=None)
 def simplify(e: Expr) -> Expr:
     """Small fixed rewrite set: constant folding plus unit/zero eliminations.
     Semantics-preserving on the guard of any enclosing map; guards are carried
     separately, so dropping a fault-capable subterm (0 * e) is sound here."""
-    out = _simplify_once(e)
-    while True:
-        nxt = _simplify_once(out)
-        if nxt == out:
-            return nxt
-        out = nxt
+    out = e._simplified
+    if out is None:
+        out = _simplify_once(e)
+        while True:
+            nxt = _simplify_once(out)
+            if nxt is out:
+                break
+            out = nxt
+        _set_slot(e, "_simplified", out)
+    return out
 
 
 def _simplify_once(e: Expr) -> Expr:
+    """One bottom-up rewrite pass, cached on the node."""
     if not e.args:
         return e
-    args = tuple(_simplify_once(a) for a in e.args)
+    out = e._simplified_once
+    if out is None:
+        out = _rewrite(e, tuple(map(_simplify_once, e.args)))
+        _set_slot(e, "_simplified_once", out)
+    return out
+
+
+def _rewrite(e: Expr, args: tuple[Expr, ...]) -> Expr:
+    """e's rewrite, given its arguments already rewritten."""
     k = e.kind
     if k in ("add", "sub", "mul", "div"):
         return _simplify_binary(k, args[0], args[1])
@@ -297,29 +359,29 @@ def _simplify_binary(k: str, a: Expr, b: Expr) -> Expr:
     if k == "add":
         if ac and bc:
             return const(a.value + b.value)
-        if is_const(a, 0):
+        if a is ZERO:
             return b
-        if is_const(b, 0):
+        if b is ZERO:
             return a
         return add(a, b)
     if k == "sub":
         if ac and bc:
             return const(a.value - b.value)
-        if is_const(b, 0):
+        if b is ZERO:
             return a
-        if is_const(a, 0):
+        if a is ZERO:
             return neg(b)
-        if a == b:
+        if a is b:
             return ZERO
         return sub(a, b)
     if k == "mul":
         if ac and bc:
             return const(a.value * b.value)
-        if is_const(a, 0) or is_const(b, 0):
+        if a is ZERO or b is ZERO:
             return ZERO
-        if is_const(a, 1):
+        if a is ONE:
             return b
-        if is_const(b, 1):
+        if b is ONE:
             return a
         # keep constants on the left and fold nested constant factors
         if bc and not ac:
@@ -331,9 +393,9 @@ def _simplify_binary(k: str, a: Expr, b: Expr) -> Expr:
     # k == "div"
     if ac and bc and b.value != 0:
         return const(a.value / b.value)
-    if is_const(a, 0):
+    if a is ZERO:
         return ZERO
-    if is_const(b, 1):
+    if b is ONE:
         return a
     return div(a, b)
 
@@ -458,8 +520,13 @@ def domain_atoms(e: Expr) -> tuple[GuardAtom, ...]:
     """Guard atoms under which every primitive on the path is defined and
     smooth: denominators != 0, log/sqrt arguments > 0."""
     out: list[GuardAtom] = []
+    seen: set = set()
 
     def walk(node: Expr):
+        # a node walked before added its atoms then, so it is skipped
+        if node in seen:
+            return
+        seen.add(node)
         for a in node.args:
             walk(a)
         if node.kind == "div":
@@ -478,11 +545,13 @@ _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 _UNARY_OPS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
               "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 # The exceptions the ops raise, translated into eval_expr's faults.  Any other
-# exception (math.sin of an infinity) propagates as it does from eval_expr.
+# exception propagates as it does from eval_expr.
 _FAULTS = {
     (operator.truediv, ZeroDivisionError): "division by zero",
     (operator.pow, OverflowError): "overflow in pow",
     (math.exp, OverflowError): "overflow in exp",
+    (math.sin, ValueError): "sin of an infinite argument",
+    (math.cos, ValueError): "cos of an infinite argument",
     (math.log, ValueError): "log of non-positive argument",
     (math.sqrt, ValueError): "sqrt of negative argument",
 }

@@ -333,40 +333,35 @@ def _combine(outcomes) -> EqOutcome:
     return EqOutcome("pass", worst, None, "", samples)
 
 
+def _componentwise(relation, f: JetMorphism, g: JetMorphism, cfg: RunConfig,
+                   label: str) -> EqOutcome:
+    """Decide a base relation (the base's equal, leq or compatible) on each
+    pair of components up to the common usable order."""
+    order = min(f.order, g.order)
+    outcomes = [relation(f.star, g.star, cfg, f"{label}:*")]
+    for n in range(1, order + 1):
+        outcomes.append(relation(f.derivs[n - 1], g.derivs[n - 1], cfg, f"{label}:{n}"))
+    return _combine(outcomes)
+
+
 def jet_equal(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str) -> EqOutcome:
     """Componentwise equality up to the common usable order."""
-    cat = f.base
-    order = min(f.order, g.order)
-    outcomes = [cat.equal(f.star, g.star, cfg, f"{label}:*")]
-    for n in range(1, order + 1):
-        outcomes.append(cat.equal(f.derivs[n - 1], g.derivs[n - 1], cfg, f"{label}:{n}"))
-    return _combine(outcomes)
+    return _componentwise(f.base.equal, f, g, cfg, label)
 
 
 def is_total(f: JetMorphism, cfg: RunConfig, label: str = "total") -> bool:
     """Total iff the jet's restriction is the identity jet."""
-    rid = identity_jet(f.src, f.order, f.base)
-    return jet_equal(restriction_jet(f), rid, cfg, label).ok
+    return FaaCategory(f.base).total(f, cfg, label).ok
 
 
 def leq(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "leq") -> bool:
     """f <= g decided componentwise (restriction of f then g agrees with f)."""
-    cat = f.base
-    order = min(f.order, g.order)
-    outcomes = [cat.leq(f.star, g.star, cfg, f"{label}:*")]
-    for n in range(1, order + 1):
-        outcomes.append(cat.leq(f.derivs[n - 1], g.derivs[n - 1], cfg, f"{label}:{n}"))
-    return _combine(outcomes).ok
+    return FaaCategory(f.base).leq(f, g, cfg, label).ok
 
 
 def compatible(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "cmp") -> bool:
     """f and g agree wherever both are defined, componentwise."""
-    cat = f.base
-    order = min(f.order, g.order)
-    outcomes = [cat.compatible(f.star, g.star, cfg, f"{label}:*")]
-    for n in range(1, order + 1):
-        outcomes.append(cat.compatible(f.derivs[n - 1], g.derivs[n - 1], cfg, f"{label}:{n}"))
-    return _combine(outcomes).ok
+    return FaaCategory(f.base).compatible(f, g, cfg, label).ok
 
 
 # --- the derivative on jets ----------------------------------------------------------
@@ -465,20 +460,10 @@ class FaaCategory:
         return jet_equal(restriction_jet(f), rid, cfg, label)
 
     def leq(self, f, g, cfg, label) -> EqOutcome:
-        cat = self.base
-        order = min(f.order, g.order)
-        outs = [cat.leq(f.star, g.star, cfg, f"{label}:*")]
-        for n in range(1, order + 1):
-            outs.append(cat.leq(f.derivs[n - 1], g.derivs[n - 1], cfg, f"{label}:{n}"))
-        return _combine(outs)
+        return _componentwise(self.base.leq, f, g, cfg, label)
 
     def compatible(self, f, g, cfg, label) -> EqOutcome:
-        cat = self.base
-        order = min(f.order, g.order)
-        outs = [cat.compatible(f.star, g.star, cfg, f"{label}:*")]
-        for n in range(1, order + 1):
-            outs.append(cat.compatible(f.derivs[n - 1], g.derivs[n - 1], cfg, f"{label}:{n}"))
-        return _combine(outs)
+        return _componentwise(self.base.compatible, f, g, cfg, label)
 
 
 @lru_cache(maxsize=None)
@@ -587,10 +572,6 @@ def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
     dst = FaaObject(L.monoid(f.cod), f.cod)
     derivs = tuple(d_n(f, n, L) for n in range(1, order + 1))
     return JetMorphism(SMOOTH, src, dst, f, derivs)
-
-
-def jet_from_text(text: str, order: int, L: LAssignment) -> JetMorphism:
-    return cofree_jet(parse_smooth_map(text), L, order)
 
 
 # --- linearity ----------------------------------------------------------------------------

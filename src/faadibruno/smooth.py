@@ -167,10 +167,6 @@ def zero_map(dom: SpaceObject, cod: SpaceObject) -> SmoothMap:
     return SmoothMap(dom, cod, tuple(const(0) for _ in range(cod.dim)))
 
 
-def constant_map(dom: SpaceObject, values: Sequence) -> SmoothMap:
-    return SmoothMap(dom, SpaceObject(len(values)), tuple(const(v) for v in values))
-
-
 def restriction_of(f: SmoothMap) -> SmoothMap:
     """The restriction idempotent: identity coordinates, f's guard."""
     return SmoothMap(f.dom, f.dom, identity(f.dom).coords, f.guard)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,14 @@ def test_cli_jet_pow_overflow_is_a_domain_fault(capsys):
     assert main(["jet", "fn(x) -> (x^2000)", "--order", "1", "--point", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow in pow" in err
+    assert "Traceback" not in err
+
+
+def test_cli_jet_sin_of_infinity_is_a_domain_fault(capsys):
+    assert main(["jet", "fn(x) -> (sin(x^200*x^200))", "--order", "1",
+                 "--point", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sin of an infinite argument" in err
     assert "Traceback" not in err
 
 
@@ -141,3 +150,14 @@ def test_cli_compose_prints_components(capsys):
                  "--order", "3"]) == 0
     out = capsys.readouterr().out
     assert "(fg)_3" in out
+
+
+COMPOSE_GOLDEN = Path(__file__).parent / "golden" / "compose_inverse_with_square_plus_identity_order5.txt"
+
+
+def test_cli_compose_output_matches_golden_file(capsys):
+    """The symbolic layer (diff, simplify, printing) gives the recorded text
+    byte for byte."""
+    assert main(["compose", "fn(x) -> (1/x)", "fn(y) -> (y^2 + y)",
+                 "--order", "5"]) == 0
+    assert capsys.readouterr().out.encode() == COMPOSE_GOLDEN.read_bytes()
