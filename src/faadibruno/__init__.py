@@ -35,7 +35,6 @@ from .smooth import (
     iterate_D,
     maps_equal,
     parse_smooth_map,
-    product_pair,
     projection,
     restriction_of,
     then,
@@ -60,7 +59,6 @@ from .jets import (
     lambda_embed,
     leq,
     pair_jets,
-    product_jets,
     projection_jet,
     restriction_jet,
 )

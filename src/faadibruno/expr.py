@@ -56,12 +56,12 @@ class Expr:
     *Type-safe modular hash-consing*, 2006): Expr(...) returns the live node
     of the same structure if there is one, so structurally equal nodes are
     one object and == is identity.  The private slots cache the node's
-    free_vars, simplify and diff results.  Construction is not thread-safe:
-    two threads could each build a node of the same structure."""
+    free_vars, var_span, simplify and diff results.  Construction is not
+    thread-safe: two threads could each build a node of the same structure."""
 
     __slots__ = ("kind", "args", "name", "value", "exponent", "_hash",
-                 "_free_vars", "_simplified", "_simplified_once", "_diffs",
-                 "__weakref__")
+                 "_free_vars", "_var_span", "_simplified", "_simplified_once",
+                 "_diffs", "__weakref__")
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), name: str = "",
                 value: Fraction | None = None, exponent: int = 0):
@@ -77,6 +77,7 @@ class Expr:
             _set_slot(node, "exponent", exponent)
             _set_slot(node, "_hash", hash((kind, args, name, value, exponent)))
             _set_slot(node, "_free_vars", None)
+            _set_slot(node, "_var_span", None)
             _set_slot(node, "_simplified", None)
             _set_slot(node, "_simplified_once", None)
             _set_slot(node, "_diffs", None)
@@ -172,6 +173,24 @@ def free_vars(e: Expr) -> frozenset[str]:
             for a in e.args:
                 out |= free_vars(a)
         _set_slot(e, "_free_vars", out)
+    return out
+
+
+def var_span(e: Expr) -> float:
+    """The number n of leading canonical variables e ranges over: 1 + the
+    largest i with var_name(i) free in e, 0 if e is closed.  So e is a
+    coordinate over R^d exactly when var_span(e) <= d.  A free variable not
+    named by var_name fits no dimension and spans math.inf."""
+    out = e._var_span
+    if out is None:
+        if e.kind == "var":
+            digits = e.name[1:]
+            canonical = (e.name[:1] == "x" and digits.isascii()
+                         and digits.isdigit() and digits[0] != "0")
+            out = int(digits) if canonical else math.inf
+        else:
+            out = max(map(var_span, e.args), default=0)
+        _set_slot(e, "_var_span", out)
     return out
 
 

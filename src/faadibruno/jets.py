@@ -22,11 +22,13 @@ from .smooth import (
     LAssignment,
     MonoidStructure,
     SMOOTH,
+    STRUCTURE_CACHE_SIZE,
     SmoothMap,
     SpaceObject,
     componentwise_monoid,
     d_n,
     insertion_slots,
+    is_componentwise_monoid,
     parse_smooth_map,
 )
 
@@ -107,14 +109,16 @@ def jet_l0(obj: FaaObject) -> FaaObject:
     return lambda_object(obj.monoid)
 
 
-def _is_componentwise(m: MonoidStructure) -> bool:
-    return isinstance(m.carrier, SpaceObject) and m == componentwise_monoid(m.carrier.dim)
-
-
 def mon_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> MonoidStructure:
     """Product monoid: paired carriers, addition through the middle-interchange."""
-    if _is_componentwise(m1) and _is_componentwise(m2):
+    if is_componentwise_monoid(m1) and is_componentwise_monoid(m2):
+        # built afresh, not cached: these reach hundreds of dimensions
         return componentwise_monoid(m1.carrier.dim + m2.carrier.dim)
+    return _interchange_product(cat, m1, m2)
+
+
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _interchange_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> MonoidStructure:
     c1, c2 = m1.carrier, m2.carrier
     carrier = cat.product([c1, c2])
     order = cat.order_of(m1.add)
@@ -127,6 +131,7 @@ def mon_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> MonoidStructur
     return MonoidStructure(carrier, add, zero)
 
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def trivial_monoid(cat, order: int = 0) -> MonoidStructure:
     t = cat.terminal()
     return MonoidStructure(t, cat.bang(cat.product([t, t]), order), cat.identity(t, order))
@@ -192,6 +197,13 @@ def projection_jet(objs, i: int, order: int, cat=SMOOTH) -> JetMorphism:
 
 
 def select_jet(objs, picks, order: int, cat=SMOOTH) -> JetMorphism:
+    """The jet selecting the listed factors of a product; equal layouts give
+    the same jet object."""
+    return _select_jet(tuple(objs), tuple(picks), order, cat)
+
+
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _select_jet(objs: tuple, picks: tuple[int, ...], order: int, cat) -> JetMorphism:
     src = product_objects(cat, list(objs))
     dst = product_objects(cat, [objs[i] for i in picks])
     point_map = cat.select([o.point for o in objs], picks, order)
@@ -294,10 +306,6 @@ def tuple_jets(jets) -> JetMorphism:
 
 def pair_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     return tuple_jets([f, g])
-
-
-def product_jets(o1: FaaObject, o2: FaaObject, cat=SMOOTH) -> FaaObject:
-    return faa_product(cat, o1, o2)
 
 
 def restriction_jet(f: JetMorphism) -> JetMorphism:
@@ -416,12 +424,6 @@ class FaaCategory:
 
     def terminal(self):
         return FaaObject(trivial_monoid(self.base), self.base.terminal())
-
-    def src(self, f: JetMorphism):
-        return f.src
-
-    def dst(self, f: JetMorphism):
-        return f.dst
 
     def identity(self, obj: FaaObject, order: int):
         return identity_jet(obj, order, self.base)

@@ -212,20 +212,28 @@ def check_dr9(suite, idx, f: SmoothMap, L, cfg) -> list[CheckResult]:
     ]
 
 
-def check_cd_axioms(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig,
-                    suite: str = "cd", map_index: int = 0) -> list[CheckResult]:
-    """CD.1-CD.7 (standard-form CD.2, printed form reported without gating)
-    plus the additivity lemma, on the composable pair (f, g)."""
-    if f.cod != g.dom:
-        raise ValueError("check_cd_axioms wants a composable pair")
+def _cd_rows(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig, suite: str,
+             map_index: int, restricted: bool) -> list[CheckResult]:
+    """CD.1-CD.7, the prefix shared by the cd and dr suites; restricted
+    selects the DR form of CD.6."""
     rows: list[CheckResult] = []
     rows += check_cd1(suite, map_index, f.dom, L, cfg)
     rows += check_cd2(suite, map_index, f, L, cfg)
     rows += check_cd3(suite, map_index, f.dom, f.cod, L, cfg)
     rows.append(check_cd4(suite, map_index, f, then(f, g), L, cfg))
     rows.append(check_cd5(suite, map_index, f, g, L, cfg))
-    rows += check_cd6(suite, map_index, f, L, cfg, restricted=False)
+    rows += check_cd6(suite, map_index, f, L, cfg, restricted)
     rows.append(check_cd7(suite, map_index, f, L, cfg))
+    return rows
+
+
+def check_cd_axioms(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig,
+                    suite: str = "cd", map_index: int = 0) -> list[CheckResult]:
+    """CD.1-CD.7 (standard-form CD.2, printed form reported without gating)
+    plus the additivity lemma, on the composable pair (f, g)."""
+    if f.cod != g.dom:
+        raise ValueError("check_cd_axioms wants a composable pair")
+    rows = _cd_rows(f, g, L, cfg, suite, map_index, restricted=False)
     rows += check_lemma_additivity(suite, map_index, f, L, cfg)
     return rows
 
@@ -235,14 +243,7 @@ def check_dr_axioms(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig,
     """DR.1-DR.9 plus the restriction axioms R.1-R.4 on the pair (f, g)."""
     if f.cod != g.dom:
         raise ValueError("check_dr_axioms wants a composable pair")
-    rows: list[CheckResult] = []
-    rows += [r for r in check_cd1(suite, map_index, f.dom, L, cfg)]
-    rows += check_cd2(suite, map_index, f, L, cfg)
-    rows += check_cd3(suite, map_index, f.dom, f.cod, L, cfg)
-    rows.append(check_cd4(suite, map_index, f, then(f, g), L, cfg))
-    rows.append(check_cd5(suite, map_index, f, g, L, cfg))
-    rows += check_cd6(suite, map_index, f, L, cfg, restricted=True)
-    rows.append(check_cd7(suite, map_index, f, L, cfg))
+    rows = _cd_rows(f, g, L, cfg, suite, map_index, restricted=True)
     rows.append(check_dr8(suite, map_index, f, L, cfg))
     rows += check_dr9(suite, map_index, f, L, cfg)
     rows += check_restriction_axioms(suite, map_index, f, g, cfg)

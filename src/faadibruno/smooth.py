@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .config import RunConfig, derive_seed
@@ -21,9 +22,9 @@ from .expr import (
     OutOfDomainError,
     TRUE_GUARD,
     Tape,
+    ZERO,
     add,
     compile_tape,
-    const,
     diff,
     free_vars,
     guard_and,
@@ -36,7 +37,14 @@ from .expr import (
     subst,
     var,
     var_name,
+    var_span,
 )
+
+# Entries kept by each structural constructor cache (select, identity here;
+# the jet constructors in jets).  A layout is built once while it stays among
+# the most recently used; the bound keeps a long-lived process from holding
+# every layout it ever built.
+STRUCTURE_CACHE_SIZE = 1024
 
 
 class SmoothMapError(Exception):
@@ -71,11 +79,11 @@ class SmoothMap:
         if len(self.coords) != self.cod.dim:
             raise SmoothMapError(
                 f"{self.cod.dim} coordinates expected, got {len(self.coords)}")
-        allowed = {var_name(i) for i in range(self.dom.dim)}
-        used = guard_vars(self.guard)
-        for e in self.coords:
-            used |= free_vars(e)
-        if not used <= allowed:
+        dim = self.dom.dim
+        if (any(var_span(e) > dim for e in self.coords)
+                or any(var_span(a.expr) > dim for a in self.guard.atoms)):
+            used = guard_vars(self.guard).union(*map(free_vars, self.coords))
+            allowed = {var_name(i) for i in range(dim)}
             raise SmoothMapError(f"variables {sorted(used - allowed)} out of range")
 
     def __str__(self):
@@ -107,6 +115,7 @@ def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
 
 # --- category structure -------------------------------------------------------
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def identity(obj: SpaceObject) -> SmoothMap:
     coords = tuple(var(var_name(i)) for i in range(obj.dim))
     return SmoothMap(obj, obj, coords)
@@ -136,13 +145,14 @@ def tuple_map(maps: Sequence[SmoothMap]) -> SmoothMap:
     return SmoothMap(dom, SpaceObject(sum(m.cod.dim for m in maps)), coords, guard)
 
 
-def product_pair(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    return tuple_map([f, g])
-
-
 def select(block_dims: Sequence[int], picks: Sequence[int]) -> SmoothMap:
     """Total map from the product with the given block layout onto the listed
-    blocks, in order."""
+    blocks, in order.  Equal layouts give the same map object."""
+    return _select(tuple(block_dims), tuple(picks))
+
+
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _select(block_dims: tuple[int, ...], picks: tuple[int, ...]) -> SmoothMap:
     offsets = []
     total = 0
     for d in block_dims:
@@ -164,7 +174,7 @@ def bang(obj: SpaceObject) -> SmoothMap:
 
 
 def zero_map(dom: SpaceObject, cod: SpaceObject) -> SmoothMap:
-    return SmoothMap(dom, cod, tuple(const(0) for _ in range(cod.dim)))
+    return SmoothMap(dom, cod, (ZERO,) * cod.dim)
 
 
 def restriction_of(f: SmoothMap) -> SmoothMap:
@@ -201,11 +211,27 @@ class MonoidStructure:
 
 def componentwise_monoid(dim: int) -> MonoidStructure:
     carrier = SpaceObject(dim)
-    coords = tuple(
-        simplify(add(var(var_name(i)), var(var_name(dim + i)))) for i in range(dim))
+    coords = tuple(add(var(var_name(i)), var(var_name(dim + i))) for i in range(dim))
     plus = SmoothMap(SpaceObject(2 * dim), carrier, coords)
     zero = zero_map(TERMINAL, carrier)
     return MonoidStructure(carrier, plus, zero)
+
+
+def is_componentwise_monoid(m: MonoidStructure) -> bool:
+    """m == componentwise_monoid(dim) for its carrier's dim, decided field by
+    field without building that monoid."""
+    carrier, plus, zero = m.carrier, m.add, m.zero
+    if not (isinstance(carrier, SpaceObject) and isinstance(plus, SmoothMap)
+            and isinstance(zero, SmoothMap)):
+        return False
+    dim = carrier.dim
+    # only a var node has a name, so matching names means matching variables
+    return (plus.dom.dim == 2 * dim and plus.cod == carrier and plus.guard == TRUE_GUARD
+            and zero.dom == TERMINAL and zero.cod == carrier and zero.guard == TRUE_GUARD
+            and all(e is ZERO for e in zero.coords)
+            and all(e.kind == "add" and e.args[0].name == var_name(i)
+                    and e.args[1].name == var_name(dim + i)
+                    for i, e in enumerate(plus.coords)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +272,7 @@ def D(f: SmoothMap, L: LAssignment = CLASSICAL) -> SmoothMap:
         return SmoothMap(dom, TERMINAL, (), guard)
     coords = []
     for e in f.coords:
-        total = const(0)
+        total = ZERO
         for j in range(d):
             partial = subst(diff(e, var_name(j)), point_rename)
             total = add(total, mul(var(var_name(j)), partial))
@@ -298,7 +324,7 @@ def d_n_insertion(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap
     coords: list[Expr] = []
     for block, slot in zip(blocks, slots):
         if slot[0] == "zero":
-            coords.extend(const(0) for _ in range(block.dim))
+            coords.extend((ZERO,) * block.dim)
         elif slot[0] == "v":
             base = (slot[1] - 1) * l
             coords.extend(var(var_name(base + k)) for k in range(block.dim))
@@ -327,7 +353,7 @@ def d_n(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap:
         base = step * l
         new_exprs = []
         for e in exprs:
-            total = const(0)
+            total = ZERO
             for j in range(d):
                 total = add(total, mul(var(var_name(base + j)),
                                        diff(e, var_name(n * l + j))))
@@ -485,12 +511,6 @@ class SmoothCategory:
     def terminal(self) -> SpaceObject:
         return TERMINAL
 
-    def src(self, f: SmoothMap) -> SpaceObject:
-        return f.dom
-
-    def dst(self, f: SmoothMap) -> SpaceObject:
-        return f.cod
-
     def identity(self, obj: SpaceObject, order: int | None = None) -> SmoothMap:
         return identity(obj)
 
@@ -518,9 +538,6 @@ class SmoothCategory:
 
     def equal(self, f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
         return maps_equal(f, g, cfg, label)
-
-    def total(self, f: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-        return map_total(f, cfg, label)
 
     def leq(self, f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
         return map_leq(f, g, cfg, label)

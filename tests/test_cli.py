@@ -161,3 +161,16 @@ def test_cli_compose_output_matches_golden_file(capsys):
     assert main(["compose", "fn(x) -> (1/x)", "fn(y) -> (y^2 + y)",
                  "--order", "5"]) == 0
     assert capsys.readouterr().out.encode() == COMPOSE_GOLDEN.read_bytes()
+
+
+COMONAD_GOLDEN = Path(__file__).parent / "golden" / "comonad_order3_samples50_seed0.json"
+
+
+def test_cli_comonad_report_matches_golden_file(tmp_path, capsys):
+    """The jets-over-jets construction (delta, products, selections) gives the
+    recorded comonad report byte for byte."""
+    out = tmp_path / "comonad.json"
+    assert main(["axioms", "--suite", "comonad", "--order", "3", "--samples", "50",
+                 "--seed", "0", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == COMONAD_GOLDEN.read_bytes()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig
+from faadibruno import jets as J
 from faadibruno.jets import (
     FaaObject,
     JetError,
@@ -23,20 +24,25 @@ from faadibruno.jets import (
     jet_to_dict,
     lambda_embed,
     lambda_object,
+    mon_product,
     pair_jets,
     projection_jet,
     restriction_jet,
     select_jet,
+    trivial_monoid,
     truncate_jet,
 )
 from faadibruno.smooth import (
     CLASSICAL,
     D,
     SMOOTH,
+    STRUCTURE_CACHE_SIZE,
+    MonoidStructure,
     SpaceObject,
     apply_map,
     componentwise_monoid,
     maps_equal,
+    zero_map,
     parse_smooth_map,
     restriction_of,
     then,
@@ -413,3 +419,40 @@ def test_jet_from_dict_rejects_bad_dims():
     data["derivs"][1] = "fn(x) -> (x)"
     with pytest.raises(JetError):
         jet_from_dict(data)
+
+
+# --- structural caches ------------------------------------------------------------------------------
+
+def _obj(carrier, point):
+    return FaaObject(componentwise_monoid(carrier), SpaceObject(point))
+
+
+def test_select_jet_returns_one_object_per_layout():
+    objs = [_obj(1, 1), _obj(2, 2)]
+    assert select_jet(objs, [1, 0], 3) is select_jet(tuple(objs), (1, 0), 3, SMOOTH)
+    F = J.faa_over(SMOOTH)
+    level2 = [lambda_object(componentwise_monoid(1)), _obj(1, 1)]
+    assert F.select(level2, [1], 2) is F.select(tuple(level2), (1,), 2)
+
+
+def test_componentwise_product_is_componentwise():
+    assert mon_product(SMOOTH, componentwise_monoid(1), componentwise_monoid(2)) \
+        == componentwise_monoid(3)
+
+
+def test_jet_structure_caches_stay_bounded():
+    bound = STRUCTURE_CACHE_SIZE
+    side = 33
+    assert side * side > bound
+    for a in range(side):
+        for b in range(side):
+            select_jet([_obj(0, a), _obj(0, b)], [0], 1)
+    assert J._select_jet.cache_info().currsize <= bound
+    for order in range(bound + 20):
+        trivial_monoid(SMOOTH, order)
+    assert trivial_monoid.cache_info().currsize <= bound
+    zero = zero_map(SpaceObject(0), SpaceObject(1))
+    for k in range(bound + 20):
+        m = MonoidStructure(SpaceObject(1), pm(f"fn(a,b) -> (a + b + {k})"), zero)
+        mon_product(SMOOTH, m, m)
+    assert J._interchange_product.cache_info().currsize <= bound

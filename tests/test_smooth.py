@@ -6,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig
-from faadibruno.expr import Guard, GuardAtom, OutOfDomainError, parse_expression, var
+from faadibruno.expr import Guard, GuardAtom, OutOfDomainError, add, parse_expression, var
 from faadibruno import smooth as S
 from faadibruno.smooth import (
     CLASSICAL,
     SMOOTH,
+    STRUCTURE_CACHE_SIZE,
+    MonoidStructure,
+    SmoothMap,
+    SmoothMapError,
     SpaceObject,
     TRIVIAL,
     D,
@@ -20,6 +24,7 @@ from faadibruno.smooth import (
     d_n_insertion,
     finite_diff,
     identity,
+    is_componentwise_monoid,
     iterate_D,
     map_leq,
     map_total,
@@ -65,6 +70,63 @@ def test_then_pulls_guard_back():
 def test_then_dimension_mismatch():
     with pytest.raises(S.SmoothMapError):
         then(pm("fn(x) -> (x, x)"), pm("fn(y) -> (y)"))
+
+
+# --- construction checks and structural caches -------------------------------------
+
+def test_map_rejects_coordinate_variable_out_of_range():
+    with pytest.raises(SmoothMapError, match=r"\['x2'\] out of range"):
+        SmoothMap(SpaceObject(1), SpaceObject(1), (var("x2"),))
+
+
+def test_map_rejects_guard_variable_out_of_range():
+    guard = Guard((GuardAtom("!=0", var("x3")),))
+    with pytest.raises(SmoothMapError, match=r"\['x3'\] out of range"):
+        SmoothMap(SpaceObject(2), SpaceObject(1), (var("x1"),), guard)
+
+
+@pytest.mark.parametrize("name", ["y", "x", "x0", "x01", "x1a", "x\u0661"])
+def test_map_rejects_non_canonical_variable(name):
+    with pytest.raises(SmoothMapError):
+        SmoothMap(SpaceObject(3), SpaceObject(1), (var(name),))
+
+
+def test_map_accepts_variables_up_to_its_dimension():
+    guard = Guard((GuardAtom(">0", var("x3")),))
+    f = SmoothMap(SpaceObject(3), SpaceObject(2),
+                  (parse_expression("x1*x2"), parse_expression("5")), guard)
+    assert f.dom.dim == 3
+
+
+def test_select_returns_one_object_per_layout():
+    assert select([1, 2, 3], [2, 0]) is select((1, 2, 3), (2, 0))
+    assert identity(SpaceObject(4)) is identity(SpaceObject(4))
+
+
+def test_structural_caches_stay_bounded():
+    for n in range(STRUCTURE_CACHE_SIZE + 20):
+        select([1, n], [0])
+    assert S._select.cache_info().currsize <= STRUCTURE_CACHE_SIZE
+    for n in range(STRUCTURE_CACHE_SIZE + 20):
+        identity(SpaceObject(n))
+    assert identity.cache_info().currsize <= STRUCTURE_CACHE_SIZE
+
+
+def test_componentwise_recognized_without_building_it():
+    zero1 = S.zero_map(S.TERMINAL, SpaceObject(1))
+    others = [
+        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"), zero1),
+        MonoidStructure(SpaceObject(1), SmoothMap(SpaceObject(2), SpaceObject(1),
+                                                  (add(var("x1"), var("x1")),)), zero1),
+        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (a + b + 1)"), zero1),
+        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (a + b)"),
+                        SmoothMap(S.TERMINAL, SpaceObject(1), (parse_expression("1"),))),
+        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (a + b) where a > 0"), zero1),
+        MonoidStructure(SpaceObject(1), pm("fn(a,b,c) -> (a + b)"), zero1),
+    ]
+    for m in [componentwise_monoid(d) for d in range(5)] + others:
+        assert is_componentwise_monoid(m) == (m == componentwise_monoid(m.carrier.dim))
+    assert not any(is_componentwise_monoid(m) for m in others)
 
 
 # --- products ----------------------------------------------------------------------
