@@ -14,6 +14,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 Env = Mapping[str, float]
@@ -593,6 +594,18 @@ def _run(steps, v: list) -> None:
         raise OutOfDomainError(message) from None
 
 
+# a guard atom's test, mapped over a column: 0.0 < x is x > 0.0, NaN included
+_POSITIVE = (0.0).__lt__
+_NONZERO = (0.0).__ne__
+
+
+def _map_steps(steps, v: list) -> None:
+    """_run over columns: append each step's values at every row to v."""
+    append = v.append
+    for op, a, b in steps:
+        append(list(map(op, v[a])) if b is None else list(map(op, v[a], v[b])))
+
+
 class Tape:
     """A guard and coordinate expressions compiled into straight-line steps
     over one list of slots: the inputs, then the constants, then one slot per
@@ -633,6 +646,47 @@ class Tape:
         OutOfDomainError with the message eval_expr gives."""
         _run(self.steps, v)
         return tuple([v[r] for r in self.roots])
+
+    def run_batch(self, points: Sequence[Sequence[float]]) -> list:
+        """guard_values then coord_values at every point: per point None where
+        the guard does not hold, the coordinate values, or the exception
+        evaluating that point raises.  The points are evaluated a column at a
+        time; if any column op raises, every point is redone alone, so each
+        fault belongs to the point that raised it."""
+        try:
+            return self._columns(points)
+        except Exception:
+            return [self._run_alone(point) for point in points]
+
+    def _run_alone(self, point):
+        try:
+            v = self.guard_values(point)
+            return None if v is None else self.coord_values(v)
+        except Exception as err:
+            return err
+
+    def _columns(self, points) -> list:
+        """run_batch with one list per slot, a value per point; raises what
+        the first failing column op raises."""
+        n = len(points)
+        cols = list(zip(*points))
+        if n and len(cols) < self.arity:
+            raise UnboundVariableError(var_name(len(cols)))
+        v = [list(map(float, col)) for col in cols[:self.arity]]
+        v += [[c] * n for c in self.consts]
+        rows = range(n)  # the points whose guard atoms have held so far
+        for steps, root, positive in self.atoms:
+            _map_steps(steps, v)
+            held = list(map(_POSITIVE if positive else _NONZERO, v[root]))
+            if not all(held):
+                rows = list(compress(rows, held))
+                v = [list(compress(col, held)) for col in v]
+        _map_steps(self.steps, v)
+        out = [None] * n
+        values = zip(*[v[r] for r in self.roots]) if self.roots else repeat(())
+        for i, value in zip(rows, values):
+            out[i] = value
+        return out
 
 
 def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .config import RunConfig, derive_seed
@@ -417,45 +418,83 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
         yield ()
         return
     yield from probe_points(dim)
+    # rng.uniform(-radius, radius), inlined: random.uniform(a, b) is
+    # a + (b - a) * random(), so the stream is the same to the bit
+    lo = -cfg.radius
+    span = cfg.radius - lo
+    draw = rng.random
     for _ in range(cfg.retry_cap):
-        yield tuple(rng.uniform(-cfg.radius, cfg.radius) for _ in range(dim))
+        yield tuple([lo + span * draw() for _ in range(dim)])
+
+
+# Most points pulled from sample_points and evaluated together by one
+# Tape.run_batch; bounds the columns a batch holds.
+BATCH_SIZE = 256
+
+
+def _replay(tf: Tape, tg: Tape, point: Point, relation: str):
+    """One point evaluated side by side, as the point-at-a-time loop did: f's
+    guard, g's guard, f's coordinates, g's coordinates, so the first fault is
+    raised where it was.  Returns the pair of run_batch results it stands for,
+    with () for values that the relation never reads."""
+    fs = tf.guard_values(point)
+    if fs is None and relation != "equal":
+        return None, None
+    gs = tg.guard_values(point)
+    if fs is None or gs is None:
+        return (None if fs is None else ()), (None if gs is None else ())
+    return tf.coord_values(fs), tg.coord_values(gs)
 
 
 def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
                        relation: str) -> EqOutcome:
     """The one sampling loop behind maps_equal ("equal"), map_leq ("leq") and
     maps_compatible ("compatible"); they differ only in what a point where
-    one guard fails means."""
+    one guard fails means.  Points are evaluated a batch at a time, and
+    identical sides once; the outcome is the one a point-at-a-time loop
+    reaches, since results are read in point order and a point whose
+    evaluation raised is replayed alone."""
     if f.dom != g.dom or f.cod != g.cod:
         return EqOutcome("fail", math.inf, None, "shape mismatch")
-    tf, tg = f.tape(), g.tape()
+    same = f == g
+    tf = f.tape()
+    tg = tf if same else g.tape()
+    floor = cfg.abs_floor
     worst = 0.0
     accepted = 0
     target = cfg.samples if f.dom.dim > 0 else 1
-    for point in sample_points(f.dom.dim, cfg, label):
-        fs = tf.guard_values(point)
-        if fs is None and relation != "equal":
-            continue
-        gs = tg.guard_values(point)
-        if gs is None and fs is not None and relation == "compatible":
-            continue
-        if (fs is None) != (gs is None):
-            note = "guard mismatch" if relation == "equal" else "domain not contained"
-            return EqOutcome("fail", math.inf, point, note, accepted)
-        if fs is None:
-            continue
-        try:
-            fv = tf.coord_values(fs)
-            gv = tg.coord_values(gs)
-        except OutOfDomainError as fault:
-            return EqOutcome("fail", math.inf, point, f"eval fault: {fault}", accepted)
-        for a, b in zip(fv, gv):
-            worst = max(worst, _residual(a, b, cfg.abs_floor))
-        accepted += 1
-        if worst > cfg.tol_rel:
-            return EqOutcome("fail", worst, point, "value mismatch", accepted)
-        if accepted >= target:
-            return EqOutcome("pass", worst, None, "", accepted)
+    points = sample_points(f.dom.dim, cfg, label)
+    while batch := list(islice(points, min(target - accepted, BATCH_SIZE))):
+        fr = tf.run_batch(batch)
+        gr = fr if same else tg.run_batch(batch)
+        for point, fv, gv in zip(batch, fr, gr):
+            if isinstance(fv, Exception) or isinstance(gv, Exception):
+                try:
+                    fv, gv = _replay(tf, tg, point, relation)
+                except OutOfDomainError as fault:
+                    return EqOutcome("fail", math.inf, point, f"eval fault: {fault}",
+                                     accepted)
+            if fv is None and relation != "equal":
+                continue
+            if gv is None and fv is not None and relation == "compatible":
+                continue
+            if (fv is None) != (gv is None):
+                note = "guard mismatch" if relation == "equal" else "domain not contained"
+                return EqOutcome("fail", math.inf, point, note, accepted)
+            if fv is None:
+                continue
+            if same:
+                # _residual(a, a, floor): 0.0 for a finite value, inf otherwise
+                if not all(map(math.isfinite, fv)):
+                    worst = math.inf
+            else:
+                for a, b in zip(fv, gv):
+                    worst = max(worst, _residual(a, b, floor))
+            accepted += 1
+            if worst > cfg.tol_rel:
+                return EqOutcome("fail", worst, point, "value mismatch", accepted)
+            if accepted >= target:
+                return EqOutcome("pass", worst, None, "", accepted)
     return EqOutcome("starved", worst, None, "sampling starvation", accepted)
 
 

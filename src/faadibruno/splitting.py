@@ -136,20 +136,19 @@ def _d_guard_rows(suite, idx, m: SplitMap, L, cfg) -> list[CheckResult]:
     structural = guard_vars(df.guard) <= point_vars
     rows = [_bool_row(suite, idx, "split.D-guard-structural", structural, cfg,
                       "" if structural else "guard mentions vector variables")]
+    dim = l + n
+    target = cfg.samples if dim > 0 else 1
+    outcome = EqOutcome("starved", 0.0, None, "sampling starvation")
     agreed = 0
-    witness = None
-    for point in sample_points(l + n, cfg, f"{suite}:{idx}:dguard"):
-        lhs = in_domain(df, point)
-        rhs = in_domain(m.src.idem, point[l:])
-        if lhs != rhs:
-            witness = point
+    for point in sample_points(dim, cfg, f"{suite}:{idx}:dguard"):
+        if in_domain(df, point) != in_domain(m.src.idem, point[l:]):
+            outcome = EqOutcome("fail", -1.0, None, f"disagrees at {point}")
             break
         agreed += 1
-        if agreed >= cfg.samples:
+        if agreed >= target:
+            outcome = EqOutcome("pass", 0.0)
             break
-    rows.append(_bool_row(suite, idx, "split.D-guard-is-source-guard",
-                          witness is None, cfg,
-                          "" if witness is None else f"disagrees at {witness}"))
+    rows.append(_row(suite, idx, "split.D-guard-is-source-guard", outcome, cfg))
     return rows
 
 

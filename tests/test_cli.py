@@ -152,7 +152,8 @@ def test_cli_compose_prints_components(capsys):
     assert "(fg)_3" in out
 
 
-COMPOSE_GOLDEN = Path(__file__).parent / "golden" / "compose_inverse_with_square_plus_identity_order5.txt"
+GOLDEN = Path(__file__).parent / "golden"
+COMPOSE_GOLDEN = GOLDEN / "compose_inverse_with_square_plus_identity_order5.txt"
 
 
 def test_cli_compose_output_matches_golden_file(capsys):
@@ -163,14 +164,14 @@ def test_cli_compose_output_matches_golden_file(capsys):
     assert capsys.readouterr().out.encode() == COMPOSE_GOLDEN.read_bytes()
 
 
-COMONAD_GOLDEN = Path(__file__).parent / "golden" / "comonad_order3_samples50_seed0.json"
-
-
-def test_cli_comonad_report_matches_golden_file(tmp_path, capsys):
-    """The jets-over-jets construction (delta, products, selections) gives the
-    recorded comonad report byte for byte."""
-    out = tmp_path / "comonad.json"
-    assert main(["axioms", "--suite", "comonad", "--order", "3", "--samples", "50",
+@pytest.mark.parametrize("suite", ["comonad", "faa-r", "dr"])
+def test_cli_report_matches_golden_file(suite, tmp_path, capsys):
+    """The recorded report of each suite, byte for byte: comonad covers the
+    jets-over-jets construction (delta, products, selections), faa-r and dr
+    the sampled equality over large and over restricted maps."""
+    out = tmp_path / f"{suite}.json"
+    assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "50",
                  "--seed", "0", "--json", str(out)]) == 0
     capsys.readouterr()
-    assert out.read_bytes() == COMONAD_GOLDEN.read_bytes()
+    golden = GOLDEN / f"{suite}_order3_samples50_seed0.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -394,6 +394,23 @@ def _outcome(run):
     return ("ok", out if isinstance(out, bool) else _bits(out))
 
 
+def _point_result(tape, point):
+    """guard_values then coord_values at one point: None where the guard does
+    not hold, the values' bit patterns, or the fault's type and message."""
+    try:
+        slots = tape.guard_values(point)
+        return None if slots is None else _bits(tape.coord_values(slots))
+    except ExprError as err:
+        return (type(err), str(err))
+
+
+def _batch_result(result):
+    """One point's entry of Tape.run_batch, in _point_result's terms."""
+    if isinstance(result, Exception):
+        return (type(result), str(result))
+    return None if result is None else _bits(result)
+
+
 @settings(max_examples=300, deadline=None)
 @given(shared_exprs(), st.data(), POINT_COORDS, POINT_COORDS)
 def test_tape_matches_eval_expr_bit_for_bit(pool, data, a, b):
@@ -418,6 +435,13 @@ def test_tape_matches_eval_expr_bit_for_bit(pool, data, a, b):
     assert holds == _outcome(lambda: guard_eval(guard, env))
     if holds == ("ok", True):
         assert _outcome(lambda: tape.coord_values(tape.guard_values((a, b)))) == want
+
+    # a batch mixing the drawn point with points where guards fail and
+    # evaluation faults gives, point by point, what the point alone gives
+    points = [(a, b), (0.0, 0.0), (a, b), (-1.0, 0.5), (1e10, -1e200), (-3.0, a)]
+    for t in (plain, tape):
+        assert ([_batch_result(r) for r in t.run_batch(points)]
+                == [_point_result(t, p) for p in points])
 
 
 @pytest.mark.parametrize("text, point, message", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faadibruno.config import RunConfig
+from faadibruno.config import RunConfig, derive_seed
 from faadibruno.expr import Guard, GuardAtom, OutOfDomainError, add, parse_expression, var
 from faadibruno import smooth as S
 from faadibruno.smooth import (
@@ -30,8 +30,10 @@ from faadibruno.smooth import (
     map_total,
     maps_equal,
     parse_smooth_map,
+    probe_points,
     projection,
     restriction_of,
+    sample_points,
     select,
     then,
     tuple_map,
@@ -363,6 +365,20 @@ def test_d_matches_finite_diff_across_corpus():
 
 # --- equality protocol -------------------------------------------------------------------
 
+@pytest.mark.parametrize("dim", range(5))
+@pytest.mark.parametrize("seed, radius", [(0, 2.0), (42, 2.0), (7, 0.3), (123456, 5.5)])
+def test_sample_points_draw_as_random_uniform(dim, seed, radius):
+    cfg = RunConfig(seed=seed, radius=radius, retry_cap=40)
+    got = list(sample_points(dim, cfg, "stream"))
+    if dim == 0:
+        assert got == [()]
+        return
+    rng = random.Random(derive_seed(seed, "stream"))
+    want = probe_points(dim) + [tuple(rng.uniform(-radius, radius) for _ in range(dim))
+                                for _ in range(cfg.retry_cap)]
+    assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
 def test_maps_equal_detects_value_mismatch():
     f = pm("fn(x) -> (x^2)")
     g = pm("fn(x) -> (x^2 + x^3)")
@@ -405,6 +421,42 @@ def test_maps_equal_rejects_non_finite_values():
     out = maps_equal(f, g, RunConfig(samples=200), "nan")
     assert out.status == "fail"
     assert abs(out.witness[0]) > 1.8
+
+
+@pytest.mark.parametrize("text, note, witness", [
+    # infinite without a fault: exp(700)^2 overflows to inf at the first probe
+    ("fn(x) -> (exp(x + 700) * exp(x + 700))", "value mismatch", (0.0,)),
+    # exp(exp(7)) overflows at the second probe
+    ("fn(x) -> (exp(exp(x + 6)))", "eval fault: overflow in exp", (1.0,)),
+])
+def test_identical_sides_still_fail(text, note, witness):
+    f = pm(text)
+    again = pm(text)
+    assert again == f and again is not f
+    for g in (f, again):
+        out = maps_equal(f, g, FAST, "self")
+        assert (out.status, out.note, out.witness) == ("fail", note, witness)
+        assert out.worst_residual == math.inf
+    # the second side equals the first, so its tape is never built
+    assert again._tape is None
+
+
+@pytest.mark.parametrize("f_text, g_text, note, witness", [
+    # the probes (0.0,) and (1.0,) are pulled in one batch: the values
+    # disagree at the first and evaluation faults at the second
+    ("fn(x) -> (x)", "fn(x) -> (exp(exp(x + 6)))", "value mismatch", (0.0,)),
+    ("fn(x) -> (exp(exp(x + 6)) * exp(exp(x + 6)))",
+     "fn(x) -> (exp(exp(x + 6)) * exp(exp(x + 6)))", "value mismatch", (0.0,)),
+    # both sides agree at the first probe and fault at the second, each with
+    # its own message: f's coordinates are evaluated first
+    ("fn(x) -> (exp(exp(x + 6)))", "fn(x) -> (x * (x + 1)^2000 + exp(exp(x + 6)))",
+     "eval fault: overflow in exp", (1.0,)),
+    ("fn(x) -> (x * (x + 1)^2000 + exp(exp(x + 6)))", "fn(x) -> (exp(exp(x + 6)))",
+     "eval fault: overflow in pow", (1.0,)),
+])
+def test_first_failure_in_point_order_is_reported(f_text, g_text, note, witness):
+    out = maps_equal(pm(f_text), pm(g_text), FAST, "order")
+    assert (out.status, out.note, out.witness) == ("fail", note, witness)
 
 
 def test_deterministic_outcomes():

@@ -114,3 +114,13 @@ def test_total_in_split_detects_mismatch():
     pos = split_object(1, X_NONZERO)
     m2 = split_map(pm("fn(x) -> (1/x)"), pos, full, CFG)
     assert total_in_split(m2, CFG, "tot2").ok
+
+
+def test_d_guard_row_starves_when_points_run_out():
+    # the doubled domain is 2-dimensional: eight probes and five random
+    # points, short of 50 samples
+    cfg = RunConfig(samples=50, retry_cap=5)
+    rows = check_split_cdc(default_split_corpus()[:1], cfg)
+    row, = [r for r in rows if r.axiom == "split.D-guard-is-source-guard"]
+    assert row.status == "starved"
+    assert row.note == "sampling starvation"
