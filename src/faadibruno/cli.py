@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import RunConfig
@@ -37,21 +38,46 @@ SUITES = ("cd", "dr", "faa-r", "comonad", "linear", "split")
 _EXIT = {"pass": 0, "fail": 1, "starved": 3}
 
 
+def _checked(convert, expected: str, ok):
+    """An argparse type: convert the text and require ok of the value, so a
+    bad value is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def _parse_vector(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+_ORDER = _checked(int, "a non-negative integer", lambda n: n >= 0)
+_COUNT = _checked(int, "a positive integer", lambda n: n > 0)
+_TOLERANCE = _checked(float, "a positive finite number", lambda t: 0 < t < math.inf)
+_VECTOR = _checked(_parse_vector, "comma-separated finite numbers",
+                   lambda v: all(map(math.isfinite, v)))
+
+
+def _directions(text: str) -> list[tuple[float, ...]]:
+    return [_VECTOR(v) for v in text.split(";")]
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--order", type=int, default=4, help="jet truncation order")
+    p.add_argument("--order", type=_ORDER, default=4, help="jet truncation order")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol-rel", type=float, default=1e-9)
-    p.add_argument("--tol-abs", type=float, default=1e-8)
+    p.add_argument("--samples", type=_COUNT, default=200)
+    p.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9)
+    p.add_argument("--tol-abs", type=_TOLERANCE, default=1e-8)
 
 
 def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, samples=args.samples, tol_rel=args.tol_rel,
                      tol_abs=args.tol_abs, order=args.order)
-
-
-def _parse_vector(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def cmd_jet(args) -> int:
@@ -61,9 +87,8 @@ def cmd_jet(args) -> int:
     for n, comp in enumerate(jet.derivs, start=1):
         print(f"D_{n}:  {comp}")
     if args.point is not None:
-        point = _parse_vector(args.point)
-        directions = ([_parse_vector(v) for v in args.directions.split(";")]
-                      if args.directions else [tuple(1.0 for _ in range(f.dom.dim))])
+        point = args.point
+        directions = args.directions or [tuple(1.0 for _ in range(f.dom.dim))]
         while len(directions) < args.order:
             directions.append(directions[-1])
         tower = [apply_map(jet.star, point)]
@@ -150,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jet", help="print the derivative tower of a map")
     p.add_argument("map")
-    p.add_argument("--point", help="comma-separated evaluation point")
-    p.add_argument("--directions", help="semicolon-separated direction vectors")
+    p.add_argument("--point", type=_VECTOR, help="comma-separated evaluation point")
+    p.add_argument("--directions", type=_directions,
+                   help="semicolon-separated direction vectors")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_jet)
 

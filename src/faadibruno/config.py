@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,13 +29,7 @@ class RunConfig:
         return self.tol_abs / self.tol_rel
 
     def with_(self, **kwargs) -> "RunConfig":
-        fields = {
-            "seed": self.seed, "samples": self.samples, "tol_rel": self.tol_rel,
-            "tol_abs": self.tol_abs, "order": self.order, "radius": self.radius,
-            "retry_cap": self.retry_cap,
-        }
-        fields.update(kwargs)
-        return RunConfig(**fields)
+        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -1012,6 +1012,12 @@ def var_name(i: int) -> str:
     return f"x{i + 1}"
 
 
+def shift_vars(count: int, offset: int) -> dict[str, Expr]:
+    """The renaming x_k -> x_{offset+k} of the first count variables: moves a
+    block of coordinates to start at position offset of a product."""
+    return {var_name(k): var(var_name(offset + k)) for k in range(count)}
+
+
 def parse_map(text: str) -> ParsedMap:
     """Parse 'fn(a,b) -> (e1,e2) where g' into canonical x1..xn variables."""
     return _Parser(text).map_literal()

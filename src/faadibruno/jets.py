@@ -27,8 +27,11 @@ from .smooth import (
     SpaceObject,
     componentwise_monoid,
     d_n,
+    dn_blocks,
     insertion_slots,
     is_componentwise_monoid,
+    map_leq,
+    maps_compatible,
     parse_smooth_map,
 )
 
@@ -83,10 +86,6 @@ class JetMorphism:
     @property
     def order(self) -> int:
         return len(self.derivs)
-
-    def component(self, n: int):
-        """f_* for n = 0, else f_n."""
-        return self.star if n == 0 else self.derivs[n - 1]
 
     def __str__(self):
         parts = [f"*: {self.star}"]
@@ -180,11 +179,15 @@ def linear_block_jet(cat, src: FaaObject, dst: FaaObject, point_map, carrier_map
     have this shape."""
     blocks = [src.monoid.carrier, src.point]
     f1 = cat.then(cat.select(blocks, [0], order), carrier_map)
-    derivs = [f1]
-    for n in range(2, order + 1):
-        dom = cat.product(_vector_blocks(src, n))
-        derivs.append(monoid_zero_arrow(cat, dom, dst.monoid, order))
+    derivs = [f1] + _zero_tail(cat, src, dst.monoid, 2, order)
     return JetMorphism(cat, src, dst, point_map, tuple(derivs[:order]))
+
+
+def _zero_tail(cat, src: FaaObject, m_dst: MonoidStructure, first: int,
+               order: int) -> list:
+    """The zero components n = first .. order of a jet out of src into m_dst."""
+    return [monoid_zero_arrow(cat, cat.product(_vector_blocks(src, n)), m_dst, order)
+            for n in range(first, order + 1)]
 
 
 def identity_jet(obj: FaaObject, order: int, cat=SMOOTH) -> JetMorphism:
@@ -213,24 +216,8 @@ def _select_jet(objs: tuple, picks: tuple[int, ...], order: int, cat) -> JetMorp
 
 def zero_jet(src: FaaObject, m_dst: MonoidStructure, order: int, cat=SMOOTH) -> JetMorphism:
     star = monoid_zero_arrow(cat, src.point, m_dst, order)
-    derivs = []
-    for n in range(1, order + 1):
-        dom = cat.product(_vector_blocks(src, n))
-        derivs.append(monoid_zero_arrow(cat, dom, m_dst, order))
-    return JetMorphism(cat, src, lambda_object(m_dst), star, tuple(derivs))
-
-
-def _lambda_unchecked(cat, h, m_src: MonoidStructure, m_dst: MonoidStructure,
-                      order: int) -> JetMorphism:
-    src = lambda_object(m_src)
-    dst = lambda_object(m_dst)
-    blocks = [src.monoid.carrier, src.point]
-    f1 = cat.then(cat.select(blocks, [0], order), h)
-    derivs = [f1]
-    for n in range(2, order + 1):
-        dom = cat.product(_vector_blocks(src, n))
-        derivs.append(monoid_zero_arrow(cat, dom, m_dst, order))
-    return JetMorphism(cat, src, dst, h, tuple(derivs[:order]))
+    return JetMorphism(cat, src, lambda_object(m_dst), star,
+                       tuple(_zero_tail(cat, src, m_dst, 1, order)))
 
 
 def lambda_embed(h, m_src: MonoidStructure, m_dst: MonoidStructure, order: int,
@@ -254,7 +241,7 @@ def lambda_embed(h, m_src: MonoidStructure, m_dst: MonoidStructure, order: int,
     zero_ok = cat.equal(cat.then(m_src.zero, h), m_dst.zero, cfg, "lambda:zero")
     if not zero_ok.ok:
         raise NonAdditiveMapError("map does not preserve zero")
-    return _lambda_unchecked(cat, h, m_src, m_dst, order)
+    return linear_block_jet(cat, lambda_object(m_src), lambda_object(m_dst), h, h, order)
 
 
 def epsilon(f: JetMorphism):
@@ -343,8 +330,9 @@ def _combine(outcomes) -> EqOutcome:
 
 def _componentwise(relation, f: JetMorphism, g: JetMorphism, cfg: RunConfig,
                    label: str) -> EqOutcome:
-    """Decide a base relation (the base's equal, leq or compatible) on each
-    pair of components up to the common usable order."""
+    """Decide a relation on component maps (the base's equal, or map_leq or
+    maps_compatible over the smooth base) on each pair of components up to
+    the common usable order."""
     order = min(f.order, g.order)
     outcomes = [relation(f.star, g.star, cfg, f"{label}:*")]
     for n in range(1, order + 1):
@@ -359,17 +347,20 @@ def jet_equal(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str) -> EqO
 
 def is_total(f: JetMorphism, cfg: RunConfig, label: str = "total") -> bool:
     """Total iff the jet's restriction is the identity jet."""
-    return FaaCategory(f.base).total(f, cfg, label).ok
+    rid = identity_jet(f.src, f.order, f.base)
+    return jet_equal(restriction_jet(f), rid, cfg, label).ok
 
 
 def leq(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "leq") -> bool:
-    """f <= g decided componentwise (restriction of f then g agrees with f)."""
-    return FaaCategory(f.base).leq(f, g, cfg, label).ok
+    """f <= g decided componentwise (restriction of f then g agrees with f),
+    for jets over the smooth base."""
+    return _componentwise(map_leq, f, g, cfg, label).ok
 
 
 def compatible(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "cmp") -> bool:
-    """f and g agree wherever both are defined, componentwise."""
-    return FaaCategory(f.base).compatible(f, g, cfg, label).ok
+    """f and g agree wherever both are defined, componentwise, for jets over
+    the smooth base."""
+    return _componentwise(maps_compatible, f, g, cfg, label).ok
 
 
 # --- the derivative on jets ----------------------------------------------------------
@@ -457,16 +448,6 @@ class FaaCategory:
     def equal(self, f, g, cfg, label) -> EqOutcome:
         return jet_equal(f, g, cfg, label)
 
-    def total(self, f, cfg, label) -> EqOutcome:
-        rid = identity_jet(f.src, f.order, self.base)
-        return jet_equal(restriction_jet(f), rid, cfg, label)
-
-    def leq(self, f, g, cfg, label) -> EqOutcome:
-        return _componentwise(self.base.leq, f, g, cfg, label)
-
-    def compatible(self, f, g, cfg, label) -> EqOutcome:
-        return _componentwise(self.base.compatible, f, g, cfg, label)
-
 
 @lru_cache(maxsize=None)
 def faa_over(base) -> FaaCategory:
@@ -479,20 +460,16 @@ def jet_L(obj: FaaObject, cat, order: int) -> MonoidStructure:
     """The vector-object monoid of a jet-category object: the embedded image
     of the object's own monoid."""
     m = obj.monoid
-    add = _lambda_unchecked(cat, m.add, mon_product(cat, m, m), m, order)
-    zero = _lambda_unchecked(cat, m.zero, trivial_monoid(cat), m, order)
-    return MonoidStructure(lambda_object(m), add, zero)
+    vectors = lambda_object(m)
+    add = linear_block_jet(cat, lambda_object(mon_product(cat, m, m)), vectors,
+                           m.add, m.add, order)
+    zero = linear_block_jet(cat, lambda_object(trivial_monoid(cat)), vectors,
+                            m.zero, m.zero, order)
+    return MonoidStructure(vectors, add, zero)
 
 
 def delta_object(obj: FaaObject, cat, order: int) -> FaaObject:
     return FaaObject(jet_L(obj, cat, order), obj)
-
-
-def _dn_jet_blocks(src: FaaObject, n: int) -> list[FaaObject]:
-    blocks = [jet_l0(src), src]
-    for _ in range(n - 1):
-        blocks = [jet_l0(b) for b in blocks] + blocks
-    return blocks
 
 
 def faa_d_n(f: JetMorphism, n: int) -> JetMorphism:
@@ -508,7 +485,7 @@ def faa_d_n(f: JetMorphism, n: int) -> JetMorphism:
     for _ in range(n):
         dnf = derivative_jet(dnf)
     inner = f.order - n
-    blocks = _dn_jet_blocks(f.src, n)
+    blocks = dn_blocks(f.src, n, jet_l0)
     slots = insertion_slots(n)
     src_blocks = [jet_l0(f.src)] * n + [f.src]
     entries = []
@@ -570,6 +547,8 @@ def faa_delta_jet(f: JetMorphism) -> JetMorphism:
 def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
     """The coalgebra image of a base map: its full symmetric derivative tower
     (f, D f, D_2 f, ..., D_N f), computed by nested directional derivatives."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
     src = FaaObject(L.monoid(f.dom), f.dom)
     dst = FaaObject(L.monoid(f.cod), f.cod)
     derivs = tuple(d_n(f, n, L) for n in range(1, order + 1))
@@ -578,14 +557,10 @@ def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
 
 # --- linearity ----------------------------------------------------------------------------
 
-def is_linear_object(obj: FaaObject, cat=SMOOTH) -> bool:
-    return cat.shape_eq(obj.point, obj.monoid.carrier)
-
-
 def is_linear(f: JetMorphism, cfg: RunConfig, label: str = "linear") -> bool:
     """Between linear objects: D(f) equals the first projection followed by f."""
     cat = f.base
-    if not (is_linear_object(f.src, cat) and is_linear_object(f.dst, cat)):
+    if not all(cat.shape_eq(o.point, o.monoid.carrier) for o in (f.src, f.dst)):
         raise JetError("linearity is defined between linear objects only")
     if f.order < 1:
         raise JetError("order exhausted")
@@ -610,16 +585,30 @@ def jet_to_dict(f: JetMorphism) -> dict:
     }
 
 
-def jet_from_dict(data: dict) -> JetMorphism:
-    src = FaaObject(componentwise_monoid(data["src"]["carrier_dim"]),
-                    SpaceObject(data["src"]["point_dim"]))
-    dst = FaaObject(componentwise_monoid(data["dst"]["carrier_dim"]),
-                    SpaceObject(data["dst"]["point_dim"]))
+def jet_from_dict(data) -> JetMorphism:
+    """The inverse of jet_to_dict; a payload of any other shape raises JetError."""
+    if not isinstance(data, dict):
+        raise JetError("a serialized jet must be a JSON object")
+    src, dst = (_object_from_dict(data.get(key), key) for key in ("src", "dst"))
+    texts = data.get("derivs")
+    if not (isinstance(data.get("star"), str) and isinstance(texts, list)
+            and all(isinstance(t, str) for t in texts)):
+        raise JetError("star must be a string and derivs a list of strings")
+    if data.get("order") != len(texts):
+        raise JetError(f"order must equal the number of derivs, {len(texts)}")
     star = parse_smooth_map(data["star"])
-    derivs = tuple(parse_smooth_map(t) for t in data["derivs"])
+    derivs = tuple(parse_smooth_map(t) for t in texts)
     jet = JetMorphism(SMOOTH, src, dst, star, derivs)
     _validate_jet_dims(jet)
     return jet
+
+
+def _object_from_dict(data, key: str) -> FaaObject:
+    dims = [data.get(k) if isinstance(data, dict) else None
+            for k in ("carrier_dim", "point_dim")]
+    if not all(type(d) is int and d >= 0 for d in dims):
+        raise JetError(f"{key} must hold non-negative integer carrier_dim and point_dim")
+    return FaaObject(componentwise_monoid(dims[0]), SpaceObject(dims[1]))
 
 
 def _validate_jet_dims(f: JetMorphism):

@@ -6,7 +6,7 @@ projections of a fresh sample domain, so guards flow through both sides."""
 from __future__ import annotations
 
 from .config import RunConfig, derive_seed
-from .expr import Guard, GuardAtom, guard_subst, guard_vars, var, var_name
+from .expr import Guard, GuardAtom, guard_subst, guard_vars, shift_vars, var, var_name
 from .report import CheckResult
 from .smooth import (
     EqOutcome,
@@ -29,12 +29,13 @@ from .smooth import (
 
 
 def _row(suite: str, idx: int, axiom: str, outcome: EqOutcome, cfg: RunConfig,
-         gating: bool = True) -> CheckResult:
+         gating: bool = True, component: int | None = None) -> CheckResult:
     return CheckResult(
         suite=suite, map_index=idx, axiom=axiom, status=outcome.status,
         worst_residual=outcome.worst_residual if outcome.worst_residual != float("inf") else -1.0,
         seed=derive_seed(cfg.seed, f"{suite}:{idx}:{axiom}"),
-        witness_point=outcome.witness, gating=gating, note=outcome.note)
+        witness_point=outcome.witness, component=component, gating=gating,
+        note=outcome.note)
 
 
 def _eq(suite, idx, axiom, lhs, rhs, cfg, gating=True) -> CheckResult:
@@ -45,12 +46,6 @@ def _eq(suite, idx, axiom, lhs, rhs, cfg, gating=True) -> CheckResult:
 def _bool_row(suite, idx, axiom, ok: bool, cfg, note="") -> CheckResult:
     outcome = EqOutcome("pass" if ok else "fail", 0.0 if ok else -1.0, None, note)
     return _row(suite, idx, axiom, outcome, cfg)
-
-
-def _shift_guard(f: SmoothMap, l: int) -> Guard:
-    """f's guard transported onto the point block of L0(X) x X."""
-    rename = {var_name(k): var(var_name(l + k)) for k in range(f.dom.dim)}
-    return guard_subst(f.guard, rename)
 
 
 def check_cd1(suite, idx, obj: SpaceObject, L, cfg) -> list[CheckResult]:
@@ -192,7 +187,7 @@ def check_dr8(suite, idx, f: SmoothMap, L, cfg) -> CheckResult:
     l = L.l0(f.dom).dim
     n = f.dom.dim
     lhs = D(restriction_of(f), L)
-    rhs = restrict_map(select([l, n], [0]), _shift_guard(f, l))
+    rhs = restrict_map(select([l, n], [0]), guard_subst(f.guard, shift_vars(n, l)))
     return _eq(suite, idx, "DR.8", lhs, rhs, cfg)
 
 
@@ -201,7 +196,7 @@ def check_dr9(suite, idx, f: SmoothMap, L, cfg) -> list[CheckResult]:
     n = f.dom.dim
     df = D(f, L)
     lhs = restriction_of(df)
-    rhs = restrict_map(identity(SpaceObject(l + n)), _shift_guard(f, l))
+    rhs = restrict_map(identity(SpaceObject(l + n)), guard_subst(f.guard, shift_vars(n, l)))
     point_vars = {var_name(l + k) for k in range(n)}
     structural = guard_vars(df.guard) <= point_vars
     return [

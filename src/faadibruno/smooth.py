@@ -34,6 +34,7 @@ from .expr import (
     mul,
     neg,
     pretty_map,
+    shift_vars,
     simplify,
     subst,
     var,
@@ -266,7 +267,7 @@ def D(f: SmoothMap, L: LAssignment = CLASSICAL) -> SmoothMap:
     The guard depends only on the point block and equals f's guard there."""
     d = f.dom.dim
     l = L.l0(f.dom).dim
-    point_rename = {var_name(k): var(var_name(l + k)) for k in range(d)}
+    point_rename = shift_vars(d, l)
     guard = guard_subst(f.guard, point_rename)
     dom = SpaceObject(l + d)
     if L.variant == "trivial":
@@ -289,11 +290,12 @@ def iterate_D(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap:
     return f
 
 
-def dn_blocks(dom: SpaceObject, n: int, L: LAssignment = CLASSICAL) -> list[SpaceObject]:
-    """Block layout of the domain of D^n(f) for f out of dom (2^n blocks)."""
-    blocks = [L.l0(dom), dom]
+def dn_blocks(first, n: int, l0) -> list:
+    """Block layout of the domain of D^n(f) for f out of first (2^n blocks),
+    where l0 gives the vector object of an object."""
+    blocks = [l0(first), first]
     for _ in range(n - 1):
-        blocks = [L.l0(b) for b in blocks] + blocks
+        blocks = [l0(b) for b in blocks] + blocks
     return blocks
 
 
@@ -318,7 +320,7 @@ def d_n_insertion(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap
     """Symmetric n-th derivative via the literal zero-insertion into D^n(f)."""
     if n == 0:
         return f
-    blocks = dn_blocks(f.dom, n, L)
+    blocks = dn_blocks(f.dom, n, L.l0)
     slots = insertion_slots(n)
     l = L.l0(f.dom).dim
     d = f.dom.dim
@@ -340,12 +342,14 @@ def d_n(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap:
     """Symmetric n-th derivative as nested directional differentiation:
     contract the order-n partials with direction blocks v_1 .. v_n.  Agrees
     with d_n_insertion (tested property) without the 2^n domain blowup."""
+    if n < 0:
+        raise ValueError("order must be non-negative")
     if n == 0:
         return f
     l = L.l0(f.dom).dim
     d = f.dom.dim
     dom = _symmetric_domain(f, n, L)
-    point_rename = {var_name(k): var(var_name(n * l + k)) for k in range(d)}
+    point_rename = shift_vars(d, n * l)
     guard = guard_subst(f.guard, point_rename)
     if L.variant == "trivial":
         return SmoothMap(dom, TERMINAL, (), guard)
@@ -505,17 +509,9 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
 
 
 def map_total(f: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-    """Totality: the guard holds at every sampled point of the ambient box."""
-    tape = f.tape()
-    count = 0
-    target = cfg.samples if f.dom.dim > 0 else 1
-    for point in sample_points(f.dom.dim, cfg, label):
-        if tape.guard_values(point) is None:
-            return EqOutcome("fail", math.inf, point, "guard fails", count)
-        count += 1
-        if count >= target:
-            return EqOutcome("pass", 0.0, None, "", count)
-    return EqOutcome("starved", 0.0, None, "sampling starvation", count)
+    """Totality: the restriction is the identity, i.e. the guard holds at
+    every sampled point of the ambient box."""
+    return maps_equal(restriction_of(f), identity(f.dom), cfg, label)
 
 
 def map_leq(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
@@ -526,15 +522,6 @@ def map_leq(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome
 def maps_compatible(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """f and g agree on the intersection of their domains."""
     return _sampled_agreement(f, g, cfg, label, "compatible")
-
-
-def symbolically_equal(f: SmoothMap, g: SmoothMap) -> bool:
-    """Exact structural equality after simplify (guards as atom sets)."""
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    if tuple(simplify(e) for e in f.coords) != tuple(simplify(e) for e in g.coords):
-        return False
-    return set(f.guard.atoms) == set(g.guard.atoms)
 
 
 # --- category adapter -------------------------------------------------------------
@@ -577,12 +564,6 @@ class SmoothCategory:
 
     def equal(self, f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
         return maps_equal(f, g, cfg, label)
-
-    def leq(self, f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-        return map_leq(f, g, cfg, label)
-
-    def compatible(self, f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-        return maps_compatible(f, g, cfg, label)
 
 
 SMOOTH = SmoothCategory()

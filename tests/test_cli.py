@@ -164,14 +164,54 @@ def test_cli_compose_output_matches_golden_file(capsys):
     assert capsys.readouterr().out.encode() == COMPOSE_GOLDEN.read_bytes()
 
 
-@pytest.mark.parametrize("suite", ["comonad", "faa-r", "dr"])
+@pytest.mark.parametrize("suite", ["cd", "comonad", "dr", "faa-r", "linear", "split"])
 def test_cli_report_matches_golden_file(suite, tmp_path, capsys):
     """The recorded report of each suite, byte for byte: comonad covers the
     jets-over-jets construction (delta, products, selections), faa-r and dr
-    the sampled equality over large and over restricted maps."""
+    the sampled equality over large and over restricted maps, cd the
+    differential axioms, linear the embedded additive maps, and split the
+    totality checks of the split category."""
     out = tmp_path / f"{suite}.json"
     assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "50",
                  "--seed", "0", "--json", str(out)]) == 0
     capsys.readouterr()
     golden = GOLDEN / f"{suite}_order3_samples50_seed0.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--suite", "cd", "--order", "-1"],
+    ["axioms", "--suite", "cd", "--samples", "0"],
+    ["axioms", "--suite", "cd", "--tol-rel", "0"],
+    ["axioms", "--suite", "cd", "--tol-abs", "nan"],
+    ["diff", "fn(x) -> (x^2)", "--order", "-1"],
+    ["jet", "fn(x) -> (x^2)", "--point", "a"],
+    ["jet", "fn(x) -> (x^2)", "--point", "nan"],
+    ["jet", "fn(x) -> (x^2)", "--point", "1e400"],
+    ["jet", "fn(x) -> (x^2)", "--point", "1", "--directions", "1;b"],
+    ["jet", "fn(x) -> (x^2)", "--order", "-2"],
+])
+def test_cli_rejects_invalid_numeric_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [1],
+    {"src": {"carrier_dim": -1, "point_dim": 1},
+     "dst": {"carrier_dim": 1, "point_dim": 1},
+     "order": 0, "star": "fn(x) -> (x)", "derivs": []},
+])
+def test_cli_rejects_malformed_jets_payload(payload, tmp_path, capsys):
+    jets_file = tmp_path / "jets.json"
+    jets_file.write_text(json.dumps(payload))
+    assert main(["axioms", "--suite", "faa-r", "--order", "1", "--samples", "5",
+                 "--jets", str(jets_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
+from faadibruno import jetlaws
 from faadibruno.config import RunConfig
-from faadibruno.jets import cofree_jet, jet_from_dict, jet_to_dict
+from faadibruno.corpus import GUARDED_PAIRS_TEXT, corpus_pairs, parse_corpus
+from faadibruno.jets import cofree_jet, compose_jets, jet_from_dict, jet_to_dict
 from faadibruno.jetlaws import (
     check_comonad_laws,
     check_multilinearity,
@@ -107,3 +109,19 @@ def test_linear_suite():
     assert "linear.lambda-image-is-linear" in kinds
     assert "linear.tower-of-nonlinear-is-not" in kinds
     assert "linear.higher-components-vanish" in kinds
+
+
+def test_faa_r_builds_each_composite_once(monkeypatch):
+    # h, R.1, R.2 (two), (rs f) h, R.4 (two), the lax product, and the
+    # leq and compatible definitions (two): eleven composites per pair
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return compose_jets(f, g)
+
+    monkeypatch.setattr(jetlaws, "compose_jets", counting)
+    pairs = corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT))
+    rows = run_faa_r_suite(pairs, RunConfig(samples=20, order=2))
+    assert overall_status(rows) == "pass"
+    assert len(calls) <= 11 * len(pairs)

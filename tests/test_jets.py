@@ -413,6 +413,24 @@ def test_jet_serialization_roundtrip():
     assert jet_equal(F, G, CFG, "serialize").ok
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda d: [d],
+    lambda d: {k: v for k, v in d.items() if k != "src"},
+    lambda d: {**d, "src": {"carrier_dim": -1, "point_dim": 1}},
+    lambda d: {**d, "dst": {"carrier_dim": 1, "point_dim": 1.5}},
+    lambda d: {**d, "dst": {"carrier_dim": True, "point_dim": 1}},
+    lambda d: {**d, "star": 3},
+    lambda d: {**d, "derivs": "fn(x) -> (x)"},
+    lambda d: {**d, "derivs": [1, 2]},
+    lambda d: {**d, "order": 5},
+    lambda d: {k: v for k, v in d.items() if k != "order"},
+])
+def test_jet_from_dict_rejects_malformed_payloads(mangle):
+    data = jet_to_dict(jet("fn(x) -> (x^2)", 2))
+    with pytest.raises(JetError):
+        jet_from_dict(mangle(data))
+
+
 def test_jet_from_dict_rejects_bad_dims():
     F = jet("fn(x) -> (x^2)", 2)
     data = jet_to_dict(F)
@@ -456,3 +474,8 @@ def test_jet_structure_caches_stay_bounded():
         m = MonoidStructure(SpaceObject(1), pm(f"fn(a,b) -> (a + b + {k})"), zero)
         mon_product(SMOOTH, m, m)
     assert J._interchange_product.cache_info().currsize <= bound
+
+
+def test_cofree_jet_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        cofree_jet(parse_smooth_map("fn(x) -> (x^2)"), CLASSICAL, -1)

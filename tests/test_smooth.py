@@ -406,6 +406,15 @@ def test_map_total():
     assert not map_total(pm("fn(x) -> (1/x)"), FAST, "part").ok
 
 
+def test_map_total_is_equality_with_the_identity():
+    # decided by the one sampling loop: the restriction of 1/x against the
+    # identity first disagrees at the origin probe
+    out = map_total(pm("fn(x) -> (1/x)"), FAST, "part")
+    assert out.status == "fail"
+    assert out.witness == (0.0,)
+    assert out.note == "guard mismatch"
+
+
 def test_map_total_starves_when_points_run_out():
     # 1-dimensional: six probes and five random points, short of 50 samples
     out = map_total(pm("fn(x) -> (x)"), RunConfig(samples=50, retry_cap=5), "few")
@@ -505,3 +514,8 @@ def test_l_preserves_products_structurally(a, b):
         then(select([a, a, 2 * b], [0, 1]), mon_a.add),
         then(select([2 * a, b, b], [1, 2]), mon_b.add)]))
     assert maps_equal(left.add, blockwise, FAST, f"ex-{a}-{b}").ok
+
+
+def test_d_n_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        d_n(pm("fn(x) -> (x^2)"), -1)

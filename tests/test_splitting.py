@@ -6,6 +6,8 @@ from faadibruno.report import overall_status
 from faadibruno.smooth import TRIVIAL, apply_map, maps_equal, parse_smooth_map
 from faadibruno.splitting import (
     SplitError,
+    SplitMap,
+    _d_guard_rows,
     check_split_cdc,
     default_split_corpus,
     hom_condition,
@@ -124,3 +126,14 @@ def test_d_guard_row_starves_when_points_run_out():
     row, = [r for r in rows if r.axiom == "split.D-guard-is-source-guard"]
     assert row.status == "starved"
     assert row.note == "sampling starvation"
+
+
+def test_d_guard_row_reports_its_witness():
+    # D(1/x) is defined wherever x != 0, the source only where x > 0: the
+    # first point where exactly one of the two holds is the probe (0, -1)
+    m = SplitMap(pm("fn(x) -> (1/x)"), split_object(1, X_POS), split_object(1))
+    rows = _d_guard_rows("split", 0, m, split_D(m), CFG)
+    row, = [r for r in rows if r.axiom == "split.D-guard-is-source-guard"]
+    assert row.status == "fail"
+    assert row.witness_point == (0.0, -1.0)
+    assert row.note == "guard mismatch"
