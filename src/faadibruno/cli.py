@@ -80,8 +80,21 @@ def _config(args) -> RunConfig:
                      tol_abs=args.tol_abs, order=args.order)
 
 
+def _check_length(flag: str, vector, dim: int, exact: bool):
+    """A point or direction vector needs a coordinate for each of the map's
+    inputs.  Coordinates past them are ignored in the point; in a direction
+    they would be read as the next block, so a direction must fit exactly."""
+    if len(vector) < dim or (exact and len(vector) > dim):
+        inputs = f" (x1..x{dim})" if dim else ""
+        raise JetError(f"{flag} has length {len(vector)}, the map needs {dim}{inputs}")
+
+
 def cmd_jet(args) -> int:
     f = parse_smooth_map(args.map)
+    if args.point is not None:
+        _check_length("--point", args.point, f.dom.dim, exact=False)
+        for i, d in enumerate(args.directions or [], start=1):
+            _check_length(f"--directions vector {i}", d, f.dom.dim, exact=True)
     jet = cofree_jet(f, CLASSICAL, args.order)
     print(f"star: {jet.star}")
     for n, comp in enumerate(jet.derivs, start=1):

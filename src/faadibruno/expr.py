@@ -505,6 +505,8 @@ def make_guard(atoms) -> Guard:
 
 def guard_and(g1: Guard, g2: Guard) -> Guard:
     """Conjunction; idempotent and commutative at evaluation level."""
+    if not (g1.atoms or g2.atoms):
+        return TRUE_GUARD
     return make_guard(g1.atoms + g2.atoms)
 
 
@@ -526,6 +528,8 @@ def guard_eval(g: Guard, env: Env) -> bool:
 
 
 def guard_subst(g: Guard, mapping: Mapping[str, Expr]) -> Guard:
+    if not g.atoms:
+        return TRUE_GUARD
     return make_guard(GuardAtom(a.op, subst(a.expr, mapping)) for a in g.atoms)
 
 

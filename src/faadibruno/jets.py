@@ -25,6 +25,7 @@ from .smooth import (
     STRUCTURE_CACHE_SIZE,
     SmoothMap,
     SpaceObject,
+    add_maps,
     componentwise_monoid,
     d_n,
     dn_blocks,
@@ -144,6 +145,13 @@ def faa_product(cat, o1: FaaObject, o2: FaaObject) -> FaaObject:
 def product_objects(cat, objs) -> FaaObject:
     if not objs:
         return FaaObject(trivial_monoid(cat), cat.terminal())
+    if len(objs) > 1 and all(is_componentwise_monoid(o.monoid) for o in objs):
+        # what the fold of mon_product gives, built once instead of per step
+        point = objs[0].point
+        for o in objs[1:]:
+            point = cat.product([point, o.point])
+        dim = sum(o.monoid.carrier.dim for o in objs)
+        return FaaObject(componentwise_monoid(dim), point)
     out = objs[0]
     for o in objs[1:]:
         out = faa_product(cat, out, o)
@@ -161,6 +169,12 @@ def monoid_zero_arrow(cat, dom_obj, monoid: MonoidStructure, order):
 
 def mon_sum(cat, monoid: MonoidStructure, terms):
     out = terms[0]
+    if is_componentwise_monoid(monoid):
+        # then(<out, t>, add) substitutes into x_i + x_{dim+i}: add_maps builds
+        # the same coordinates and guard directly
+        for t in terms[1:]:
+            out = add_maps(out, t)
+        return out
     for t in terms[1:]:
         out = cat.then(cat.tuple_map([out, t]), monoid.add)
     return out
@@ -266,18 +280,20 @@ def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     derivs = []
     for n in range(1, order + 1):
         blocks = _vector_blocks(f.src, n)
+        point = cat.then(cat.select(blocks, [n], cat.order_of(f.star)), f.star)
+        # f_|B|(v_B; x) for each block B of {1..n}: blocks recur across the
+        # partitions, so each is built once for this order
+        block_args = {}
         terms = []
         for partition in enumerate_partitions(n):
-            k = len(partition)
-            args = []
             for block in partition:
-                comp = f.derivs[len(block) - 1]
-                sel = cat.select(blocks, [b - 1 for b in block] + [n],
-                                 cat.order_of(comp))
-                args.append(cat.then(sel, comp))
-            point = cat.then(cat.select(blocks, [n], cat.order_of(f.star)), f.star)
-            args.append(point)
-            terms.append(cat.then(cat.tuple_map(args), g.derivs[k - 1]))
+                if block not in block_args:
+                    comp = f.derivs[len(block) - 1]
+                    sel = cat.select(blocks, [b - 1 for b in block] + [n],
+                                     cat.order_of(comp))
+                    block_args[block] = cat.then(sel, comp)
+            args = [block_args[block] for block in partition] + [point]
+            terms.append(cat.then(cat.tuple_map(args), g.derivs[len(partition) - 1]))
         derivs.append(mon_sum(cat, g.dst.monoid, terms))
     return JetMorphism(cat, f.src, g.dst, star, tuple(derivs))
 

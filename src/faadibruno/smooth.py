@@ -416,6 +416,11 @@ def probe_points(dim: int) -> list[Point]:
     return probes
 
 
+def probe_count(dim: int) -> int:
+    """len(probe_points(dim)), without building the points."""
+    return 2 * dim + 4
+
+
 def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
     rng = random.Random(derive_seed(cfg.seed, label))
     if dim == 0:
@@ -432,7 +437,8 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
 
 
 # Most points pulled from sample_points and evaluated together by one
-# Tape.run_batch; bounds the columns a batch holds.
+# Tape.run_batch; bounds the columns a batch holds.  The first batch holds
+# at most the probes, so a check that fails at a probe evaluates few points.
 BATCH_SIZE = 256
 
 
@@ -468,7 +474,9 @@ def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
     accepted = 0
     target = cfg.samples if f.dom.dim > 0 else 1
     points = sample_points(f.dom.dim, cfg, label)
-    while batch := list(islice(points, min(target - accepted, BATCH_SIZE))):
+    size = min(probe_count(f.dom.dim), BATCH_SIZE)
+    while batch := list(islice(points, min(target - accepted, size))):
+        size = BATCH_SIZE
         fr = tf.run_batch(batch)
         gr = fr if same else tg.run_batch(batch)
         for point, fv, gv in zip(batch, fr, gr):

@@ -86,6 +86,24 @@ def test_cli_jet_short_point_is_an_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("directions, length", [("1", 1), ("1,1;1", 1), ("1,1,1", 3)])
+def test_cli_jet_direction_of_the_wrong_length_is_an_error(directions, length, capsys):
+    # a longer direction would be read into the next block, so it is refused too
+    assert main(["jet", "fn(x, y) -> (x*y)", "--order", "2", "--point", "1,2",
+                 "--directions", directions]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --directions vector")
+    assert f"has length {length}, the map needs 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_jet_short_point_names_the_flag(capsys):
+    assert main(["jet", "fn(x, y, z) -> (x*y*z)", "--order", "1", "--point", "1,2"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --point has length 2, the map needs 3 (x1..x3)\n"
+
+
 def test_cli_parse_error_exit_code(capsys):
     assert main(["jet", "fn(x) -> (x +* 2)"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -164,18 +182,25 @@ def test_cli_compose_output_matches_golden_file(capsys):
     assert capsys.readouterr().out.encode() == COMPOSE_GOLDEN.read_bytes()
 
 
-@pytest.mark.parametrize("suite", ["cd", "comonad", "dr", "faa-r", "linear", "split"])
-def test_cli_report_matches_golden_file(suite, tmp_path, capsys):
+@pytest.mark.parametrize("suite, order", [
+    pytest.param(suite, 3, id=suite)
+    for suite in ("cd", "comonad", "dr", "faa-r", "linear", "split")
+] + [
+    pytest.param(suite, 4, id=f"{suite}-order4") for suite in ("comonad", "faa-r")
+])
+def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     """The recorded report of each suite, byte for byte: comonad covers the
     jets-over-jets construction (delta, products, selections), faa-r and dr
     the sampled equality over large and over restricted maps, cd the
     differential axioms, linear the embedded additive maps, and split the
-    totality checks of the split category."""
+    totality checks of the split category.  At order 4, the first order
+    where partitions share blocks across several terms, comonad and faa-r
+    pin the partition sum."""
     out = tmp_path / f"{suite}.json"
-    assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "50",
+    assert main(["axioms", "--suite", suite, "--order", str(order), "--samples", "50",
                  "--seed", "0", "--json", str(out)]) == 0
     capsys.readouterr()
-    golden = GOLDEN / f"{suite}_order3_samples50_seed0.json"
+    golden = GOLDEN / f"{suite}_order{order}_samples50_seed0.json"
     assert out.read_bytes() == golden.read_bytes()
 
 

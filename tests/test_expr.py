@@ -196,6 +196,13 @@ def test_guard_and_unit():
     assert guard_and(TRUE_GUARD, g) == g
 
 
+def test_true_guards_conjoin_and_substitute_to_the_true_guard_itself():
+    assert guard_and(TRUE_GUARD, TRUE_GUARD) is TRUE_GUARD
+    assert guard_and(Guard(), Guard()) is TRUE_GUARD
+    assert guard_subst(TRUE_GUARD, {"x1": E.div(const(1), Y)}) is TRUE_GUARD
+    assert TRUE_GUARD == E.make_guard(())
+
+
 def test_guard_eval_conjunction():
     g = Guard((GuardAtom(">0", X), GuardAtom("!=0", X)))
     assert guard_eval(g, {"x1": 2.0}) is True

@@ -32,6 +32,7 @@ from faadibruno.jets import (
     trivial_monoid,
     truncate_jet,
 )
+from faadibruno.corpus import GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
 from faadibruno.smooth import (
     CLASSICAL,
     D,
@@ -41,11 +42,13 @@ from faadibruno.smooth import (
     SpaceObject,
     apply_map,
     componentwise_monoid,
+    is_componentwise_monoid,
     maps_equal,
     zero_map,
     parse_smooth_map,
     restriction_of,
     then,
+    tuple_map,
 )
 
 CFG = RunConfig(samples=60)
@@ -479,3 +482,97 @@ def test_jet_structure_caches_stay_bounded():
 def test_cofree_jet_rejects_a_negative_order():
     with pytest.raises(ValueError):
         cofree_jet(parse_smooth_map("fn(x) -> (x^2)"), CLASSICAL, -1)
+
+
+# --- shortcuts in the partition sum ----------------------------------------------------------
+
+def _faa_product_fold(cat, objs):
+    out = objs[0]
+    for o in objs[1:]:
+        out = J.faa_product(cat, out, o)
+    return out
+
+
+@pytest.mark.parametrize("dims", [
+    [(1, 1), (0, 2)],
+    [(0, 0), (2, 1), (3, 0)],
+    [(2, 2), (1, 1), (0, 0), (4, 3), (1, 2)],
+])
+def test_componentwise_product_objects_equal_the_faa_product_fold(dims):
+    objs = [_obj(c, p) for c, p in dims]
+    assert J.product_objects(SMOOTH, objs) == _faa_product_fold(SMOOTH, objs)
+
+
+def test_product_objects_folds_when_a_monoid_is_not_componentwise():
+    # b + a is a commutative monoid, but not the componentwise one
+    swapped = MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"),
+                              zero_map(SpaceObject(0), SpaceObject(1)))
+    objs = [_obj(2, 1), FaaObject(swapped, SpaceObject(1)), _obj(1, 0)]
+    product = J.product_objects(SMOOTH, objs)
+    assert product == _faa_product_fold(SMOOTH, objs)
+    assert not is_componentwise_monoid(product.monoid)
+    F = J.faa_over(SMOOTH)
+    level2 = [J.delta_object(_obj(1, 1), SMOOTH, 2),
+              FaaObject(trivial_monoid(F, 2), _obj(0, 1))]
+    assert J.product_objects(F, level2) == _faa_product_fold(F, level2)
+
+
+def _guarded_terms():
+    """Maps R^1 -> R^1 whose guards overlap and list their atoms in
+    different orders."""
+    corpus = [m for m in corpus_maps(parse_corpus(GUARDED_PAIRS_TEXT))
+              if m.dom.dim == 1 and m.cod.dim == 1]
+    extra = [pm("fn(x) -> (log(x) + 1/x)"), pm("fn(x) -> (1/x + log(x))"),
+             pm("fn(x) -> (1/(x - 1) * log(x))")]
+    return corpus + extra
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_componentwise_mon_sum_equals_the_substituted_fold(width):
+    terms = _guarded_terms()
+    if width == 2:
+        terms = [tuple_map([a, b]) for a, b in zip(terms, reversed(terms))]
+    assert any(not t.guard.is_true() for t in terms)
+    monoid = componentwise_monoid(width)
+    want = terms[0]
+    for t in terms[1:]:
+        want = then(tuple_map([want, t]), monoid.add)
+    assert J.mon_sum(SMOOTH, monoid, terms) == want
+
+
+class CountingSmooth:
+    """The smooth category, counting the then and select calls made through it."""
+
+    def __init__(self):
+        self.thens = 0
+        self.selects = []
+
+    def __getattr__(self, name):
+        return getattr(SMOOTH, name)
+
+    def then(self, f, g):
+        self.thens += 1
+        return SMOOTH.then(f, g)
+
+    def select(self, blocks, picks, order=None):
+        self.selects.append((len(blocks), tuple(picks)))
+        return SMOOTH.select(blocks, picks, order)
+
+
+def test_compose_jets_builds_each_block_argument_once_per_order():
+    order = 5
+    cat = CountingSmooth()
+    F, G = jet("fn(x) -> (1/x)", order), jet("fn(y) -> (y^2 + y)", order)
+    got = compose_jets(J.JetMorphism(cat, F.src, F.dst, F.star, F.derivs),
+                       J.JetMorphism(cat, G.src, G.dst, G.star, G.derivs))
+    assert got.derivs == compose_jets(F, G).derivs
+    bells = [len(enumerate_partitions(n)) for n in range(1, order + 1)]
+    for n in range(1, order + 1):
+        at_n = [picks for width, picks in cat.selects if width == n + 1]
+        blocks = [picks for picks in at_n if len(picks) > 1]
+        assert at_n.count((n,)) == 1  # the point argument
+        assert len(blocks) == len(set(blocks)) == 2 ** n - 1
+    # the star, then per order the point, each block and each partition term;
+    # the sums over the componentwise monoid substitute nothing
+    assert cat.thens == 1 + sum(1 + (2 ** n - 1) + bells[n - 1]
+                                for n in range(1, order + 1))

@@ -519,3 +519,41 @@ def test_l_preserves_products_structurally(a, b):
 def test_d_n_rejects_a_negative_order():
     with pytest.raises(ValueError):
         d_n(pm("fn(x) -> (x^2)"), -1)
+
+
+def _counting_sample_points(monkeypatch):
+    """Count the points the sampling loop pulls from sample_points."""
+    pulled = []
+
+    def counting(dim, cfg, label):
+        for point in sample_points(dim, cfg, label):
+            pulled.append(point)
+            yield point
+
+    monkeypatch.setattr(S, "sample_points", counting)
+    return pulled
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_probe_count_is_the_number_of_probes(dim):
+    assert S.probe_count(dim) == len(probe_points(dim))
+
+
+@pytest.mark.parametrize("text, shifted", [
+    ("fn(x) -> (x)", "fn(x) -> (x + 1)"),
+    ("fn(x, y, z) -> (x*y, z)", "fn(x, y, z) -> (x*y, z - 2)"),
+])
+def test_check_failing_at_its_first_probe_pulls_only_the_probes(text, shifted, monkeypatch):
+    pulled = _counting_sample_points(monkeypatch)
+    f, g = pm(text), pm(shifted)
+    out = maps_equal(f, g, RunConfig(samples=200), "first-probe")
+    assert out.status == "fail" and out.witness == probe_points(f.dom.dim)[0]
+    assert len(pulled) <= len(probe_points(f.dom.dim))
+
+
+def test_passing_check_pulls_exactly_its_samples(monkeypatch):
+    pulled = _counting_sample_points(monkeypatch)
+    f = pm("fn(x, y) -> (x*y)")
+    out = maps_equal(f, f, RunConfig(samples=300), "all-accepted")
+    assert out.status == "pass" and out.samples == 300
+    assert len(pulled) == 300
