@@ -233,6 +233,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -504,10 +504,13 @@ def make_guard(atoms) -> Guard:
 
 
 def guard_and(g1: Guard, g2: Guard) -> Guard:
-    """Conjunction; idempotent and commutative at evaluation level."""
+    """Conjunction of two normal guards: atoms simplified, none trivially
+    true, none repeated, as make_guard leaves them (a bare variable atom is
+    normal too).  The result is make_guard(g1.atoms + g2.atoms), built
+    without normalizing again: g1's atoms, then those of g2 not among them."""
     if not (g1.atoms or g2.atoms):
         return TRUE_GUARD
-    return make_guard(g1.atoms + g2.atoms)
+    return Guard(g1.atoms + tuple(a for a in g2.atoms if a not in g1.atoms))
 
 
 def guard_eval(g: Guard, env: Env) -> bool:

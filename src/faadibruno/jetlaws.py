@@ -39,7 +39,6 @@ from .smooth import (
     _residual,
     apply_map,
     componentwise_monoid,
-    d_n,
     in_domain,
     map_total,
     maps_equal,
@@ -276,7 +275,7 @@ def check_comonad_laws(f: SmoothMap, cfg: RunConfig, L: LAssignment = CLASSICAL,
 
     # the coalgebra square: components of delta on a tower are towers
     for n in range(1, min(2, cfg.order) + 1):
-        tower = cofree_jet(d_n(f, n, L), L, cfg.order - n)
+        tower = cofree_jet(F.derivs[n - 1], L, cfg.order - n)
         out = jet_equal(dF.derivs[n - 1], tower, cfg, f"{suite}:{idx}:square:{n}")
         rows.append(_row(suite, idx, "comonad.coalgebra-square", out, cfg,
                              component=n))

@@ -27,7 +27,7 @@ from .smooth import (
     SpaceObject,
     add_maps,
     componentwise_monoid,
-    d_n,
+    derivative_tower,
     dn_blocks,
     insertion_slots,
     is_componentwise_monoid,
@@ -562,13 +562,10 @@ def faa_delta_jet(f: JetMorphism) -> JetMorphism:
 
 def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
     """The coalgebra image of a base map: its full symmetric derivative tower
-    (f, D f, D_2 f, ..., D_N f), computed by nested directional derivatives."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    (f, D f, D_2 f, ..., D_N f), from one derivative_tower."""
     src = FaaObject(L.monoid(f.dom), f.dom)
     dst = FaaObject(L.monoid(f.cod), f.cod)
-    derivs = tuple(d_n(f, n, L) for n in range(1, order + 1))
-    return JetMorphism(SMOOTH, src, dst, f, derivs)
+    return JetMorphism(SMOOTH, src, dst, f, tuple(derivative_tower(f, order, L)))
 
 
 # --- linearity ----------------------------------------------------------------------------

@@ -262,24 +262,48 @@ TRIVIAL = LAssignment("trivial")
 
 # --- the differential operator -------------------------------------------------
 
+def derivative_tower(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> list[SmoothMap]:
+    """The symmetric derivatives d_1 f, ..., d_n f; d_k f takes direction
+    blocks v_1 .. v_k, then the point, and its guard is f's guard on the
+    point block.  Step k contracts the partials of step k-1 with direction
+    block k, all in f's own variables (the point x1..xd first, then the
+    direction blocks), so step 1 differentiates f's own nodes and each step
+    reuses the last; each component is then renamed once into the layout
+    v_1 .. v_k, x."""
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    d = f.dom.dim
+    l = L.l0(f.dom).dim
+    tower = []
+    exprs = f.coords
+    for k in range(1, n + 1):
+        point_rename = shift_vars(d, k * l)
+        guard = guard_subst(f.guard, point_rename)
+        dom = SpaceObject(k * l + d)
+        if L.variant == "trivial":
+            tower.append(SmoothMap(dom, TERMINAL, (), guard))
+            continue
+        base = d + (k - 1) * l
+        new_exprs = []
+        for e in exprs:
+            total = ZERO
+            for j in range(d):
+                total = add(total, mul(var(var_name(base + j)), diff(e, var_name(j))))
+            new_exprs.append(simplify(total))
+        exprs = tuple(new_exprs)
+        # renaming is injective, so it commutes with simplify and diff: the
+        # renamed components are the ones built in the layout directly
+        layout = {**point_rename,
+                  **{var_name(d + i): var(var_name(i)) for i in range(k * l)}}
+        coords = tuple(subst(e, layout) for e in exprs)
+        tower.append(SmoothMap(dom, L.l0(f.cod), coords, guard))
+    return tower
+
+
 def D(f: SmoothMap, L: LAssignment = CLASSICAL) -> SmoothMap:
     """Derivative map L0(X) x X -> L0(Y): vector block first, then the point.
     The guard depends only on the point block and equals f's guard there."""
-    d = f.dom.dim
-    l = L.l0(f.dom).dim
-    point_rename = shift_vars(d, l)
-    guard = guard_subst(f.guard, point_rename)
-    dom = SpaceObject(l + d)
-    if L.variant == "trivial":
-        return SmoothMap(dom, TERMINAL, (), guard)
-    coords = []
-    for e in f.coords:
-        total = ZERO
-        for j in range(d):
-            partial = subst(diff(e, var_name(j)), point_rename)
-            total = add(total, mul(var(var_name(j)), partial))
-        coords.append(simplify(total))
-    return SmoothMap(dom, L.l0(f.cod), tuple(coords), guard)
+    return derivative_tower(f, 1, L)[0]
 
 
 def iterate_D(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap:
@@ -312,10 +336,6 @@ def insertion_slots(n: int) -> list[tuple]:
     return slots
 
 
-def _symmetric_domain(f: SmoothMap, n: int, L: LAssignment) -> SpaceObject:
-    return SpaceObject(n * L.l0(f.dom).dim + f.dom.dim)
-
-
 def d_n_insertion(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap:
     """Symmetric n-th derivative via the literal zero-insertion into D^n(f)."""
     if n == 0:
@@ -333,38 +353,16 @@ def d_n_insertion(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap
             coords.extend(var(var_name(base + k)) for k in range(block.dim))
         else:
             coords.extend(var(var_name(n * l + k)) for k in range(d))
-    ins = SmoothMap(_symmetric_domain(f, n, L),
-                    SpaceObject(sum(b.dim for b in blocks)), tuple(coords))
+    ins = SmoothMap(SpaceObject(n * l + d), SpaceObject(sum(b.dim for b in blocks)),
+                    tuple(coords))
     return then(ins, iterate_D(f, n, L))
 
 
 def d_n(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap:
-    """Symmetric n-th derivative as nested directional differentiation:
-    contract the order-n partials with direction blocks v_1 .. v_n.  Agrees
+    """Symmetric n-th derivative, the last map of derivative_tower: the
+    order-n partials contracted with direction blocks v_1 .. v_n.  Agrees
     with d_n_insertion (tested property) without the 2^n domain blowup."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if n == 0:
-        return f
-    l = L.l0(f.dom).dim
-    d = f.dom.dim
-    dom = _symmetric_domain(f, n, L)
-    point_rename = shift_vars(d, n * l)
-    guard = guard_subst(f.guard, point_rename)
-    if L.variant == "trivial":
-        return SmoothMap(dom, TERMINAL, (), guard)
-    exprs = [subst(e, point_rename) for e in f.coords]
-    for step in range(n):
-        base = step * l
-        new_exprs = []
-        for e in exprs:
-            total = ZERO
-            for j in range(d):
-                total = add(total, mul(var(var_name(base + j)),
-                                       diff(e, var_name(n * l + j))))
-            new_exprs.append(simplify(total))
-        exprs = new_exprs
-    return SmoothMap(dom, L.l0(f.cod), tuple(exprs), guard)
+    return derivative_tower(f, n, L)[-1] if n else f
 
 
 # --- numerical oracle -----------------------------------------------------------
@@ -437,8 +435,9 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
 
 
 # Most points pulled from sample_points and evaluated together by one
-# Tape.run_batch; bounds the columns a batch holds.  The first batch holds
-# at most the probes, so a check that fails at a probe evaluates few points.
+# Tape.run_batch; bounds the columns a batch holds.  When the two sides
+# differ, the first batch holds at most the probes, so a check that fails at
+# a probe evaluates few points.
 BATCH_SIZE = 256
 
 
@@ -474,7 +473,7 @@ def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
     accepted = 0
     target = cfg.samples if f.dom.dim > 0 else 1
     points = sample_points(f.dom.dim, cfg, label)
-    size = min(probe_count(f.dom.dim), BATCH_SIZE)
+    size = BATCH_SIZE if same else min(probe_count(f.dom.dim), BATCH_SIZE)
     while batch := list(islice(points, min(target - accepted, size))):
         size = BATCH_SIZE
         fr = tf.run_batch(batch)

@@ -186,7 +186,8 @@ def test_cli_compose_output_matches_golden_file(capsys):
     pytest.param(suite, 3, id=suite)
     for suite in ("cd", "comonad", "dr", "faa-r", "linear", "split")
 ] + [
-    pytest.param(suite, 4, id=f"{suite}-order4") for suite in ("comonad", "faa-r")
+    pytest.param(suite, 4, id=f"{suite}-order4")
+    for suite in ("cd", "comonad", "dr", "faa-r", "split")
 ])
 def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     """The recorded report of each suite, byte for byte: comonad covers the
@@ -195,7 +196,8 @@ def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     differential axioms, linear the embedded additive maps, and split the
     totality checks of the split category.  At order 4, the first order
     where partitions share blocks across several terms, comonad and faa-r
-    pin the partition sum."""
+    pin the partition sum; cd, dr and split read no jet order, and their
+    order-4 files pin that too."""
     out = tmp_path / f"{suite}.json"
     assert main(["axioms", "--suite", suite, "--order", str(order), "--samples", "50",
                  "--seed", "0", "--json", str(out)]) == 0
@@ -222,6 +224,17 @@ def test_cli_rejects_invalid_numeric_flags(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("(" * 3000 + "x" + ")" * 3000, id="nested-parentheses"),
+    pytest.param("+".join(["x"] * 3000), id="long-sum"),
+])
+def test_cli_reports_too_deep_input_as_a_usage_error(body, capsys):
+    assert main(["jet", f"fn(x) -> ({body})"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested too deeply")
     assert "Traceback" not in err
 
 

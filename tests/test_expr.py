@@ -230,6 +230,15 @@ def test_guard_and_idempotent():
     assert guard_and(g, g) == g
 
 
+def test_guard_and_of_normal_guards_is_their_normalized_conjunction():
+    a, b, c = GuardAtom(">0", X), GuardAtom("!=0", Y), GuardAtom(">0", E.add(X, Y))
+    g1 = E.make_guard((a, b))
+    g2 = E.make_guard((c, b, a))
+    assert guard_and(g1, g2) == E.make_guard(g1.atoms + g2.atoms)
+    assert guard_and(g1, g2).atoms == (a, b, c)
+    assert guard_and(g2, g1) == E.make_guard(g2.atoms + g1.atoms)
+
+
 # --- hash-consing -----------------------------------------------------------------
 
 def test_structurally_equal_nodes_are_one_object():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig
 from faadibruno import jets as J
+from faadibruno import smooth as S
 from faadibruno.jets import (
     FaaObject,
     JetError,
@@ -482,6 +483,20 @@ def test_jet_structure_caches_stay_bounded():
 def test_cofree_jet_rejects_a_negative_order():
     with pytest.raises(ValueError):
         cofree_jet(parse_smooth_map("fn(x) -> (x^2)"), CLASSICAL, -1)
+
+
+def test_cofree_jet_differentiates_each_component_once_per_order(monkeypatch):
+    # order N over R^d -> R^cod: N * d * cod partials, each step reusing the last
+    calls = []
+    diff = S.diff
+
+    def counting(e, v):
+        calls.append(v)
+        return diff(e, v)
+
+    monkeypatch.setattr(S, "diff", counting)
+    F = cofree_jet(pm("fn(x,y) -> (sin(x*y), exp(x)/y)"), CLASSICAL, 6)
+    assert F.order == 6 and len(calls) == 6 * 2 * 2
 
 
 # --- shortcuts in the partition sum ----------------------------------------------------------

@@ -1,3 +1,8 @@
+from collections import Counter
+
+import pytest
+
+from faadibruno import smooth as S
 from faadibruno.config import RunConfig
 from faadibruno.laws import check_cd_axioms, check_dr_axioms, run_cd_suite, run_dr_suite
 from faadibruno.report import overall_status
@@ -72,3 +77,19 @@ def test_broken_derivative_detected():
     out = S.maps_equal(bad, good, CFG, "broken")
     assert out.status == "fail"
     assert out.witness is not None
+
+
+@pytest.mark.parametrize("check", [check_cd_axioms, check_dr_axioms])
+def test_each_map_is_differentiated_at_most_once_per_pair(check, monkeypatch):
+    differentiated = []
+    tower = S.derivative_tower
+
+    def counting(f, n, L=CLASSICAL):
+        differentiated.append(f)
+        return tower(f, n, L)
+
+    monkeypatch.setattr(S, "derivative_tower", counting)
+    for f, g in TOTAL_PAIRS + GUARDED_PAIRS:
+        differentiated.clear()
+        check(f, g, CLASSICAL, RunConfig(samples=5))
+        assert differentiated and max(Counter(differentiated).values()) == 1

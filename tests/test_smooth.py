@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig, derive_seed
-from faadibruno.expr import Guard, GuardAtom, OutOfDomainError, add, parse_expression, var
+from faadibruno.expr import (
+    Guard, GuardAtom, OutOfDomainError, add, guard_subst, parse_expression, shift_vars, var,
+)
 from faadibruno import smooth as S
 from faadibruno.smooth import (
     CLASSICAL,
@@ -284,6 +286,17 @@ def test_nested_directional_equals_zero_insertion_order_four(text):
     assert maps_equal(d_n(f, 4), d_n_insertion(f, 4), FAST, f"dn4-{text}").ok
 
 
+def test_derivative_tower_lists_d_1_to_d_n_with_D_first():
+    f = pm("fn(x,y) -> (x*y^2, sin(x)/y)")
+    tower = S.derivative_tower(f, 3)
+    assert tower == [d_n(f, 1), d_n(f, 2), d_n(f, 3)]
+    assert tower[0] == D(f)
+    assert [m.dom.dim for m in tower] == [4, 6, 8]
+    assert all(m.guard == guard_subst(f.guard, shift_vars(2, 2 * k))
+               for k, m in enumerate(tower, start=1))
+    assert S.derivative_tower(f, 0) == [] and d_n(f, 0) is f
+
+
 def test_dn_insertion_trivial_assignment_degenerates():
     f = pm("fn(x) -> (x^2)")
     lhs = d_n(f, 2, TRIVIAL)
@@ -549,6 +562,21 @@ def test_check_failing_at_its_first_probe_pulls_only_the_probes(text, shifted, m
     out = maps_equal(f, g, RunConfig(samples=200), "first-probe")
     assert out.status == "fail" and out.witness == probe_points(f.dom.dim)[0]
     assert len(pulled) <= len(probe_points(f.dom.dim))
+
+
+def test_identical_sides_take_their_samples_in_one_batch(monkeypatch):
+    batches = []
+    run_batch = S.Tape.run_batch
+
+    def counting(tape, points):
+        batches.append(len(points))
+        return run_batch(tape, points)
+
+    monkeypatch.setattr(S.Tape, "run_batch", counting)
+    f = pm("fn(x, y) -> (x*y)")
+    out = maps_equal(f, f, RunConfig(samples=20), "one-batch")
+    assert out.status == "pass" and out.samples == 20
+    assert batches == [20]
 
 
 def test_passing_check_pulls_exactly_its_samples(monkeypatch):
