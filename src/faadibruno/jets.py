@@ -13,7 +13,7 @@ whose base is the jet category one level down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .config import RunConfig
@@ -83,6 +83,9 @@ class JetMorphism:
     dst: FaaObject
     star: object
     derivs: tuple
+    # delta(self), built on first use and kept with the jet
+    _delta: JetMorphism | None = field(default=None, init=False, repr=False,
+                                       compare=False, hash=False)
 
     @property
     def order(self) -> int:
@@ -265,16 +268,21 @@ def epsilon(f: JetMorphism):
 
 # --- composition -----------------------------------------------------------------
 
-def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
-    """Diagrammatic composite f then g.  Each component is the partition sum:
-    (fg)_n = sum over partitions {B_1..B_k} of {1..n} of
-    g_k(f_|B_1|(v_B1; x), ..., f_|B_k|(v_Bk; x); f_*(x)).  Orders are
-    truncated to the shorter operand (the usable-order pyramid)."""
+def _check_composable(f: JetMorphism, g: JetMorphism):
     cat = f.base
     if g.base != cat:
         raise JetError("jets live over different bases")
     if not obj_shape_eq(cat, f.dst, g.src):
         raise JetError(f"cannot compose {f.dst} into {g.src}")
+
+
+def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
+    """Diagrammatic composite f then g.  Each component is the partition sum:
+    (fg)_n = sum over partitions {B_1..B_k} of {1..n} of
+    g_k(f_|B_1|(v_B1; x), ..., f_|B_k|(v_Bk; x); f_*(x)).  Orders are
+    truncated to the shorter operand (the usable-order pyramid)."""
+    _check_composable(f, g)
+    cat = f.base
     order = min(f.order, g.order)
     star = cat.then(f.star, g.star)
     derivs = []
@@ -314,21 +322,25 @@ def pair_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
 def restriction_jet(f: JetMorphism) -> JetMorphism:
     """(rs f_*, rs(pi_1 f_*) pi_0, rs(pi_2 f_*) 0, ...): the restriction
     idempotent of a jet; guards mention only the point block."""
-    cat = f.base
-    star = cat.restriction(f.star)
-    hint = cat.order_of(f.star)
+    return _restriction_jet(f.base, f.src, f.star, f.order)
+
+
+def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
+    """The restriction idempotent of any jet with this source, star and
+    order: it reads no other component."""
+    hint = cat.order_of(star)
     if hint is None:
-        hint = f.order
+        hint = order
     derivs = []
-    for n in range(1, f.order + 1):
-        blocks = _vector_blocks(f.src, n)
-        idem = cat.restriction(cat.then(cat.select(blocks, [n], hint), f.star))
+    for n in range(1, order + 1):
+        blocks = _vector_blocks(src, n)
+        idem = cat.restricted_then(cat.select(blocks, [n], hint), star)
         if n == 1:
             body = cat.select(blocks, [0], hint)
         else:
-            body = monoid_zero_arrow(cat, cat.product(blocks), f.src.monoid, hint)
+            body = monoid_zero_arrow(cat, cat.product(blocks), src.monoid, hint)
         derivs.append(cat.then(idem, body))
-    return JetMorphism(cat, f.src, f.src, star, tuple(derivs))
+    return JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
 
 
 # --- equality, order, compatibility ------------------------------------------------
@@ -455,6 +467,14 @@ class FaaCategory:
     def restriction(self, f: JetMorphism):
         return restriction_jet(f)
 
+    def restricted_then(self, f: JetMorphism, g: JetMorphism):
+        """restriction(then(f, g)) from the composite's star alone, without
+        its partition sums."""
+        _check_composable(f, g)
+        base = self.base
+        return _restriction_jet(base, f.src, base.then(f.star, g.star),
+                                min(f.order, g.order))
+
     def order_of(self, f: JetMorphism) -> int:
         return f.order
 
@@ -472,9 +492,10 @@ def faa_over(base) -> FaaCategory:
 
 # --- the comultiplication --------------------------------------------------------------
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def jet_L(obj: FaaObject, cat, order: int) -> MonoidStructure:
     """The vector-object monoid of a jet-category object: the embedded image
-    of the object's own monoid."""
+    of the object's own monoid; equal objects share one."""
     m = obj.monoid
     vectors = lambda_object(m)
     add = linear_block_jet(cat, lambda_object(mon_product(cat, m, m)), vectors,
@@ -488,18 +509,11 @@ def delta_object(obj: FaaObject, cat, order: int) -> FaaObject:
     return FaaObject(jet_L(obj, cat, order), obj)
 
 
-def faa_d_n(f: JetMorphism, n: int) -> JetMorphism:
-    """Symmetric n-th derivative of a jet: zero-insertion into the n-fold
-    derivative, exactly as in the base model."""
-    if n == 0:
-        return f
-    if n > f.order:
-        raise JetError("order exhausted")
+def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
+    """Symmetric n-th derivative of a jet from its n-fold derivative dnf:
+    zero-insertion into dnf, exactly as in the base model."""
     cat = f.base
     fb = faa_over(cat)
-    dnf = f
-    for _ in range(n):
-        dnf = derivative_jet(dnf)
     inner = f.order - n
     blocks = dn_blocks(f.src, n, jet_l0)
     slots = insertion_slots(n)
@@ -520,13 +534,21 @@ def faa_d_n(f: JetMorphism, n: int) -> JetMorphism:
 def delta(f: JetMorphism) -> JetMorphism:
     """Comultiplication: the jet of jets (f, D f, D_2 f, ...), a morphism one
     level up whose star is f itself.  Component n has usable order N - n; an
-    order-0 jet yields the star-only double jet."""
+    order-0 jet yields the star-only double jet.  The n-fold derivatives come
+    from one chain D f, D^2 f, ..., and the result is kept on f."""
+    if f._delta is not None:
+        return f._delta
     cat = f.base
-    fb = faa_over(cat)
-    derivs = tuple(faa_d_n(f, n) for n in range(1, f.order + 1))
+    derivs = []
+    dnf = f
+    for n in range(1, f.order + 1):
+        dnf = derivative_jet(dnf)
+        derivs.append(faa_d_n(f, dnf, n))
     src2 = delta_object(f.src, cat, f.order)
     dst2 = delta_object(f.dst, cat, f.order)
-    return JetMorphism(fb, src2, dst2, f, derivs)
+    out = JetMorphism(faa_over(cat), src2, dst2, f, tuple(derivs))
+    object.__setattr__(f, "_delta", out)
+    return out
 
 
 def map_jet(f: JetMorphism, morphism_fn, object_fn, new_base) -> JetMorphism:

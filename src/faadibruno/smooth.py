@@ -405,13 +405,19 @@ def probe_points(dim: int) -> list[Point]:
     """Deterministic probes visited before random sampling.  Uniform samples
     almost surely miss measure-zero sets, so guard disagreements at points
     like the origin (x != 0) or axis points (x - 1 != 0) are probed directly."""
+    return list(_probes(dim))
+
+
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _probes(dim: int) -> tuple[Point, ...]:
+    """The probes of one dimension, built once."""
     probes: list[Point] = [tuple(0.0 for _ in range(dim))]
     for i in range(dim):
         for s in (1.0, -1.0):
             probes.append(tuple(s if j == i else 0.0 for j in range(dim)))
     for c in (1.0, -1.0, 0.5):
         probes.append(tuple(c for _ in range(dim)))
-    return probes
+    return tuple(probes)
 
 
 def probe_count(dim: int) -> int:
@@ -424,7 +430,7 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
     if dim == 0:
         yield ()
         return
-    yield from probe_points(dim)
+    yield from _probes(dim)
     # rng.uniform(-radius, radius), inlined: random.uniform(a, b) is
     # a + (b - a) * random(), so the stream is the same to the bit
     lo = -cfg.radius
@@ -562,6 +568,9 @@ class SmoothCategory:
 
     def restriction(self, f: SmoothMap) -> SmoothMap:
         return restriction_of(f)
+
+    def restricted_then(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
+        return restriction_of(then(f, g))
 
     def order_of(self, f: SmoothMap) -> int | None:
         return None

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -376,6 +378,72 @@ def test_delta_first_component_is_derivative():
     assert jet_equal(d.derivs[0], derivative_jet(F), CFG, "delta-1").ok
 
 
+def test_delta_builds_one_derivative_chain(monkeypatch):
+    # D f, D^2 f, .., D^N f: each derivative once, not once per component
+    calls = []
+    build = J.derivative_jet
+
+    def counting(f):
+        calls.append(f.order)
+        return build(f)
+
+    monkeypatch.setattr(J, "derivative_jet", counting)
+    order = 4
+    d = delta(jet("fn(x) -> (1/x)", order))
+    assert calls == [4, 3, 2, 1]
+    assert [c.order for c in d.derivs] == [3, 2, 1, 0]
+
+
+def test_delta_is_built_once_per_jet():
+    F = jet("fn(x) -> (x^3)", 3)
+    assert delta(F) is delta(F)
+    # equal source and target objects share one set of monoid jets
+    assert F.src == F.dst
+    assert delta(F).src.monoid is delta(F).dst.monoid
+
+
+class _WeakJet(J.JetMorphism):
+    """A jet that can be the target of a weakref."""
+    __slots__ = ("__weakref__",)
+
+
+def test_delta_memo_lives_exactly_as_long_as_its_jet():
+    G = jet("fn(x) -> (log(x))", 3)
+    F = _WeakJet(G.base, G.src, G.dst, G.star, G.derivs)
+    dF = delta(F)
+    assert F._delta is dF and dF.star is F
+    ref = weakref.ref(F)
+    gc.disable()
+    try:
+        del F, dF
+        # the memo closes a cycle, so reference counting alone keeps F
+        assert ref() is not None
+        gc.collect()
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_restricted_then_is_the_restriction_of_the_composite(level):
+    order = 4
+    objs = [_obj(1, 1), _obj(1, 1)]
+    # the longer selection is truncated to the composite's order
+    sel = select_jet(objs, [1], order + 1)
+    G = jet("fn(x) -> (log(x) + 1/(x - 1))", order)
+    cat, f, g = (SMOOTH, sel.star, G.star) if level == 0 else (J.faa_over(SMOOTH), sel, G)
+    got = cat.restricted_then(f, g)
+    assert got == cat.restriction(cat.then(f, g))
+    assert got != cat.then(f, g)
+
+
+def test_restricted_then_rejects_what_compose_rejects():
+    fb = J.faa_over(SMOOTH)
+    sel = select_jet([_obj(1, 2), _obj(1, 1)], [0], 3)
+    with pytest.raises(JetError):
+        fb.restricted_then(sel, jet("fn(x) -> (log(x))", 3))
+
+
 # --- linearity --------------------------------------------------------------------------------------
 
 def test_lambda_image_of_matrix_is_linear():
@@ -478,6 +546,9 @@ def test_jet_structure_caches_stay_bounded():
         m = MonoidStructure(SpaceObject(1), pm(f"fn(a,b) -> (a + b + {k})"), zero)
         mon_product(SMOOTH, m, m)
     assert J._interchange_product.cache_info().currsize <= bound
+    for point in range(bound + 20):
+        J.jet_L(_obj(1, point), SMOOTH, 1)
+    assert J.jet_L.cache_info().currsize <= bound
 
 
 def test_cofree_jet_rejects_a_negative_order():
