@@ -85,7 +85,7 @@ def _check_length(flag: str, vector, dim: int, exact: bool):
     inputs.  Coordinates past them are ignored in the point; in a direction
     they would be read as the next block, so a direction must fit exactly."""
     if len(vector) < dim or (exact and len(vector) > dim):
-        inputs = f" (x1..x{dim})" if dim else ""
+        inputs = {0: "", 1: " (x1)"}.get(dim, f" (x1..x{dim})")
         raise JetError(f"{flag} has length {len(vector)}, the map needs {dim}{inputs}")
 
 
@@ -154,6 +154,8 @@ def _run_suite(suite: str, args, cfg: RunConfig):
     if suite == "comonad":
         return run_comonad_suite(corpus_maps(entries), cfg)
     if suite == "linear":
+        if cfg.order < 1:
+            raise JetError("the linear suite needs --order 1 or more")
         return run_linear_suite(cfg)
     if suite == "split":
         return check_split_cdc(corpus_split_entries(entries), cfg)

@@ -6,7 +6,7 @@ projections of a fresh sample domain, so guards flow through both sides."""
 from __future__ import annotations
 
 from .config import RunConfig, derive_seed
-from .expr import Guard, GuardAtom, guard_subst, guard_vars, shift_vars, var, var_name
+from .expr import Guard, GuardAtom, guard_subst, shift_vars, var, var_name
 from .report import CheckResult
 from .smooth import (
     EqOutcome,
@@ -15,6 +15,7 @@ from .smooth import (
     SpaceObject,
     D,
     add_maps,
+    guard_within,
     identity,
     maps_equal,
     restrict_map,
@@ -111,7 +112,7 @@ def _cd_rows(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig, suite: 
     point_guard = guard_subst(f.guard, shift_vars(n, l))
     eq("DR.8", D(restriction_of(f), L), restrict_map(select([l, n], [0]), point_guard))
     eq("DR.9", restriction_of(df), restrict_map(identity(SpaceObject(l + n)), point_guard))
-    structural = guard_vars(df.guard) <= {var_name(l + k) for k in range(n)}
+    structural = guard_within(df.guard, l, n)
     rows.append(_bool_row(suite, idx, "DR.9.structural", structural, cfg,
                           "guard mentions only point variables" if structural
                           else "guard mentions vector variables"))

@@ -103,10 +103,6 @@ class SmoothMap:
 Point = tuple[float, ...]
 
 
-def in_domain(f: SmoothMap, point: Sequence[float]) -> bool:
-    return f.tape().guard_values(point) is not None
-
-
 def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
     tape = f.tape()
     slots = tape.guard_values(point)
@@ -187,6 +183,12 @@ def restriction_of(f: SmoothMap) -> SmoothMap:
 def restrict_map(f: SmoothMap, guard: Guard) -> SmoothMap:
     """Precompose with an idempotent given by a guard over f's domain."""
     return SmoothMap(f.dom, f.cod, f.coords, guard_and(guard, f.guard))
+
+
+def guard_within(guard: Guard, offset: int, dim: int) -> bool:
+    """Whether the guard mentions only the dim variables from offset on, e.g.
+    only the point block of a derivative's domain."""
+    return guard_vars(guard) <= {var_name(offset + k) for k in range(dim)}
 
 
 def add_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -447,28 +449,14 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
 BATCH_SIZE = 256
 
 
-def _replay(tf: Tape, tg: Tape, point: Point, relation: str):
-    """One point evaluated side by side, as the point-at-a-time loop did: f's
-    guard, g's guard, f's coordinates, g's coordinates, so the first fault is
-    raised where it was.  Returns the pair of run_batch results it stands for,
-    with () for values that the relation never reads."""
-    fs = tf.guard_values(point)
-    if fs is None and relation != "equal":
-        return None, None
-    gs = tg.guard_values(point)
-    if fs is None or gs is None:
-        return (None if fs is None else ()), (None if gs is None else ())
-    return tf.coord_values(fs), tg.coord_values(gs)
-
-
-def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
-                       relation: str) -> EqOutcome:
-    """The one sampling loop behind maps_equal ("equal"), map_leq ("leq") and
-    maps_compatible ("compatible"); they differ only in what a point where
-    one guard fails means.  Points are evaluated a batch at a time, and
-    identical sides once; the outcome is the one a point-at-a-time loop
-    reaches, since results are read in point order and a point whose
-    evaluation raised is replayed alone."""
+def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
+    """Partial-map equality, the one sampling loop: guards agree as booleans
+    at every sampled point, values agree on the common domain within tol_rel
+    (abs floor tol_abs).  Points are evaluated a batch at a time (identical
+    sides once) and the results are read in point order.  Guards
+    run before coordinates and a faulting guard atom reads as false, so each
+    point's results give the outcome of evaluating it alone: a guard
+    mismatch first, then f's fault, then g's."""
     if f.dom != g.dom or f.cod != g.cod:
         return EqOutcome("fail", math.inf, None, "shape mismatch")
     same = f == g
@@ -485,21 +473,16 @@ def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
         fr = tf.run_batch(batch)
         gr = fr if same else tg.run_batch(batch)
         for point, fv, gv in zip(batch, fr, gr):
-            if isinstance(fv, Exception) or isinstance(gv, Exception):
-                try:
-                    fv, gv = _replay(tf, tg, point, relation)
-                except OutOfDomainError as fault:
-                    return EqOutcome("fail", math.inf, point, f"eval fault: {fault}",
-                                     accepted)
-            if fv is None and relation != "equal":
-                continue
-            if gv is None and fv is not None and relation == "compatible":
-                continue
             if (fv is None) != (gv is None):
-                note = "guard mismatch" if relation == "equal" else "domain not contained"
-                return EqOutcome("fail", math.inf, point, note, accepted)
+                return EqOutcome("fail", math.inf, point, "guard mismatch", accepted)
             if fv is None:
                 continue
+            if isinstance(fv, Exception) or isinstance(gv, Exception):
+                fault = fv if isinstance(fv, Exception) else gv
+                if not isinstance(fault, OutOfDomainError):
+                    raise fault
+                return EqOutcome("fail", math.inf, point, f"eval fault: {fault}",
+                                 accepted)
             if same:
                 # _residual(a, a, floor): 0.0 for a finite value, inf otherwise
                 if not all(map(math.isfinite, fv)):
@@ -515,12 +498,6 @@ def _sampled_agreement(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
     return EqOutcome("starved", worst, None, "sampling starvation", accepted)
 
 
-def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-    """Partial-map equality: guards agree as booleans at every sampled point,
-    values agree on the common domain within tol_rel (abs floor tol_abs)."""
-    return _sampled_agreement(f, g, cfg, label, "equal")
-
-
 def map_total(f: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """Totality: the restriction is the identity, i.e. the guard holds at
     every sampled point of the ambient box."""
@@ -528,13 +505,15 @@ def map_total(f: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
 
 
 def map_leq(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-    """f <= g: wherever f is defined, g is defined and agrees."""
-    return _sampled_agreement(f, g, cfg, label, "leq")
+    """f <= g: f's restriction then g is f, so wherever f is defined, g is
+    defined and agrees."""
+    return maps_equal(f, restrict_map(g, f.guard), cfg, label)
 
 
 def maps_compatible(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
-    """f and g agree on the intersection of their domains."""
-    return _sampled_agreement(f, g, cfg, label, "compatible")
+    """f and g agree on the intersection of their domains: f's restriction
+    then g is g's restriction then f."""
+    return maps_equal(restrict_map(f, g.guard), restrict_map(g, f.guard), cfg, label)
 
 
 # --- category adapter -------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .expr import Guard, TRUE_GUARD, guard_and, guard_subst, guard_vars, shift_vars, var_name
+from .expr import Guard, TRUE_GUARD, guard_and, guard_subst, shift_vars
 from .laws import _bool_row, _eq, _row, check_cd_axioms
 from .report import CheckResult
 from .smooth import (
@@ -23,6 +23,7 @@ from .smooth import (
     SpaceObject,
     TRIVIAL,
     D,
+    guard_within,
     identity,
     maps_equal,
     restrict_map,
@@ -128,8 +129,7 @@ def _d_guard_rows(suite, idx, m: SplitMap, dm: SplitMap, cfg) -> list[CheckResul
     m's source guard on the point block."""
     n = m.src.space.dim
     l = dm.src.space.dim - n
-    point_vars = {var_name(l + k) for k in range(n)}
-    structural = guard_vars(dm.f.guard) <= point_vars
+    structural = guard_within(dm.f.guard, l, n)
     return [_bool_row(suite, idx, "split.D-guard-structural", structural, cfg,
                       "" if structural else "guard mentions vector variables"),
             _row(suite, idx, "split.D-guard-is-source-guard",

@@ -104,6 +104,19 @@ def test_cli_jet_short_point_names_the_flag(capsys):
         "error: --point has length 2, the map needs 3 (x1..x3)\n"
 
 
+def test_cli_direction_length_error_names_the_one_input(capsys):
+    assert main(["jet", "fn(x) -> (x^2)", "--point", "1", "--directions", "1,2"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --directions vector 1 has length 2, the map needs 1 (x1)\n"
+
+
+def test_cli_linear_suite_at_order_zero_names_the_flag(capsys):
+    assert main(["axioms", "--suite", "linear", "--order", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the linear suite needs --order 1 or more\n"
+
+
 def test_cli_parse_error_exit_code(capsys):
     assert main(["jet", "fn(x) -> (x +* 2)"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from faadibruno.jetlaws import (
     validate_jet,
 )
 from faadibruno.report import overall_status
-from faadibruno.smooth import CLASSICAL, parse_smooth_map
+from faadibruno.smooth import CLASSICAL, apply_map, parse_smooth_map
 
 CFG = RunConfig(samples=60, order=3)
 
@@ -71,6 +71,49 @@ def test_multilinearity_check_rejects_corrupted_component():
     assert not out.ok
 
 
+def test_failing_multilinearity_row_has_the_full_layout_as_witness():
+    F = cofree_jet(pm("fn(x) -> (x^3)"), CLASSICAL, 3)
+    data = jet_to_dict(F)
+    data["derivs"][1] = "fn(v1,v2,x) -> (6*x*v1*v2 + v1)"
+    bad = jet_from_dict(data)
+    (row,) = [r for r in validate_jet(bad, CFG, "faa-r", 0) if r.axiom == "jet.multilinear"]
+    assert row.status == "fail"
+    # the layout v1, v2, w, x of the second component
+    assert len(row.witness_point) == 4
+    v1, v2, w, x = row.witness_point
+    q = float(jetlaws.LINEARITY_SCALAR)
+    f2 = lambda a, b: apply_map(bad.derivs[1], (a, b, x))[0]
+    lhs = (f2(v1 + q * w, v2), f2(v2, v1))
+    rhs = (f2(v1, v2) + q * f2(w, v2), f2(v1, v2))
+    assert max(abs(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(lhs, rhs)) > CFG.tol_rel
+
+
+def _jet_on_a_plane(derivs):
+    """A jet from R^2 (2-d carrier) to R with the given components."""
+    return jet_from_dict({"src": {"carrier_dim": 2, "point_dim": 2},
+                          "dst": {"carrier_dim": 1, "point_dim": 1},
+                          "order": len(derivs), "star": "fn(x1,x2) -> (x1)",
+                          "derivs": derivs})
+
+
+def test_multilinearity_check_rejects_a_bilinear_component_that_is_not_symmetric():
+    jet = _jet_on_a_plane(["fn(a1,a2,x1,x2) -> (a1)",
+                           "fn(a1,a2,b1,b2,x1,x2) -> (a1*b2)"])
+    out = check_multilinearity(jet, CFG, "ml-asym")
+    assert out.status == "fail"
+    assert len(out.witness) == 3 * 2 + 2
+
+
+def test_multilinearity_check_rejects_a_component_symmetric_only_under_the_swap():
+    # (a.b) c1 is trilinear and symmetric in a, b, but not under the cycle
+    jet = _jet_on_a_plane(["fn(a1,a2,x1,x2) -> (a1)",
+                           "fn(a1,a2,b1,b2,x1,x2) -> (a1*b1 + a2*b2)",
+                           "fn(a1,a2,b1,b2,c1,c2,x1,x2) -> ((a1*b1 + a2*b2)*c1)"])
+    out = check_multilinearity(jet, CFG, "ml-cycle")
+    assert out.status == "fail"
+    assert len(out.witness) == 4 * 2 + 2
+
+
 def test_validate_jet_flags_wrong_guard():
     F = cofree_jet(pm("fn(x) -> (1/x)"), CLASSICAL, 2)
     data = jet_to_dict(F)
@@ -112,8 +155,9 @@ def test_linear_suite():
 
 
 def test_faa_r_builds_each_composite_once(monkeypatch):
-    # h, R.1, R.2 (two), (rs f) h, R.4 (two), the lax product, and the
-    # leq and compatible definitions (two): eleven composites per pair
+    # h, R.2 (two), (rs f) h, R.4 (two), the lax product, the leq and
+    # compatible definitions (two), and validate_jet's R.1: ten composites
+    # per pair
     calls = []
 
     def counting(f, g):
@@ -124,4 +168,6 @@ def test_faa_r_builds_each_composite_once(monkeypatch):
     pairs = corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT))
     rows = run_faa_r_suite(pairs, RunConfig(samples=20, order=2))
     assert overall_status(rows) == "pass"
-    assert len(calls) <= 11 * len(pairs)
+    assert len(calls) <= 10 * len(pairs)
+    # R.1 is reported once per pair
+    assert sum(r.axiom == "jet.R.1" for r in rows) == len(pairs)

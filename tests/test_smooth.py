@@ -30,6 +30,7 @@ from faadibruno.smooth import (
     iterate_D,
     map_leq,
     map_total,
+    maps_compatible,
     maps_equal,
     parse_smooth_map,
     probe_points,
@@ -487,6 +488,48 @@ def test_deterministic_outcomes():
     a = maps_equal(f, g, FAST, "det")
     b = maps_equal(f, g, FAST, "det")
     assert a == b
+
+
+def test_restricted_map_is_below_the_unrestricted_one():
+    f = pm("fn(x) -> (x^2) where x > 0")
+    g = pm("fn(x) -> (x^2)")
+    assert map_leq(f, g, FAST, "leq").ok
+    # the reverse fails at the first probe outside f's guard, the origin
+    out = map_leq(g, f, FAST, "leq")
+    assert (out.status, out.note, out.witness) == ("fail", "guard mismatch", (0.0,))
+
+
+def test_compatible_maps_agree_on_overlapping_guards():
+    f = pm("fn(x) -> (x^2) where x > 0")
+    g = pm("fn(x) -> (x^2) where 1 - x > 0")
+    assert maps_compatible(f, g, FAST, "cmp").ok
+    assert maps_compatible(g, f, FAST, "cmp").ok
+
+
+def test_compatibility_fails_on_a_value_disagreement_in_the_overlap():
+    f = pm("fn(x) -> (x) where x > 0")
+    g = pm("fn(x) -> (x^2) where 1 - x > 0")
+    out = maps_compatible(f, g, FAST, "cmp")
+    # the probe 0.5 is the first point in both domains
+    assert (out.status, out.note, out.witness) == ("fail", "value mismatch", (0.5,))
+
+
+@pytest.mark.parametrize("f_text, g_text", [
+    ("fn(x) -> (exp(exp(x + 6)))", "fn(x) -> (exp(exp(x + 6))) where x - 1 != 0"),
+    ("fn(x) -> (exp(exp(x + 6))) where x - 1 != 0", "fn(x) -> (exp(exp(x + 6)))"),
+])
+def test_guard_mismatch_comes_before_the_other_sides_fault(f_text, g_text):
+    # at the probe 1.0 one side's guard fails and the other's coordinates
+    # overflow: the guards are compared first
+    out = maps_equal(pm(f_text), pm(g_text), FAST, "order")
+    assert (out.status, out.note, out.witness) == ("fail", "guard mismatch", (1.0,))
+
+
+def test_guard_within_a_block():
+    guard = pm("fn(v, x, y) -> (v) where x > 0 && y != 0").guard
+    assert S.guard_within(guard, 1, 2)
+    assert not S.guard_within(guard, 2, 1)
+    assert S.guard_within(pm("fn(v, x) -> (v)").guard, 1, 1)
 
 
 # --- monoids and L ------------------------------------------------------------------------
