@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .expr import ParseError, TRUE_GUARD, parse_map
+from .expr import ExprError, ParseError, TRUE_GUARD, parse_map, var_name
 from .smooth import SmoothMap, from_parsed, parse_smooth_map
 from .splitting import SplitMap, SplitObject, split_object
 
@@ -24,32 +24,46 @@ class CorpusError(Exception):
 
 
 def parse_corpus(text: str):
-    """Returns a list of (SmoothMap, SplitObject | None) entries."""
+    """Returns a list of (SmoothMap, SplitObject | None) entries.  Every
+    error names the corpus line it is on."""
     entries: list[tuple[SmoothMap, SplitObject | None]] = []
     pending_obj: SplitObject | None = None
+    pending_line = 0  # the line of pending_obj
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _OBJ_RE.match(line)
-        if m:
-            dim = int(m.group(1))
-            guard = TRUE_GUARD
-            if m.group(2):
-                params = ",".join(f"x{i + 1}" for i in range(dim))
-                guard = parse_map(f"fn({params}) -> (x1) where {m.group(2)}").guard
-            pending_obj = split_object(dim, guard)
-            continue
+        if m and pending_obj is not None:
+            break  # two annotations in a row: the first annotates no map
         try:
-            parsed = parse_map(line)
-        except ParseError as err:
+            if m:
+                pending_obj, pending_line = _annotation(m), lineno
+                continue
+            smooth = from_parsed(parse_map(line))
+        except ExprError as err:
             raise CorpusError(f"line {lineno}: {err}") from err
-        smooth = from_parsed(parsed)
         if pending_obj is not None and pending_obj.space != smooth.dom:
             raise CorpusError(f"line {lineno}: object annotation has wrong dimension")
         entries.append((smooth, pending_obj))
         pending_obj = None
+    if pending_obj is not None:
+        raise CorpusError(f"line {pending_line}: object annotation is not followed by a map")
     return entries
+
+
+def _annotation(m: re.Match) -> SplitObject:
+    """The split object an `obj (n) where <guard>` line declares.  A parse
+    error in the guard gives its column in the line."""
+    dim = int(m.group(1))
+    if not m.group(2):
+        return split_object(dim, TRUE_GUARD)
+    head = f"fn({','.join(map(var_name, range(dim)))}) -> (0) where "
+    try:
+        guard = parse_map(head + m.group(2)).guard
+    except ParseError as err:
+        raise ParseError(err.message, err.line, err.col - len(head) + m.start(2)) from None
+    return split_object(dim, guard)
 
 
 def corpus_maps(entries) -> list[SmoothMap]:

@@ -17,8 +17,6 @@ from functools import partial
 from itertools import compress, repeat
 from typing import Mapping, Sequence
 
-Env = Mapping[str, float]
-
 
 class ExprError(Exception):
     pass
@@ -27,6 +25,7 @@ class ExprError(Exception):
 class ParseError(ExprError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -193,60 +192,6 @@ def var_span(e: Expr) -> float:
             out = max(map(var_span, e.args), default=0)
         _set_slot(e, "_var_span", out)
     return out
-
-
-def eval_expr(e: Expr, env: Env) -> float:
-    """Evaluate to an IEEE double.  Raises OutOfDomainError on domain faults
-    (division by zero, log of non-positive, sqrt of negative, overflow) and
-    UnboundVariableError for variables missing from env."""
-    k = e.kind
-    if k == "const":
-        return float(e.value)
-    if k == "var":
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    if k == "add":
-        return eval_expr(e.args[0], env) + eval_expr(e.args[1], env)
-    if k == "sub":
-        return eval_expr(e.args[0], env) - eval_expr(e.args[1], env)
-    if k == "mul":
-        return eval_expr(e.args[0], env) * eval_expr(e.args[1], env)
-    if k == "div":
-        d = eval_expr(e.args[1], env)
-        if d == 0.0:
-            raise OutOfDomainError("division by zero")
-        return eval_expr(e.args[0], env) / d
-    if k == "pow":
-        x = eval_expr(e.args[0], env)
-        try:
-            return x ** e.exponent
-        except OverflowError:
-            raise OutOfDomainError("overflow in pow") from None
-    if k == "neg":
-        return -eval_expr(e.args[0], env)
-    x = eval_expr(e.args[0], env)
-    try:
-        if k == "sin":
-            return math.sin(x)
-        if k == "cos":
-            return math.cos(x)
-        if k == "exp":
-            return math.exp(x)
-        if k == "log":
-            if x <= 0.0:
-                raise OutOfDomainError("log of non-positive argument")
-            return math.log(x)
-        if k == "sqrt":
-            if x < 0.0:
-                raise OutOfDomainError("sqrt of negative argument")
-            return math.sqrt(x)
-    except OverflowError:
-        raise OutOfDomainError(f"overflow in {k}") from None
-    except ValueError:  # math.sin/math.cos of an infinity
-        raise OutOfDomainError(f"{k} of an infinite argument") from None
-    raise ExprError(f"unknown node kind {k!r}")
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -513,23 +458,6 @@ def guard_and(g1: Guard, g2: Guard) -> Guard:
     return Guard(g1.atoms + tuple(a for a in g2.atoms if a not in g1.atoms))
 
 
-def guard_eval(g: Guard, env: Env) -> bool:
-    """An atom whose expression faults is false: the point is outside the
-    open set the atom describes."""
-    for atom in g.atoms:
-        try:
-            v = eval_expr(atom.expr, env)
-        except OutOfDomainError:
-            return False
-        if atom.op == ">0":
-            if not v > 0.0:
-                return False
-        else:
-            if v == 0.0:
-                return False
-    return True
-
-
 def guard_subst(g: Guard, mapping: Mapping[str, Expr]) -> Guard:
     if not g.atoms:
         return TRUE_GUARD
@@ -571,8 +499,8 @@ _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
                "div": operator.truediv, "pow": operator.pow}
 _UNARY_OPS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
               "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
-# The exceptions the ops raise, translated into eval_expr's faults.  Any other
-# exception propagates as it does from eval_expr.
+# The exceptions the ops raise, translated into the faults an evaluation
+# reports.  Any other exception propagates unchanged.
 _FAULTS = {
     (operator.truediv, ZeroDivisionError): "division by zero",
     (operator.pow, OverflowError): "overflow in pow",
@@ -584,33 +512,23 @@ _FAULTS = {
 }
 _FAULT_FREE_KINDS = frozenset(("const", "var", "add", "sub", "mul", "neg"))
 
-
-def _run(steps, v: list) -> None:
-    """Append the value of each (op, a, b) step to the slot list v."""
-    append = v.append
-    try:
-        for op, a, b in steps:
-            if b is None:
-                append(op(v[a]))
-            else:
-                append(op(v[a], v[b]))
-    except (ZeroDivisionError, OverflowError, ValueError) as err:
-        message = _FAULTS.get((op, type(err)))
-        if message is None:
-            raise
-        raise OutOfDomainError(message) from None
-
-
 # a guard atom's test, mapped over a column: 0.0 < x is x > 0.0, NaN included
 _POSITIVE = (0.0).__lt__
 _NONZERO = (0.0).__ne__
 
 
 def _map_steps(steps, v: list) -> None:
-    """_run over columns: append each step's values at every row to v."""
+    """Append each (op, a, b) step's values at every row to v, a list of
+    columns.  A fault raises OutOfDomainError."""
     append = v.append
-    for op, a, b in steps:
-        append(list(map(op, v[a])) if b is None else list(map(op, v[a], v[b])))
+    try:
+        for op, a, b in steps:
+            append(list(map(op, v[a])) if b is None else list(map(op, v[a], v[b])))
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        message = _FAULTS.get((op, type(err)))
+        if message is None:
+            raise
+        raise OutOfDomainError(message) from None
 
 
 class Tape:
@@ -627,54 +545,29 @@ class Tape:
         self.steps = steps    # coordinate steps, run after the guard's
         self.roots = roots    # coordinate slots
 
-    def guard_values(self, point: Sequence[float]) -> list | None:
-        """The slots after every guard atom holds at point, or None where an
-        atom is false or faults (guard_eval's semantics).  Coordinates past
-        the arity are ignored; a point short of it raises
-        UnboundVariableError."""
-        if len(point) != self.arity:
-            if len(point) < self.arity:
-                raise UnboundVariableError(var_name(len(point)))
-            point = point[:self.arity]
-        v = [float(x) for x in point]
-        v += self.consts
-        for steps, root, positive in self.atoms:
-            try:
-                _run(steps, v)
-            except OutOfDomainError:
-                return None
-            x = v[root]
-            if not (x > 0.0 if positive else x != 0.0):
-                return None
-        return v
-
-    def coord_values(self, v: list) -> tuple[float, ...]:
-        """Continue guard_values' slots to the coordinate values.  Raises
-        OutOfDomainError with the message eval_expr gives."""
-        _run(self.steps, v)
-        return tuple([v[r] for r in self.roots])
-
     def run_batch(self, points: Sequence[Sequence[float]]) -> list:
-        """guard_values then coord_values at every point: per point None where
-        the guard does not hold, the coordinate values, or the exception
-        evaluating that point raises.  The points are evaluated a column at a
-        time; if any column op raises, every point is redone alone, so each
-        fault belongs to the point that raised it."""
+        """Per point: None where a guard atom is false or faults, the tuple
+        of coordinate values, or the exception evaluating that point raises
+        (OutOfDomainError for a fault, UnboundVariableError for a point short
+        of the arity; coordinates past it are ignored).  The points are
+        evaluated a column at a time; if any column op raises, every point is
+        redone as a batch of its own, so each fault belongs to the point that
+        raised it."""
         try:
             return self._columns(points)
         except Exception:
-            return [self._run_alone(point) for point in points]
+            return [self._alone(point) for point in points]
 
-    def _run_alone(self, point):
+    def _alone(self, point):
         try:
-            v = self.guard_values(point)
-            return None if v is None else self.coord_values(v)
+            return self._columns((point,))[0]
         except Exception as err:
             return err
 
     def _columns(self, points) -> list:
         """run_batch with one list per slot, a value per point; raises what
-        the first failing column op raises."""
+        the first failing column op raises, except that in a batch of one
+        point a faulting guard atom is false."""
         n = len(points)
         cols = list(zip(*points))
         if n and len(cols) < self.arity:
@@ -683,7 +576,12 @@ class Tape:
         v += [[c] * n for c in self.consts]
         rows = range(n)  # the points whose guard atoms have held so far
         for steps, root, positive in self.atoms:
-            _map_steps(steps, v)
+            try:
+                _map_steps(steps, v)
+            except OutOfDomainError:
+                if n == 1:
+                    return [None]
+                raise
             held = list(map(_POSITIVE if positive else _NONZERO, v[root]))
             if not all(held):
                 rows = list(compress(rows, held))
@@ -698,10 +596,11 @@ class Tape:
 
 def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
     """Compile a map's guard atoms (each in turn) and then its coordinates
-    over the inputs x1..x{arity}.  Nodes are visited in eval_expr's order and
-    structurally equal nodes share one step (value numbering), so each is
-    evaluated once; values and the first fault are bit-identical to
-    eval_expr/guard_eval on the same point."""
+    over the inputs x1..x{arity}.  Structurally equal nodes share one step
+    (value numbering), so each is evaluated once.  A node's arguments are
+    evaluated left to right, except that a quotient's denominator is tested
+    before its numerator is evaluated; the first fault met is the one
+    raised, and a guard atom whose expression faults is false."""
     # Refs below arity are inputs.  Until all constants are known, constant
     # c is ref ~c and step k is ref arity + k; place() gives the final slots.
     inputs = {var_name(i): i for i in range(arity)}
@@ -745,8 +644,8 @@ def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
             ref = constant(float(e.value))
         elif k == "div":
             b = visit(e.args[1])
-            # eval_expr tests the denominator before it evaluates the
-            # numerator: dividing 1.0 by it raises the same fault first
+            # the denominator is tested before the numerator is evaluated:
+            # dividing 1.0 by it raises the same fault first
             if may_fault(e.args[0], set()):
                 emit((operator.truediv, constant(1.0), b))
             ref = emit((operator.truediv, visit(e.args[0]), b))

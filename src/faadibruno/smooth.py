@@ -104,11 +104,12 @@ Point = tuple[float, ...]
 
 
 def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
-    tape = f.tape()
-    slots = tape.guard_values(point)
-    if slots is None:
+    value = f.tape().run_batch((point,))[0]
+    if value is None:
         raise OutOfDomainError(f"point {tuple(point)} outside guard {f.guard}")
-    return tape.coord_values(slots)
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 # --- category structure -------------------------------------------------------

@@ -122,6 +122,28 @@ def test_cli_parse_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("fn(y) -> (y)\nobj (1) where x1 >> 0\nfn(x) -> (x)\n",
+     "line 2: guard atoms compare against literal 0 (line 1, column 19)"),
+    ("fn(y) -> (y)\nfn(x) -> (y)\n", "line 2: unbound variable 'y' in map body"),
+    ("fn(y) -> (y)\nobj (1) where x2 > 0\nfn(x) -> (x)\n",
+     "line 2: unbound variable 'x2' in guard"),
+    ("fn(y) -> (y)\nobj (1) where x1 > 0\n",
+     "line 2: object annotation is not followed by a map"),
+    ("fn(y) -> (y)\nobj (1) where x1 > 0\nobj (1) where x1 != 0\nfn(x) -> (x)\n",
+     "line 2: object annotation is not followed by a map"),
+], ids=["obj-guard-parse-error", "unbound-map-variable", "obj-guard-out-of-range",
+        "trailing-obj", "obj-after-obj"])
+def test_cli_corpus_error_names_its_line(text, message, tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(text)
+    assert main(["axioms", "--suite", "split", "--order", "1", "--samples", "5",
+                 "--corpus", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_axioms_cd_small(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text("fn(x) -> (x^2)\nfn(y) -> (sin(y))\n")

@@ -21,10 +21,8 @@ from faadibruno.expr import (
     compile_tape,
     const,
     diff,
-    eval_expr,
     free_vars,
     guard_and,
-    guard_eval,
     guard_subst,
     parse_expression,
     parse_map,
@@ -33,6 +31,7 @@ from faadibruno.expr import (
     simplify,
     var,
 )
+from reference_eval import eval_expr, guard_eval
 
 X = var("x1")
 Y = var("x2")
@@ -218,6 +217,9 @@ def test_guard_subst_commutes_with_eval():
 def test_guard_atom_fault_means_false():
     g = Guard((GuardAtom("!=0", E.div(const(1), X)),))
     assert guard_eval(g, {"x1": 0.0}) is False
+    tape = compile_tape((X,), g, 1)
+    assert tape.run_batch([(0.0,)]) == [None]
+    assert tape.run_batch([(1.0,), (0.0,), (2.0,)]) == [(1.0,), None, (2.0,)]
 
 
 def test_pow_overflow_is_a_domain_fault():
@@ -362,7 +364,7 @@ def test_map_pretty_roundtrip():
         assert again.guard == m.guard
 
 
-# --- the compiled tape against eval_expr ----------------------------------------
+# --- the compiled tape against the tree evaluator --------------------------------
 
 _TAPE_KINDS = ("add", "sub", "mul", "div", "pow", "neg", "sin", "cos", "exp",
                "log", "sqrt")
@@ -399,29 +401,21 @@ def _bits(values):
     return tuple(struct.pack("<d", v) for v in values)
 
 
-def _outcome(run):
-    """What a call gives: its result, with floats as their bit patterns, or
-    its exception (every fault, sin/cos of an infinity included, is an
-    ExprError in both evaluators)."""
+def _reference(roots, guard, point):
+    """What the tree evaluator gives at point: None where the guard does not
+    hold, the roots' values as bit patterns, or the fault's type and message
+    (every fault, sin/cos of an infinity included, is an ExprError)."""
+    env = dict(zip(("x1", "x2"), point))
     try:
-        out = run()
-    except ExprError as err:
-        return (type(err), str(err))
-    return ("ok", out if isinstance(out, bool) else _bits(out))
-
-
-def _point_result(tape, point):
-    """guard_values then coord_values at one point: None where the guard does
-    not hold, the values' bit patterns, or the fault's type and message."""
-    try:
-        slots = tape.guard_values(point)
-        return None if slots is None else _bits(tape.coord_values(slots))
+        if not guard_eval(guard, env):
+            return None
+        return _bits([eval_expr(e, env) for e in roots])
     except ExprError as err:
         return (type(err), str(err))
 
 
 def _batch_result(result):
-    """One point's entry of Tape.run_batch, in _point_result's terms."""
+    """One point's entry of Tape.run_batch, in _reference's terms."""
     if isinstance(result, Exception):
         return (type(result), str(result))
     return None if result is None else _bits(result)
@@ -434,30 +428,14 @@ def test_tape_matches_eval_expr_bit_for_bit(pool, data, a, b):
     atoms = data.draw(st.lists(
         st.builds(GuardAtom, st.sampled_from([">0", "!=0"]), st.sampled_from(pool)),
         max_size=3))
-    guard = Guard(tuple(atoms))
-    env = {"x1": a, "x2": b}
-    want = _outcome(lambda: [eval_expr(e, env) for e in roots])
-
-    plain = compile_tape(roots, TRUE_GUARD, 2)
-    assert _outcome(lambda: plain.coord_values(plain.guard_values((a, b)))) == want
-    if want[0] == "ok":
-        values = plain.coord_values(plain.guard_values((a, b)))
-        for v, e in zip(values, roots):
-            ref = eval_expr(e, env)
-            assert v == ref or (math.isnan(v) and math.isnan(ref))
-
-    tape = compile_tape(roots, guard, 2)
-    holds = _outcome(lambda: tape.guard_values((a, b)) is not None)
-    assert holds == _outcome(lambda: guard_eval(guard, env))
-    if holds == ("ok", True):
-        assert _outcome(lambda: tape.coord_values(tape.guard_values((a, b)))) == want
-
     # a batch mixing the drawn point with points where guards fail and
     # evaluation faults gives, point by point, what the point alone gives
     points = [(a, b), (0.0, 0.0), (a, b), (-1.0, 0.5), (1e10, -1e200), (-3.0, a)]
-    for t in (plain, tape):
-        assert ([_batch_result(r) for r in t.run_batch(points)]
-                == [_point_result(t, p) for p in points])
+    for guard in (TRUE_GUARD, Guard(tuple(atoms))):
+        tape = compile_tape(roots, guard, 2)
+        want = [_reference(roots, guard, p) for p in points]
+        assert [_batch_result(tape.run_batch([p])[0]) for p in points] == want
+        assert [_batch_result(r) for r in tape.run_batch(points)] == want
 
 
 @pytest.mark.parametrize("text, point, message", [
@@ -477,5 +455,14 @@ def test_tape_first_fault_follows_eval_expr(text, point, message):
     with pytest.raises(OutOfDomainError, match=message):
         eval_expr(e, {"x1": point[0]})
     tape = compile_tape((e,), TRUE_GUARD, 1)
-    with pytest.raises(OutOfDomainError, match=message):
-        tape.coord_values(tape.guard_values(point))
+    for batch in ([point], [point, point]):
+        assert [_batch_result(r) for r in tape.run_batch(batch)] == \
+            [(OutOfDomainError, message)] * len(batch)
+
+
+def test_tape_short_point_names_the_missing_input_and_extra_coordinates_are_ignored():
+    tape = compile_tape((E.add(X, Y),), Guard((GuardAtom("!=0", X),)), 2)
+    for batch in ([(1.0,)], [(1.0,), (1.0, 2.0), (1.0, 2.0, 9.0)]):
+        results = tape.run_batch(batch)
+        assert type(results[0]) is UnboundVariableError and str(results[0]) == "x2"
+        assert results[1:] == [(3.0,)] * (len(batch) - 1)

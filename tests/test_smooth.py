@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig, derive_seed
 from faadibruno.expr import (
-    Guard, GuardAtom, OutOfDomainError, add, guard_subst, parse_expression, shift_vars, var,
+    Guard, GuardAtom, OutOfDomainError, UnboundVariableError, add, guard_subst,
+    parse_expression, shift_vars, var,
 )
 from faadibruno import smooth as S
 from faadibruno.smooth import (
@@ -195,6 +196,16 @@ def test_d_of_square():
     assert apply_map(df, (1.0, 3.0)) == (6.0,)
     assert df.coords == (parse_expression("2*(x2*x1)"),) or \
         apply_map(df, (0.5, 4.0)) == (4.0,)
+
+
+def test_apply_map_raises_each_points_error():
+    with pytest.raises(OutOfDomainError, match=r"^point \(0\.0,\) outside guard "):
+        apply_map(pm("fn(x) -> (1/x)"), (0.0,))
+    with pytest.raises(OutOfDomainError, match="^overflow in exp$"):
+        apply_map(pm("fn(x) -> (exp(exp(x)))"), (10.0,))
+    with pytest.raises(UnboundVariableError, match="^x2$"):
+        apply_map(pm("fn(x, y) -> (x + y)"), (1.0,))
+    assert apply_map(pm("fn(x) -> (x + 1)"), (1.0, 5.0)) == (2.0,)
 
 
 def test_d_of_addition_is_projected_addition():
