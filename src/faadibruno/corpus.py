@@ -36,6 +36,9 @@ def parse_corpus(text: str):
         m = _OBJ_RE.match(line)
         if m and pending_obj is not None:
             break  # two annotations in a row: the first annotates no map
+        if m and int(m.group(1)) == 0:
+            # the grammar has no fn(), so no map has a 0-dimensional source
+            raise CorpusError(f"line {lineno}: object annotation needs dimension 1 or more")
         try:
             if m:
                 pending_obj, pending_line = _annotation(m), lineno

@@ -58,10 +58,14 @@ from .smooth import (
 # and additivity together.
 LINEARITY_SCALAR = Fraction(-3, 2)
 
+# The components checked by check_multilinearity, and the components of the
+# comultiplication compared by the coassociativity row.
+MULTILINEAR_ORDER = 4
+COASSOCIATIVITY_DEPTH = 2
 
-def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str,
-                         max_order: int = 4) -> EqOutcome:
-    """Each component f_n(v_1, ..., v_n; x), n <= max_order, is linear in
+
+def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str) -> EqOutcome:
+    """Each component f_n(v_1, ..., v_n; x), n <= MULTILINEAR_ORDER, is linear in
     v_1 and invariant under the swap (v_1 v_2) and the cycle (v_1 ... v_n).
     The swap and the cycle generate every permutation, so symmetry carries
     linearity to every block.  A component's identities are paired into one
@@ -75,7 +79,7 @@ def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str,
                          m.guard)
 
     outcomes = []
-    for n in range(1, min(f.order, max_order) + 1):
+    for n in range(1, min(f.order, MULTILINEAR_ORDER) + 1):
         comp = f.derivs[n - 1]
         blocks = [a] * (n + 1) + [d]
         vs, w, x = list(range(n)), n, n + 1
@@ -168,10 +172,9 @@ def check_jet_restriction_laws(f: JetMorphism, g: JetMorphism, cfg: RunConfig,
     eq_row("jet.product-restriction", restriction_jet(paired), rf_rh)
     pi0 = projection_jet([f.dst, h.dst], 0, f.order)
     lax = compose_jets(paired, pi0)
-    rows.append(_row(
-        suite, idx, "jet.product-lax",
-        EqOutcome("pass" if leq(lax, f, cfg, f"{suite}:{idx}:lax") else "fail",
-                  0.0), cfg))
+    lax_ok = leq(lax, f, cfg, f"{suite}:{idx}:lax")
+    rows.append(_bool_row(suite, idx, "jet.product-lax", lax_ok, cfg,
+                          "" if lax_ok else "pairing then projection is not below f"))
 
     # total / leq / compatible agree with their componentwise characterizations
     jet_total = is_total(f, cfg, f"{suite}:{idx}:total-jet")
@@ -200,7 +203,8 @@ def check_jet_restriction_laws(f: JetMorphism, g: JetMorphism, cfg: RunConfig,
 
 
 def run_faa_r_suite(pairs, cfg: RunConfig, L: LAssignment = CLASSICAL,
-                    extra_jets=(), suite: str = "faa-r") -> list[CheckResult]:
+                    extra_jets=()) -> list[CheckResult]:
+    suite = "faa-r"
     rows: list[CheckResult] = []
     for idx, (f, g) in enumerate(pairs):
         F = cofree_jet(f, L, cfg.order)
@@ -214,8 +218,7 @@ def run_faa_r_suite(pairs, cfg: RunConfig, L: LAssignment = CLASSICAL,
 # --- comonad suite -----------------------------------------------------------------
 
 def check_comonad_laws(f: SmoothMap, cfg: RunConfig, L: LAssignment = CLASSICAL,
-                       suite: str = "comonad", idx: int = 0,
-                       coassoc_depth: int = 2) -> list[CheckResult]:
+                       suite: str = "comonad", idx: int = 0) -> list[CheckResult]:
     """Counit laws (the right one exact by construction, the left one sampled
     at a tight tolerance), coassociativity on comparable components, the coalgebra square
     delta(Df)_n = tower(D_n f), and the restriction variants."""
@@ -232,9 +235,9 @@ def check_comonad_laws(f: SmoothMap, cfg: RunConfig, L: LAssignment = CLASSICAL,
     out = jet_equal(faa_epsilon_jet(dF), F, tight, f"{suite}:{idx}:counit-faa")
     rows.append(_row(suite, idx, "comonad.counit-faa-eps", out, cfg))
 
-    # coassociativity, compared on the first coassoc_depth components (the
-    # truncation is degree-local, so both routes see the same prefix)
-    dT = truncate_jet(dF, coassoc_depth)
+    # coassociativity, compared on the first COASSOCIATIVITY_DEPTH components
+    # (the truncation is degree-local, so both routes see the same prefix)
+    dT = truncate_jet(dF, COASSOCIATIVITY_DEPTH)
     lhs = delta(dT)
     rhs = faa_delta_jet(dT)
     rows.append(_row(suite, idx, "comonad.coassociativity",
@@ -258,11 +261,10 @@ def check_comonad_laws(f: SmoothMap, cfg: RunConfig, L: LAssignment = CLASSICAL,
     return rows
 
 
-def run_comonad_suite(maps, cfg: RunConfig, L: LAssignment = CLASSICAL,
-                      suite: str = "comonad") -> list[CheckResult]:
+def run_comonad_suite(maps, cfg: RunConfig, L: LAssignment = CLASSICAL) -> list[CheckResult]:
     rows: list[CheckResult] = []
     for idx, f in enumerate(maps):
-        rows += check_comonad_laws(f, cfg, L, suite, idx)
+        rows += check_comonad_laws(f, cfg, L, "comonad", idx)
     return rows
 
 
@@ -298,9 +300,10 @@ NONLINEAR_TEXTS = [
 ]
 
 
-def run_linear_suite(cfg: RunConfig, suite: str = "linear") -> list[CheckResult]:
+def run_linear_suite(cfg: RunConfig) -> list[CheckResult]:
     """Twenty jets: embedded additive maps must test linear and match their
     embedding componentwise; towers of nonlinear maps must not."""
+    suite = "linear"
     rows: list[CheckResult] = []
     idx = 0
     for h in sampled_additive_maps(10, cfg):

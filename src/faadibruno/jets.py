@@ -112,16 +112,9 @@ def jet_l0(obj: FaaObject) -> FaaObject:
     return lambda_object(obj.monoid)
 
 
-def mon_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> MonoidStructure:
-    """Product monoid: paired carriers, addition through the middle-interchange."""
-    if is_componentwise_monoid(m1) and is_componentwise_monoid(m2):
-        # built afresh, not cached: these reach hundreds of dimensions
-        return componentwise_monoid(m1.carrier.dim + m2.carrier.dim)
-    return _interchange_product(cat, m1, m2)
-
-
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def _interchange_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> MonoidStructure:
+    """Product monoid: paired carriers, addition through the middle-interchange."""
     c1, c2 = m1.carrier, m2.carrier
     carrier = cat.product([c1, c2])
     order = cat.order_of(m1.add)
@@ -136,20 +129,18 @@ def _interchange_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> Monoi
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def trivial_monoid(cat, order: int = 0) -> MonoidStructure:
-    t = cat.terminal()
-    return MonoidStructure(t, cat.bang(cat.product([t, t]), order), cat.identity(t, order))
-
-
-def faa_product(cat, o1: FaaObject, o2: FaaObject) -> FaaObject:
-    return FaaObject(mon_product(cat, o1.monoid, o2.monoid),
-                     cat.product([o1.point, o2.point]))
+    """The monoid on the terminal object, the empty product."""
+    t = cat.product([])
+    return MonoidStructure(t, cat.bang(cat.product([t, t]), order), cat.select([t], [0], order))
 
 
 def product_objects(cat, objs) -> FaaObject:
+    """The product of jet objects: paired points, the product monoid."""
     if not objs:
-        return FaaObject(trivial_monoid(cat), cat.terminal())
+        return FaaObject(trivial_monoid(cat), cat.product([]))
     if len(objs) > 1 and all(is_componentwise_monoid(o.monoid) for o in objs):
-        # what the fold of mon_product gives, built once instead of per step
+        # what the fold of _interchange_product gives, built once and not
+        # cached: these reach hundreds of dimensions
         point = objs[0].point
         for o in objs[1:]:
             point = cat.product([point, o.point])
@@ -157,7 +148,8 @@ def product_objects(cat, objs) -> FaaObject:
         return FaaObject(componentwise_monoid(dim), point)
     out = objs[0]
     for o in objs[1:]:
-        out = faa_product(cat, out, o)
+        out = FaaObject(_interchange_product(cat, out.monoid, o.monoid),
+                        cat.product([out.point, o.point]))
     return out
 
 
@@ -208,8 +200,7 @@ def _zero_tail(cat, src: FaaObject, m_dst: MonoidStructure, first: int,
 
 
 def identity_jet(obj: FaaObject, order: int, cat=SMOOTH) -> JetMorphism:
-    return linear_block_jet(cat, obj, obj, cat.identity(obj.point, order),
-                            cat.identity(obj.monoid.carrier, order), order)
+    return select_jet([obj], [0], order, cat)
 
 
 def projection_jet(objs, i: int, order: int, cat=SMOOTH) -> JetMorphism:
@@ -329,8 +320,6 @@ def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
     """The restriction idempotent of any jet with this source, star and
     order: it reads no other component."""
     hint = cat.order_of(star)
-    if hint is None:
-        hint = order
     derivs = []
     for n in range(1, order + 1):
         blocks = _vector_blocks(src, n)
@@ -412,7 +401,7 @@ def derivative_jet(f: JetMorphism) -> JetMorphism:
     if f.order < 1:
         raise JetError("derivative consumed the whole jet order")
     cat = f.base
-    src = faa_product(cat, lambda_object(f.src.monoid), f.src)
+    src = product_objects(cat, [lambda_object(f.src.monoid), f.src])
     dst = lambda_object(f.dst.monoid)
     order = f.order - 1
     star = f.derivs[0]
@@ -441,12 +430,6 @@ class FaaCategory:
     def product(self, objs):
         return product_objects(self.base, list(objs))
 
-    def terminal(self):
-        return FaaObject(trivial_monoid(self.base), self.base.terminal())
-
-    def identity(self, obj: FaaObject, order: int):
-        return identity_jet(obj, order, self.base)
-
     def then(self, f: JetMorphism, g: JetMorphism):
         return compose_jets(f, g)
 
@@ -462,7 +445,7 @@ class FaaCategory:
         derivs = tuple(
             base.bang(base.product(_vector_blocks(obj, n)), order)
             for n in range(1, order + 1))
-        return JetMorphism(base, obj, self.terminal(), star, derivs)
+        return JetMorphism(base, obj, self.product([]), star, derivs)
 
     def restriction(self, f: JetMorphism):
         return restriction_jet(f)
@@ -498,7 +481,7 @@ def jet_L(obj: FaaObject, cat, order: int) -> MonoidStructure:
     of the object's own monoid; equal objects share one."""
     m = obj.monoid
     vectors = lambda_object(m)
-    add = linear_block_jet(cat, lambda_object(mon_product(cat, m, m)), vectors,
+    add = linear_block_jet(cat, product_objects(cat, [vectors, vectors]), vectors,
                            m.add, m.add, order)
     zero = linear_block_jet(cat, lambda_object(trivial_monoid(cat)), vectors,
                             m.zero, m.zero, order)

@@ -144,15 +144,15 @@ def check_dr_axioms(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig,
     return _cd_rows(f, g, L, cfg, suite, map_index, restricted=True)
 
 
-def run_cd_suite(pairs, L: LAssignment, cfg: RunConfig, suite: str = "cd") -> list[CheckResult]:
+def run_cd_suite(pairs, L: LAssignment, cfg: RunConfig) -> list[CheckResult]:
     rows: list[CheckResult] = []
     for idx, (f, g) in enumerate(pairs):
-        rows += check_cd_axioms(f, g, L, cfg, suite=suite, map_index=idx)
+        rows += check_cd_axioms(f, g, L, cfg, "cd", idx)
     return rows
 
 
-def run_dr_suite(pairs, L: LAssignment, cfg: RunConfig, suite: str = "dr") -> list[CheckResult]:
+def run_dr_suite(pairs, L: LAssignment, cfg: RunConfig) -> list[CheckResult]:
     rows: list[CheckResult] = []
     for idx, (f, g) in enumerate(pairs):
-        rows += check_dr_axioms(f, g, L, cfg, suite=suite, map_index=idx)
+        rows += check_dr_axioms(f, g, L, cfg, "dr", idx)
     return rows

@@ -42,10 +42,10 @@ from .expr import (
     var_span,
 )
 
-# Entries kept by each structural constructor cache (select, identity here;
-# the jet constructors in jets).  A layout is built once while it stays among
-# the most recently used; the bound keeps a long-lived process from holding
-# every layout it ever built.
+# Entries kept by each structural constructor cache (select, identity and the
+# probes here; the jet constructors in jets).  A layout is built once while it
+# stays among the most recently used; the bound keeps a long-lived process from
+# holding every layout it ever built.
 STRUCTURE_CACHE_SIZE = 1024
 
 
@@ -404,16 +404,12 @@ def _residual(a: float, b: float, floor: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def probe_points(dim: int) -> list[Point]:
-    """Deterministic probes visited before random sampling.  Uniform samples
-    almost surely miss measure-zero sets, so guard disagreements at points
-    like the origin (x != 0) or axis points (x - 1 != 0) are probed directly."""
-    return list(_probes(dim))
-
-
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
-def _probes(dim: int) -> tuple[Point, ...]:
-    """The probes of one dimension, built once."""
+def probe_points(dim: int) -> tuple[Point, ...]:
+    """Deterministic probes visited before random sampling, built once per
+    dimension.  Uniform samples almost surely miss measure-zero sets, so
+    guard disagreements at points like the origin (x != 0) or axis points
+    (x - 1 != 0) are probed directly."""
     probes: list[Point] = [tuple(0.0 for _ in range(dim))]
     for i in range(dim):
         for s in (1.0, -1.0):
@@ -423,17 +419,12 @@ def _probes(dim: int) -> tuple[Point, ...]:
     return tuple(probes)
 
 
-def probe_count(dim: int) -> int:
-    """len(probe_points(dim)), without building the points."""
-    return 2 * dim + 4
-
-
 def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
     rng = random.Random(derive_seed(cfg.seed, label))
     if dim == 0:
         yield ()
         return
-    yield from _probes(dim)
+    yield from probe_points(dim)
     # rng.uniform(-radius, radius), inlined: random.uniform(a, b) is
     # a + (b - a) * random(), so the stream is the same to the bit
     lo = -cfg.radius
@@ -468,7 +459,7 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     accepted = 0
     target = cfg.samples if f.dom.dim > 0 else 1
     points = sample_points(f.dom.dim, cfg, label)
-    size = BATCH_SIZE if same else min(probe_count(f.dom.dim), BATCH_SIZE)
+    size = BATCH_SIZE if same else min(len(probe_points(f.dom.dim)), BATCH_SIZE)
     while batch := list(islice(points, min(target - accepted, size))):
         size = BATCH_SIZE
         fr = tf.run_batch(batch)
@@ -526,12 +517,6 @@ class SmoothCategory:
 
     def product(self, objs: Sequence[SpaceObject]) -> SpaceObject:
         return SpaceObject(sum(o.dim for o in objs))
-
-    def terminal(self) -> SpaceObject:
-        return TERMINAL
-
-    def identity(self, obj: SpaceObject, order: int | None = None) -> SmoothMap:
-        return identity(obj)
 
     def then(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
         return then(f, g)

@@ -153,12 +153,12 @@ def _restricted_projection_rows(suite, idx, m: SplitMap, L, cfg) -> list[CheckRe
     return [_eq(suite, idx, "split.CD.3-restricted", lhs, rhs, cfg)]
 
 
-def check_split_cdc(entries, cfg: RunConfig, L: LAssignment = CLASSICAL,
-                    suite: str = "split") -> list[CheckResult]:
+def check_split_cdc(entries, cfg: RunConfig, L: LAssignment = CLASSICAL) -> list[CheckResult]:
     """The full differential suite inside the split category, for maps total
     there: hom-conditions, split-totality, CD.1-7 on the underlying maps,
     the derivative re-homing of the splitting construction, and the
     degenerate run under the trivial vector assignment."""
+    suite = "split"
     rows: list[CheckResult] = []
     for idx, (m, g) in enumerate(entries):
         rows.append(_row(suite, idx, "split.hom-condition",

@@ -132,8 +132,12 @@ def test_cli_parse_error_exit_code(capsys):
      "line 2: object annotation is not followed by a map"),
     ("fn(y) -> (y)\nobj (1) where x1 > 0\nobj (1) where x1 != 0\nfn(x) -> (x)\n",
      "line 2: object annotation is not followed by a map"),
+    ("fn(y) -> (y)\nobj (0) where 1 > 0\nfn(x) -> (x)\n",
+     "line 2: object annotation needs dimension 1 or more"),
+    ("fn(y) -> (y)\nobj (0)\nfn(x) -> (x)\n",
+     "line 2: object annotation needs dimension 1 or more"),
 ], ids=["obj-guard-parse-error", "unbound-map-variable", "obj-guard-out-of-range",
-        "trailing-obj", "obj-after-obj"])
+        "trailing-obj", "obj-after-obj", "obj-dim-0-with-guard", "obj-dim-0"])
 def test_cli_corpus_error_names_its_line(text, message, tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text(text)
@@ -196,6 +200,17 @@ def test_cli_starvation_exit_code(tmp_path, capsys):
 def test_cli_split_check_alias(capsys):
     assert main(["split-check", "--samples", "50"]) == 0
     assert "suite split: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alias, suite", [
+    ("comonad-check", "comonad"), ("linear-check", "linear"), ("split-check", "split")])
+def test_cli_alias_writes_the_report_of_its_suite(alias, suite, tmp_path, capsys):
+    flags = ["--order", "2", "--samples", "20", "--json"]
+    assert main([alias, *flags, str(tmp_path / "alias.json")]) == 0
+    alias_out = capsys.readouterr().out
+    assert main(["axioms", "--suite", suite, *flags, str(tmp_path / "suite.json")]) == 0
+    assert capsys.readouterr().out == alias_out
+    assert (tmp_path / "alias.json").read_bytes() == (tmp_path / "suite.json").read_bytes()
 
 
 def test_cli_compose_prints_components(capsys):

@@ -154,6 +154,23 @@ def test_linear_suite():
     assert "linear.higher-components-vanish" in kinds
 
 
+def test_product_lax_row_reads_like_the_other_boolean_rows(monkeypatch):
+    cfg = RunConfig(samples=20, order=2)
+
+    def row(rows, axiom):
+        (r,) = [r for r in rows if r.axiom == axiom]
+        return r
+
+    lax = row(run_faa_r_suite(GUARDED_PAIRS[:1], cfg), "jet.product-lax")
+    assert (lax.status, lax.worst_residual, lax.note) == ("pass", 0.0, "")
+    monkeypatch.setattr(jetlaws, "leq", lambda *args: False)
+    rows = run_faa_r_suite(GUARDED_PAIRS[:1], cfg)
+    lax, char = row(rows, "jet.product-lax"), row(rows, "jet.leq-characterization")
+    assert lax.status == char.status == "fail"
+    assert lax.worst_residual == char.worst_residual == -1.0
+    assert lax.note
+
+
 def test_faa_r_builds_each_composite_once(monkeypatch):
     # h, R.2 (two), (rs f) h, R.4 (two), the lax product, the leq and
     # compatible definitions (two), and validate_jet's R.1: ten composites

@@ -27,7 +27,6 @@ from faadibruno.jets import (
     jet_to_dict,
     lambda_embed,
     lambda_object,
-    mon_product,
     pair_jets,
     projection_jet,
     restriction_jet,
@@ -526,8 +525,25 @@ def test_select_jet_returns_one_object_per_layout():
 
 
 def test_componentwise_product_is_componentwise():
-    assert mon_product(SMOOTH, componentwise_monoid(1), componentwise_monoid(2)) \
+    assert J.product_objects(SMOOTH, [_obj(1, 0), _obj(2, 0)]).monoid \
         == componentwise_monoid(3)
+    assert J._interchange_product(SMOOTH, componentwise_monoid(1), componentwise_monoid(2)) \
+        == componentwise_monoid(3)
+
+
+def test_category_adapters_define_one_protocol():
+    protocol = {"product", "then", "tuple_map", "select", "bang", "restriction",
+                "restricted_then", "order_of", "shape_eq", "equal"}
+    for adapter in (S.SmoothCategory, J.FaaCategory):
+        assert {name for name, v in vars(adapter).items()
+                if callable(v) and not name.startswith("_")} == protocol
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_trivial_monoid_over_the_smooth_base_is_componentwise(order):
+    # so the componentwise shortcuts fire for terminal factors
+    m = trivial_monoid(SMOOTH, order)
+    assert m == componentwise_monoid(0) and is_componentwise_monoid(m)
 
 
 def test_jet_structure_caches_stay_bounded():
@@ -544,7 +560,7 @@ def test_jet_structure_caches_stay_bounded():
     zero = zero_map(SpaceObject(0), SpaceObject(1))
     for k in range(bound + 20):
         m = MonoidStructure(SpaceObject(1), pm(f"fn(a,b) -> (a + b + {k})"), zero)
-        mon_product(SMOOTH, m, m)
+        J._interchange_product(SMOOTH, m, m)
     assert J._interchange_product.cache_info().currsize <= bound
     for point in range(bound + 20):
         J.jet_L(_obj(1, point), SMOOTH, 1)
@@ -575,7 +591,8 @@ def test_cofree_jet_differentiates_each_component_once_per_order(monkeypatch):
 def _faa_product_fold(cat, objs):
     out = objs[0]
     for o in objs[1:]:
-        out = J.faa_product(cat, out, o)
+        out = FaaObject(J._interchange_product(cat, out.monoid, o.monoid),
+                        cat.product([out.point, o.point]))
     return out
 
 

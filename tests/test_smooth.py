@@ -399,8 +399,8 @@ def test_sample_points_draw_as_random_uniform(dim, seed, radius):
         assert got == [()]
         return
     rng = random.Random(derive_seed(seed, "stream"))
-    want = probe_points(dim) + [tuple(rng.uniform(-radius, radius) for _ in range(dim))
-                                for _ in range(cfg.retry_cap)]
+    want = list(probe_points(dim)) + [tuple(rng.uniform(-radius, radius) for _ in range(dim))
+                                      for _ in range(cfg.retry_cap)]
     assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
 
 
@@ -603,7 +603,9 @@ def _counting_sample_points(monkeypatch):
 
 @pytest.mark.parametrize("dim", range(6))
 def test_probe_count_is_the_number_of_probes(dim):
-    assert S.probe_count(dim) == len(probe_points(dim))
+    # the origin, +-1 on each axis, and the three diagonal points, built once
+    assert len(probe_points(dim)) == 2 * dim + 4
+    assert probe_points(dim) is probe_points(dim)
 
 
 @pytest.mark.parametrize("text, shifted", [
