@@ -109,7 +109,8 @@ def var(name: str) -> Expr:
 
 
 def const(value) -> Expr:
-    return Expr("const", value=Fraction(value))
+    node = _SMALL_CONSTS.get(value)  # an integral Fraction hashes as its int
+    return node if node is not None else Expr("const", value=Fraction(value))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -158,9 +159,11 @@ def sqrt(a: Expr) -> Expr:
     return Expr("sqrt", (a,))
 
 
-# Interned, so any constant 0 or 1 is one of these two nodes.
-ZERO = const(0)
-ONE = const(1)
+# The integer constants constant folding makes most, built once and kept, so
+# const() skips the Fraction and the intern key for them.
+_SMALL_CONSTS = {k: Expr("const", value=Fraction(k)) for k in range(-16, 17)}
+ZERO = _SMALL_CONSTS[0]
+ONE = _SMALL_CONSTS[1]
 
 
 def free_vars(e: Expr) -> frozenset[str]:

@@ -157,8 +157,10 @@ def obj_shape_eq(cat, a: FaaObject, b: FaaObject) -> bool:
     return cat.shape_eq(a.point, b.point) and cat.shape_eq(a.monoid.carrier, b.monoid.carrier)
 
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def monoid_zero_arrow(cat, dom_obj, monoid: MonoidStructure, order):
-    """The zero map dom -> carrier (total; callers restrict explicitly)."""
+    """The zero map dom -> carrier (total; callers restrict explicitly);
+    equal arguments give the same arrow object."""
     return cat.then(cat.bang(dom_obj, order), monoid.zero)
 
 
@@ -272,6 +274,26 @@ def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     (fg)_n = sum over partitions {B_1..B_k} of {1..n} of
     g_k(f_|B_1|(v_B1; x), ..., f_|B_k|(v_Bk; x); f_*(x)).  Orders are
     truncated to the shorter operand (the usable-order pyramid)."""
+    return _partition_sum(f, g, enumerate_partitions)
+
+
+def _linear_then(l: JetMorphism, g: JetMorphism) -> JetMorphism:
+    """compose_jets(l, g) when every component of l past the first is zero and
+    every component of g is multilinear: a term with a block of two or more
+    slots then has a zero argument, so only the partition into singletons
+    contributes and component n is g_n(l_1(v_1; x), .., l_1(v_n; x); l_*(x)).
+    Neither condition is checked.  The jets the construction builds meet them
+    (restriction idempotents, zero-insertions, towers); a jet supplied by a
+    user need not, so law checks compose with compose_jets."""
+    return _partition_sum(l, g, _singletons)
+
+
+def _singletons(n: int) -> tuple[Partition]:
+    return (tuple((i,) for i in range(1, n + 1)),)
+
+
+def _partition_sum(f: JetMorphism, g: JetMorphism, partitions) -> JetMorphism:
+    """f then g, each component summed over the partitions(n) of {1..n}."""
     _check_composable(f, g)
     cat = f.base
     order = min(f.order, g.order)
@@ -284,7 +306,7 @@ def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
         # partitions, so each is built once for this order
         block_args = {}
         terms = []
-        for partition in enumerate_partitions(n):
+        for partition in partitions(n):
             for block in partition:
                 if block not in block_args:
                     comp = f.derivs[len(block) - 1]
@@ -320,6 +342,9 @@ def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
     """The restriction idempotent of any jet with this source, star and
     order: it reads no other component."""
     hint = cat.order_of(star)
+    # over a jet base each component is a restriction idempotent, which is
+    # linear, composed with a select or zero jet, which is multilinear
+    then = _linear_then if isinstance(cat, FaaCategory) else cat.then
     derivs = []
     for n in range(1, order + 1):
         blocks = _vector_blocks(src, n)
@@ -328,7 +353,7 @@ def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
             body = cat.select(blocks, [0], hint)
         else:
             body = monoid_zero_arrow(cat, cat.product(blocks), src.monoid, hint)
-        derivs.append(cat.then(idem, body))
+        derivs.append(then(idem, body))
     return JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
 
 
@@ -510,8 +535,9 @@ def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
             entries.append(fb.select(src_blocks, [slot[1] - 1], inner))
         else:
             entries.append(fb.select(src_blocks, [n], inner))
-    ins = fb.tuple_map(entries)
-    return fb.then(ins, dnf)
+    # ins is a tuple of select and zero jets, so linear; dnf differentiates a
+    # jet the construction built, so its components are multilinear
+    return _linear_then(fb.tuple_map(entries), dnf)
 
 
 def delta(f: JetMorphism) -> JetMorphism:

@@ -238,7 +238,8 @@ def test_cli_compose_output_matches_golden_file(capsys):
 ] + [
     pytest.param(suite, 4, id=f"{suite}-order4")
     for suite in ("cd", "comonad", "dr", "faa-r", "split")
-] + [pytest.param("comonad", 5, id="comonad-order5")])
+] + [pytest.param("comonad", 5, id="comonad-order5"),
+      pytest.param("comonad", 6, id="comonad-order6")])
 def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     """The recorded report of each suite, byte for byte: comonad covers the
     jets-over-jets construction (delta, products, selections), faa-r and dr
@@ -248,7 +249,9 @@ def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     where partitions share blocks across several terms, comonad and faa-r
     pin the partition sum; cd, dr and split read no jet order, and their
     order-4 files pin that too.  At order 5 comonad pins delta's shared
-    derivative chain and its reuse across the rows of one sample."""
+    derivative chain and its reuse across the rows of one sample.  At order 6
+    it pins the restriction jets and zero-insertions that build only the
+    singleton-partition term of sums over up to B(6) = 203 partitions."""
     out = tmp_path / f"{suite}.json"
     assert main(["axioms", "--suite", suite, "--order", str(order), "--samples", "50",
                  "--seed", "0", "--json", str(out)]) == 0

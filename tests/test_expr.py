@@ -290,6 +290,14 @@ def test_intern_table_frees_dropped_nodes():
     assert len(E._NODES) <= before
 
 
+@pytest.mark.parametrize("k", [-17, -16, -3, 0, 1, 2, 16, 17])
+def test_small_integer_constants_are_the_interned_nodes(k):
+    # inside -16..16 from the table built at import, outside it from the
+    # intern table; either way the node of that structure
+    assert const(k) is const(Fraction(k)) is E.Expr("const", value=Fraction(k))
+    assert const(k).value == k and type(const(k).value) is Fraction
+
+
 # --- property tests -------------------------------------------------------------
 
 def exprs(max_depth=4):

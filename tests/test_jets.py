@@ -34,7 +34,7 @@ from faadibruno.jets import (
     trivial_monoid,
     truncate_jet,
 )
-from faadibruno.corpus import GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
+from faadibruno.corpus import COMONAD_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
 from faadibruno.smooth import (
     CLASSICAL,
     D,
@@ -565,6 +565,10 @@ def test_jet_structure_caches_stay_bounded():
     for point in range(bound + 20):
         J.jet_L(_obj(1, point), SMOOTH, 1)
     assert J.jet_L.cache_info().currsize <= bound
+    monoid = componentwise_monoid(1)
+    for order in range(bound + 20):
+        J.monoid_zero_arrow(SMOOTH, SpaceObject(1), monoid, order)
+    assert J.monoid_zero_arrow.cache_info().currsize <= bound
 
 
 def test_cofree_jet_rejects_a_negative_order():
@@ -679,3 +683,99 @@ def test_compose_jets_builds_each_block_argument_once_per_order():
     # the sums over the componentwise monoid substitute nothing
     assert cat.thens == 1 + sum(1 + (2 ** n - 1) + bells[n - 1]
                                 for n in range(1, order + 1))
+
+
+# --- the singleton-partition shortcut ---------------------------------------------------------
+
+def _comonad_jets(order, level):
+    """The jets delta is taken of: at level 1 the cofree jet of each map of
+    the comonad corpus, at level 2 its delta truncated to order 2."""
+    out = []
+    for f in corpus_maps(parse_corpus(COMONAD_TEXT)):
+        F = cofree_jet(f, CLASSICAL, order)
+        out.append(F if level == 1 else truncate_jet(delta(F), 2))
+    return out
+
+
+def _literal_restriction(f):
+    """restriction_jet(f), each component composed by cat.then."""
+    cat, src, star = f.base, f.src, f.star
+    hint = cat.order_of(star)
+    derivs = []
+    for n in range(1, f.order + 1):
+        blocks = [src.monoid.carrier] * n + [src.point]
+        idem = cat.restricted_then(cat.select(blocks, [n], hint), star)
+        if n == 1:
+            body = cat.select(blocks, [0], hint)
+        else:
+            body = cat.then(cat.bang(cat.product(blocks), hint), src.monoid.zero)
+        derivs.append(cat.then(idem, body))
+    return J.JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
+
+
+def _literal_d_n(f, dnf, n):
+    """faa_d_n(f, dnf, n) as faa_over(base).then(ins, dnf): the zero-insertion
+    composed by the whole partition sum."""
+    cat = f.base
+    fb = J.faa_over(cat)
+    inner = f.order - n
+    src_blocks = [J.jet_l0(f.src)] * n + [f.src]
+    src_obj = J.product_objects(cat, src_blocks)
+    entries = []
+    for block, slot in zip(S.dn_blocks(f.src, n, J.jet_l0), S.insertion_slots(n)):
+        if slot[0] == "zero":
+            entries.append(J.zero_jet(src_obj, block.monoid, inner, cat))
+        else:
+            pick = slot[1] - 1 if slot[0] == "v" else n
+            entries.append(fb.select(src_blocks, [pick], inner))
+    return fb.then(fb.tuple_map(entries), dnf)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_restriction_jet_over_jets_equals_the_literal_partition_sums(order, level):
+    for F in _comonad_jets(order, level):
+        dF = delta(F)
+        assert restriction_jet(dF) == _literal_restriction(dF)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_zero_insertion_equals_the_literal_partition_sum(order, level):
+    for F in _comonad_jets(order, level):
+        dnf = F
+        for n in range(1, F.order + 1):
+            dnf = derivative_jet(dnf)
+            got = J.faa_d_n(F, dnf, n)
+            assert got == _literal_d_n(F, dnf, n)
+            assert got == delta(F).derivs[n - 1]
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_monoid_zero_arrow_is_built_once_per_arguments(level):
+    o = _obj(1, 1)
+    if level == 0:
+        cat, dom, monoid, order = SMOOTH, SpaceObject(2), o.monoid, None
+    else:
+        # the vector monoid of a jet object, as _restriction_jet reads it
+        cat, monoid, order = J.faa_over(SMOOTH), J.jet_L(o, SMOOTH, 3), 3
+        dom = cat.product([o, o])
+    got = J.monoid_zero_arrow(cat, dom, monoid, order)
+    assert J.monoid_zero_arrow(cat, dom, monoid, order) is got
+    assert got == cat.then(cat.bang(dom, order), monoid.zero)
+
+
+def test_linear_then_needs_a_multilinear_outer_jet():
+    # f_2 has a b^2 term: at order 3 the partition {1,2},{3} contributes
+    # g_2(0, v_3; x) = v_3^2, which the singleton term alone leaves out
+    g = jet_from_dict({
+        "src": {"carrier_dim": 1, "point_dim": 1},
+        "dst": {"carrier_dim": 1, "point_dim": 1},
+        "order": 3, "star": "fn(x) -> (x)",
+        "derivs": ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + b^2)",
+                   "fn(a, b, c, x) -> (0)"]})
+    ident = select_jet([g.src], [0], 3)
+    literal, shortcut = compose_jets(ident, g), J._linear_then(ident, g)
+    assert literal.derivs[:2] == shortcut.derivs[:2]
+    assert literal.derivs[2] != shortcut.derivs[2]
+    assert not maps_equal(literal.derivs[2], shortcut.derivs[2], CFG, "shortcut").ok
