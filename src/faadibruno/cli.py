@@ -10,11 +10,16 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .config import RunConfig
 from .corpus import (
+    COMONAD_TEXT,
+    DEFAULT_PAIRS_TEXT,
+    GUARDED_PAIRS_TEXT,
+    SPLIT_TEXT,
     CorpusError,
-    DEFAULT_CORPUS_TEXTS,
     corpus_maps,
     corpus_pairs,
     corpus_split_entries,
@@ -27,13 +32,39 @@ from .jets import (
     compose_jets,
     jet_from_dict,
 )
-from .jetlaws import run_comonad_suite, run_faa_r_suite, run_linear_suite
-from .laws import run_cd_suite, run_dr_suite
-from .report import overall_status, render_json, report_document, sort_results
-from .smooth import CLASSICAL, apply_map, d_n, parse_smooth_map
-from .splitting import SplitError, check_split_cdc
+from .jetlaws import comonad_rows, faa_r_rows, linear_items, linear_rows
+from .laws import Rows, cd_rows, dr_rows
+from .report import CheckResult, overall_status, render_json, report_document, sort_results
+from .smooth import CLASSICAL, LAssignment, apply_map, d_n, parse_smooth_map
+from .splitting import SplitError, split_rows
 
-SUITES = ("cd", "dr", "faa-r", "comonad", "linear", "split")
+
+class Suite(NamedTuple):
+    corpus: str | None  # the default corpus text; None: the suite reads no corpus
+    items: Callable  # (parsed corpus, cfg) -> the items the suite checks
+    check: Callable  # (Rows, item, L) -> None, writing the item's rows
+
+
+SUITES = {
+    "cd": Suite(DEFAULT_PAIRS_TEXT, lambda entries, cfg: corpus_pairs(entries), cd_rows),
+    "dr": Suite(GUARDED_PAIRS_TEXT, lambda entries, cfg: corpus_pairs(entries), dr_rows),
+    "faa-r": Suite(GUARDED_PAIRS_TEXT, lambda entries, cfg: corpus_pairs(entries), faa_r_rows),
+    "comonad": Suite(COMONAD_TEXT, lambda entries, cfg: corpus_maps(entries), comonad_rows),
+    "linear": Suite(None, lambda entries, cfg: linear_items(cfg), linear_rows),
+    "split": Suite(SPLIT_TEXT, lambda entries, cfg: corpus_split_entries(entries),
+                   split_rows),
+}
+
+
+def run_suite(suite: str, items, cfg: RunConfig, L: LAssignment = CLASSICAL) -> list[CheckResult]:
+    """The rows of the suite's check on each item, numbered in order."""
+    rows: list[CheckResult] = []
+    for idx, item in enumerate(items):
+        r = Rows(suite, idx, cfg)
+        SUITES[suite].check(r, item, L)
+        rows += r.rows
+    return rows
+
 
 _EXIT = {"pass": 0, "fail": 1, "starved": 3}
 
@@ -130,41 +161,25 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _load_corpus(args, suite: str):
-    if args.corpus:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            return parse_corpus(fh.read())
-    return parse_corpus(DEFAULT_CORPUS_TEXTS[suite])
-
-
-def _run_suite(suite: str, args, cfg: RunConfig):
-    entries = _load_corpus(args, suite)
-    if suite == "cd":
-        return run_cd_suite(corpus_pairs(entries), CLASSICAL, cfg)
-    if suite == "dr":
-        return run_dr_suite(corpus_pairs(entries), CLASSICAL, cfg)
-    if suite == "faa-r":
-        extra = []
-        if getattr(args, "jets", None):
-            with open(args.jets, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            jets = payload if isinstance(payload, list) else [payload]
-            extra = [jet_from_dict(d) for d in jets]
-        return run_faa_r_suite(corpus_pairs(entries), cfg, extra_jets=extra)
-    if suite == "comonad":
-        return run_comonad_suite(corpus_maps(entries), cfg)
-    if suite == "linear":
-        if cfg.order < 1:
-            raise JetError("the linear suite needs --order 1 or more")
-        return run_linear_suite(cfg)
-    if suite == "split":
-        return check_split_cdc(corpus_split_entries(entries), cfg)
-    raise CorpusError(f"unknown suite {suite!r}")
+def _suite_items(args, cfg: RunConfig) -> list:
+    """The suite's items from its corpus (--corpus, or the built-in one), then
+    the jets of --jets.  A flag the suite does not read is a usage error."""
+    spec = SUITES[args.suite]
+    if args.corpus and spec.corpus is None:
+        raise CorpusError(f"--corpus: the {args.suite} suite reads no corpus")
+    if args.jets and spec.check is not faa_r_rows:
+        raise CorpusError(f"--jets: the {args.suite} suite reads no jets")
+    text = Path(args.corpus).read_text(encoding="utf-8") if args.corpus else spec.corpus
+    items = spec.items(parse_corpus(text or ""), cfg)
+    if args.jets:
+        payload = json.loads(Path(args.jets).read_text(encoding="utf-8"))
+        items += [jet_from_dict(d) for d in (payload if isinstance(payload, list) else [payload])]
+    return items
 
 
 def cmd_axioms(args) -> int:
     cfg = _config(args)
-    results = sort_results(_run_suite(args.suite, args, cfg))
+    results = sort_results(run_suite(args.suite, _suite_items(args, cfg), cfg))
     for r in results:
         comp = f" [{r.component}]" if r.component is not None else ""
         tag = "" if r.gating else " (informational)"

@@ -32,9 +32,6 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
-DEFAULT_CONFIG = RunConfig()
-
-
 def derive_seed(seed: int, label: str) -> int:
     """Deterministic per-check seed: all randomness flows from RunConfig.seed,
     with a stable (non-salted) label mix so reports are reproducible."""

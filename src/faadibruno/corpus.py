@@ -169,12 +169,3 @@ fn(x) -> (sqrt(x))
 obj (1) where x1 - 1 != 0
 fn(x) -> (1/(x - 1))
 """
-
-DEFAULT_CORPUS_TEXTS = {
-    "cd": DEFAULT_PAIRS_TEXT,
-    "dr": GUARDED_PAIRS_TEXT,
-    "faa-r": GUARDED_PAIRS_TEXT,
-    "comonad": COMONAD_TEXT,
-    "linear": COMONAD_TEXT,
-    "split": SPLIT_TEXT,
-}

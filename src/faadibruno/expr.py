@@ -39,7 +39,6 @@ class OutOfDomainError(ExprError):
 
 
 FUNCTION_KINDS = ("sin", "cos", "exp", "log", "sqrt")
-BINARY_KINDS = ("add", "sub", "mul", "div")
 
 
 # The intern table: every live node, keyed by its structure with the

@@ -10,6 +10,7 @@ from fractions import Fraction
 from .config import RunConfig, derive_seed
 from .expr import const, guard_subst, mul, shift_vars, simplify
 from .jets import (
+    JetError,
     JetMorphism,
     _combine,
     cofree_jet,
@@ -23,15 +24,13 @@ from .jets import (
     jet_equal,
     lambda_embed,
     leq,
-    pair_jets,
-    projection_jet,
     restriction_jet,
+    select_jet,
     truncate_jet,
+    tuple_jets,
 )
-from .laws import _row, _bool_row
-from .report import CheckResult
+from .laws import Rows
 from .smooth import (
-    CLASSICAL,
     EqOutcome,
     LAssignment,
     SMOOTH,
@@ -115,47 +114,41 @@ def check_guard_side_condition(f: JetMorphism, cfg: RunConfig, label: str) -> li
             SMOOTH.select([comp.dom], [0]),
             guard_subst(f.star.guard, shift_vars(d, n * a)))
         got = restriction_of(comp)
-        outcomes.append(maps_equal(got, expected, cfg, f"{label}:side:{n}"))
+        outcomes.append(maps_equal(got, expected, cfg, f"{label}:{n}"))
     return outcomes
 
 
-def validate_jet(f: JetMorphism, cfg: RunConfig, suite: str, idx: int) -> list[CheckResult]:
+def _validate_jet(r: Rows, f: JetMorphism):
     """Well-formedness rows used for deserialized (possibly hand-written)
     jets: multilinearity, the guard side-condition, and R.1."""
-    rows = [
-        _row(suite, idx, "jet.multilinear",
-                 check_multilinearity(f, cfg, f"{suite}:{idx}:well"), cfg),
-    ]
-    for n, out in enumerate(check_guard_side_condition(f, cfg, f"{suite}:{idx}"), start=1):
-        rows.append(_row(suite, idx, "jet.side-condition", out, cfg, component=n))
-    rows.append(_row(
-        suite, idx, "jet.R.1",
-        jet_equal(compose_jets(restriction_jet(f), f), f, cfg, f"{suite}:{idx}:r1"), cfg))
-    return rows
+    r.add("jet.multilinear", check_multilinearity(f, r.cfg, r.label("well")))
+    for n, out in enumerate(check_guard_side_condition(f, r.cfg, r.label("side")), start=1):
+        r.add("jet.side-condition", out, component=n)
+    r.eq("jet.R.1", compose_jets(restriction_jet(f), f), f, "r1", equal=jet_equal)
 
 
 # --- restriction suite (jets of the guarded corpus) ------------------------------
 
-def check_jet_restriction_laws(f: JetMorphism, g: JetMorphism, cfg: RunConfig,
-                               suite: str, idx: int) -> list[CheckResult]:
-    """R.2-R.4, the restricted-composite lemma, the restriction products and
-    the total/leq/compatible characterizations, on the composable jets f, g,
-    then validate_jet(f), which holds R.1."""
-    rows: list[CheckResult] = []
+def faa_r_rows(r: Rows, item, L: LAssignment):
+    """On a composable pair of maps, read as their towers f, g: R.2-R.4, the
+    restricted-composite lemma, the restriction products and the
+    total/leq/compatible characterizations, then the well-formedness rows of
+    f, which hold R.1.  A jet item (one read with --jets) gets only its
+    well-formedness rows."""
+    if isinstance(item, JetMorphism):
+        _validate_jet(r, item)
+        return
+    cfg, label = r.cfg, r.label
+    f, g = (cofree_jet(m, L, cfg.order) for m in item)
     h = compose_jets(f, g)
     rf = restriction_jet(f)
     rh = restriction_jet(h)
     rf_h = compose_jets(rf, h)
     rf_rh = compose_jets(rf, rh)
     rs_rf_h = restriction_jet(rf_h)
-
-    def eq_row(axiom, a, b):
-        rows.append(_row(suite, idx, axiom,
-                         jet_equal(a, b, cfg, f"{suite}:{idx}:{axiom}"), cfg))
-
-    eq_row("jet.R.2", rf_rh, compose_jets(rh, rf))
-    eq_row("jet.R.3", rs_rf_h, rf_rh)
-    eq_row("jet.R.4", compose_jets(f, restriction_jet(g)), compose_jets(rh, f))
+    r.eq("jet.R.2", rf_rh, compose_jets(rh, rf), equal=jet_equal)
+    r.eq("jet.R.3", rs_rf_h, rf_rh, equal=jet_equal)
+    r.eq("jet.R.4", compose_jets(f, restriction_jet(g)), compose_jets(rh, f), equal=jet_equal)
 
     # (rs f) h componentwise: each component of the composite is h's component
     # restricted by f's domain over the point block
@@ -163,109 +156,72 @@ def check_jet_restriction_laws(f: JetMorphism, g: JetMorphism, cfg: RunConfig,
     for n in range(1, rf_h.order + 1):
         shift = shift_vars(f.src.point.dim, n * a)
         expected = restrict_map(h.derivs[n - 1], guard_subst(f.star.guard, shift))
-        out = maps_equal(rf_h.derivs[n - 1], expected, cfg,
-                         f"{suite}:{idx}:res-composite:{n}")
-        rows.append(_row(suite, idx, "jet.res-composite", out, cfg, component=n))
+        r.eq("jet.res-composite", rf_h.derivs[n - 1], expected, f"res-composite:{n}",
+             component=n)
 
     # restriction products
-    paired = pair_jets(f, h)
-    eq_row("jet.product-restriction", restriction_jet(paired), rf_rh)
-    pi0 = projection_jet([f.dst, h.dst], 0, f.order)
-    lax = compose_jets(paired, pi0)
-    lax_ok = leq(lax, f, cfg, f"{suite}:{idx}:lax")
-    rows.append(_bool_row(suite, idx, "jet.product-lax", lax_ok, cfg,
-                          "" if lax_ok else "pairing then projection is not below f"))
+    paired = tuple_jets([f, h])
+    r.eq("jet.product-restriction", restriction_jet(paired), rf_rh, equal=jet_equal)
+    pi0 = select_jet([f.dst, h.dst], [0], f.order)
+    lax_ok = leq(compose_jets(paired, pi0), f, cfg, label("lax"))
+    r.holds("jet.product-lax", lax_ok,
+            "" if lax_ok else "pairing then projection is not below f")
 
     # total / leq / compatible agree with their componentwise characterizations
-    jet_total = is_total(f, cfg, f"{suite}:{idx}:total-jet")
-    star_total = map_total(f.star, cfg, f"{suite}:{idx}:total-star").ok
-    rows.append(_bool_row(suite, idx, "jet.total-characterization",
-                          jet_total == star_total, cfg,
-                          f"jet {jet_total}, star {star_total}"))
+    jet_total = is_total(f, cfg, label("total-jet"))
+    star_total = map_total(f.star, cfg, label("total-star")).ok
+    r.holds("jet.total-characterization", jet_total == star_total,
+            f"jet {jet_total}, star {star_total}")
 
     # (rs f) h <= h by definition and componentwise, and likewise compatible
     rs_rf_h_h = compose_jets(rs_rf_h, h)
-    def_leq = jet_equal(rs_rf_h_h, rf_h, cfg, f"{suite}:{idx}:leq-def").ok
-    comp_leq = leq(rf_h, h, cfg, f"{suite}:{idx}:leq-comp")
-    rows.append(_bool_row(suite, idx, "jet.leq-characterization",
-                          def_leq == comp_leq and def_leq,
-                          cfg, f"definition {def_leq}, componentwise {comp_leq}"))
+    def_leq = jet_equal(rs_rf_h_h, rf_h, cfg, label("leq-def")).ok
+    comp_leq = leq(rf_h, h, cfg, label("leq-comp"))
+    r.holds("jet.leq-characterization", def_leq == comp_leq and def_leq,
+            f"definition {def_leq}, componentwise {comp_leq}")
 
-    def_cmp = jet_equal(rs_rf_h_h, compose_jets(rh, rf_h), cfg,
-                        f"{suite}:{idx}:cmp-def").ok
-    comp_cmp = compatible(rf_h, h, cfg, f"{suite}:{idx}:cmp-comp")
-    rows.append(_bool_row(suite, idx, "jet.compatible-characterization",
-                          def_cmp == comp_cmp and def_cmp,
-                          cfg, f"definition {def_cmp}, componentwise {comp_cmp}"))
+    def_cmp = jet_equal(rs_rf_h_h, compose_jets(rh, rf_h), cfg, label("cmp-def")).ok
+    comp_cmp = compatible(rf_h, h, cfg, label("cmp-comp"))
+    r.holds("jet.compatible-characterization", def_cmp == comp_cmp and def_cmp,
+            f"definition {def_cmp}, componentwise {comp_cmp}")
 
-    rows += validate_jet(f, cfg, suite, idx)
-    return rows
-
-
-def run_faa_r_suite(pairs, cfg: RunConfig, L: LAssignment = CLASSICAL,
-                    extra_jets=()) -> list[CheckResult]:
-    suite = "faa-r"
-    rows: list[CheckResult] = []
-    for idx, (f, g) in enumerate(pairs):
-        F = cofree_jet(f, L, cfg.order)
-        G = cofree_jet(g, L, cfg.order)
-        rows += check_jet_restriction_laws(F, G, cfg, suite, idx)
-    for j, jet in enumerate(extra_jets):
-        rows += validate_jet(jet, cfg, suite, len(list(pairs)) + j)
-    return rows
+    _validate_jet(r, f)
 
 
 # --- comonad suite -----------------------------------------------------------------
 
-def check_comonad_laws(f: SmoothMap, cfg: RunConfig, L: LAssignment = CLASSICAL,
-                       suite: str = "comonad", idx: int = 0) -> list[CheckResult]:
+def comonad_rows(r: Rows, f: SmoothMap, L: LAssignment):
     """Counit laws (the right one exact by construction, the left one sampled
     at a tight tolerance), coassociativity on comparable components, the coalgebra square
     delta(Df)_n = tower(D_n f), and the restriction variants."""
-    rows: list[CheckResult] = []
+    cfg = r.cfg
     F = cofree_jet(f, L, cfg.order)
     dF = delta(F)
 
     # right counit: the star of the comultiplication is the jet itself
-    rows.append(_bool_row(suite, idx, "comonad.counit-eps", dF.star is F, cfg,
-                          "delta then counit is the identity"))
+    r.holds("comonad.counit-eps", dF.star is F, "delta then counit is the identity")
 
     # left counit: extracting stars componentwise returns the jet
     tight = cfg.with_(tol_rel=1e-12, tol_abs=1e-12)
-    out = jet_equal(faa_epsilon_jet(dF), F, tight, f"{suite}:{idx}:counit-faa")
-    rows.append(_row(suite, idx, "comonad.counit-faa-eps", out, cfg))
+    r.add("comonad.counit-faa-eps",
+          jet_equal(faa_epsilon_jet(dF), F, tight, r.label("counit-faa")))
 
     # coassociativity, compared on the first COASSOCIATIVITY_DEPTH components
     # (the truncation is degree-local, so both routes see the same prefix)
     dT = truncate_jet(dF, COASSOCIATIVITY_DEPTH)
-    lhs = delta(dT)
-    rhs = faa_delta_jet(dT)
-    rows.append(_row(suite, idx, "comonad.coassociativity",
-                         jet_equal(lhs, rhs, cfg, f"{suite}:{idx}:coassoc"), cfg))
+    r.eq("comonad.coassociativity", delta(dT), faa_delta_jet(dT), "coassoc", equal=jet_equal)
 
     # the coalgebra square: components of delta on a tower are towers
     for n in range(1, min(2, cfg.order) + 1):
         tower = cofree_jet(F.derivs[n - 1], L, cfg.order - n)
-        out = jet_equal(dF.derivs[n - 1], tower, cfg, f"{suite}:{idx}:square:{n}")
-        rows.append(_row(suite, idx, "comonad.coalgebra-square", out, cfg,
-                             component=n))
+        r.eq("comonad.coalgebra-square", dF.derivs[n - 1], tower, f"square:{n}",
+             equal=jet_equal, component=n)
 
     # restriction variants
     rF = restriction_jet(F)
-    rows.append(_row(
-        suite, idx, "comonad.eps-restriction",
-        maps_equal(rF.star, restriction_of(F.star), cfg, f"{suite}:{idx}:eps-rs"), cfg))
-    rows.append(_row(
-        suite, idx, "comonad.delta-restriction",
-        jet_equal(delta(rF), restriction_jet(dF), cfg, f"{suite}:{idx}:delta-rs"), cfg))
-    return rows
-
-
-def run_comonad_suite(maps, cfg: RunConfig, L: LAssignment = CLASSICAL) -> list[CheckResult]:
-    rows: list[CheckResult] = []
-    for idx, f in enumerate(maps):
-        rows += check_comonad_laws(f, cfg, L, "comonad", idx)
-    return rows
+    r.eq("comonad.eps-restriction", rF.star, restriction_of(F.star), "eps-rs")
+    r.eq("comonad.delta-restriction", delta(rF), restriction_jet(dF), "delta-rs",
+         equal=jet_equal)
 
 
 # --- linearity suite ------------------------------------------------------------------
@@ -300,35 +256,32 @@ NONLINEAR_TEXTS = [
 ]
 
 
-def run_linear_suite(cfg: RunConfig) -> list[CheckResult]:
-    """Twenty jets: embedded additive maps must test linear and match their
-    embedding componentwise; towers of nonlinear maps must not."""
-    suite = "linear"
-    rows: list[CheckResult] = []
-    idx = 0
-    for h in sampled_additive_maps(10, cfg):
-        mon = componentwise_monoid(h.dom.dim)
-        mon_out = componentwise_monoid(h.cod.dim)
-        lam = lambda_embed(h, mon, mon_out, cfg.order, cfg=cfg.with_(samples=50))
-        ok = is_linear(lam, cfg, f"{suite}:{idx}:is-linear")
-        rows.append(_bool_row(suite, idx, "linear.lambda-image-is-linear", ok, cfg))
-        # componentwise shape: f_1 = pi_0 f_*, higher components vanish
-        pi0_h = then(SMOOTH.select([mon.carrier, mon.carrier], [0]), h)
-        rows.append(_row(
-            suite, idx, "linear.first-component",
-            maps_equal(lam.derivs[0], pi0_h, cfg, f"{suite}:{idx}:f1"), cfg))
-        for n in range(2, lam.order + 1):
-            target = lam.derivs[n - 1]
-            zero = restrict_map(zero_map(target.dom, target.cod), target.guard)
-            rows.append(_row(
-                suite, idx, "linear.higher-components-vanish",
-                maps_equal(target, zero, cfg, f"{suite}:{idx}:f{n}"), cfg,
-                component=n))
-        idx += 1
-    for text in NONLINEAR_TEXTS:
-        F = cofree_jet(parse_smooth_map(text), CLASSICAL, cfg.order)
-        ok = is_linear(F, cfg, f"{suite}:{idx}:is-linear")
-        rows.append(_bool_row(suite, idx, "linear.tower-of-nonlinear-is-not",
-                              not ok, cfg, text))
-        idx += 1
-    return rows
+def linear_items(cfg: RunConfig) -> list:
+    """Twenty items: ten embedded additive maps, which must test linear and
+    match their embedding componentwise, then the texts of ten nonlinear maps,
+    whose towers must not."""
+    if cfg.order < 1:
+        raise JetError("the linear suite needs --order 1 or more")
+    return sampled_additive_maps(10, cfg) + NONLINEAR_TEXTS
+
+
+def linear_rows(r: Rows, item, L: LAssignment):
+    """An additive map's embedding is linear, with f_1 = pi_0 f_* and zero
+    higher components; the tower of a nonlinear map's text is not linear."""
+    cfg = r.cfg
+    if isinstance(item, str):
+        F = cofree_jet(parse_smooth_map(item), L, cfg.order)
+        r.holds("linear.tower-of-nonlinear-is-not",
+                not is_linear(F, cfg, r.label("is-linear")), item)
+        return
+    mon = componentwise_monoid(item.dom.dim)
+    mon_out = componentwise_monoid(item.cod.dim)
+    lam = lambda_embed(item, mon, mon_out, cfg.order, cfg=cfg.with_(samples=50))
+    r.holds("linear.lambda-image-is-linear", is_linear(lam, cfg, r.label("is-linear")))
+    # componentwise shape: f_1 = pi_0 f_*, higher components vanish
+    r.eq("linear.first-component", lam.derivs[0],
+         then(SMOOTH.select([mon.carrier, mon.carrier], [0]), item), "f1")
+    for n in range(2, lam.order + 1):
+        target = lam.derivs[n - 1]
+        zero = restrict_map(zero_map(target.dom, target.cod), target.guard)
+        r.eq("linear.higher-components-vanish", target, zero, f"f{n}", component=n)

@@ -205,10 +205,6 @@ def identity_jet(obj: FaaObject, order: int, cat=SMOOTH) -> JetMorphism:
     return select_jet([obj], [0], order, cat)
 
 
-def projection_jet(objs, i: int, order: int, cat=SMOOTH) -> JetMorphism:
-    return select_jet(objs, [i], order, cat)
-
-
 def select_jet(objs, picks, order: int, cat=SMOOTH) -> JetMorphism:
     """The jet selecting the listed factors of a product; equal layouts give
     the same jet object."""
@@ -326,10 +322,6 @@ def tuple_jets(jets) -> JetMorphism:
     derivs = tuple(cat.tuple_map([j.derivs[n] for j in jets]) for n in range(order))
     dst = product_objects(cat, [j.dst for j in jets])
     return JetMorphism(cat, jets[0].src, dst, star, derivs)
-
-
-def pair_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
-    return tuple_jets([f, g])
 
 
 def restriction_jet(f: JetMorphism) -> JetMorphism:

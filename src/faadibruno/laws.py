@@ -27,37 +27,45 @@ from .smooth import (
 )
 
 
-def _row(suite: str, idx: int, axiom: str, outcome: EqOutcome, cfg: RunConfig,
-         gating: bool = True, component: int | None = None) -> CheckResult:
-    return CheckResult(
-        suite=suite, map_index=idx, axiom=axiom, status=outcome.status,
-        worst_residual=outcome.worst_residual if outcome.worst_residual != float("inf") else -1.0,
-        seed=derive_seed(cfg.seed, f"{suite}:{idx}:{axiom}"),
-        witness_point=outcome.witness, component=component, gating=gating,
-        note=outcome.note)
+class Rows:
+    """The rows of one suite item.  Every row's seed and every sampling label
+    is made here: a row's seed mixes "suite:idx:axiom" into cfg.seed, and a
+    sampled check is labelled "suite:idx:tag"."""
+
+    def __init__(self, suite: str, idx: int, cfg: RunConfig):
+        self.suite, self.idx, self.cfg = suite, idx, cfg
+        self.rows: list[CheckResult] = []
+
+    def label(self, tag: str) -> str:
+        return f"{self.suite}:{self.idx}:{tag}"
+
+    def add(self, axiom: str, outcome: EqOutcome, component: int | None = None,
+            gating: bool = True):
+        worst = outcome.worst_residual
+        self.rows.append(CheckResult(
+            suite=self.suite, map_index=self.idx, axiom=axiom, status=outcome.status,
+            worst_residual=worst if worst != float("inf") else -1.0,
+            seed=derive_seed(self.cfg.seed, self.label(axiom)),
+            witness_point=outcome.witness, component=component, gating=gating,
+            note=outcome.note))
+
+    def eq(self, axiom: str, lhs, rhs, tag: str | None = None, gating: bool = True,
+           equal=None, component: int | None = None):
+        """A row deciding lhs = rhs by equal, else by maps_equal, looked up per
+        call so that perfbench's span tracer sees it; labelled tag or axiom."""
+        outcome = (equal or maps_equal)(lhs, rhs, self.cfg, self.label(tag or axiom))
+        self.add(axiom, outcome, component, gating)
+
+    def holds(self, axiom: str, ok: bool, note: str = ""):
+        self.add(axiom, EqOutcome("pass" if ok else "fail", 0.0 if ok else -1.0, None, note))
 
 
-def _eq(suite, idx, axiom, lhs, rhs, cfg, gating=True) -> CheckResult:
-    outcome = maps_equal(lhs, rhs, cfg, f"{suite}:{idx}:{axiom}")
-    return _row(suite, idx, axiom, outcome, cfg, gating)
-
-
-def _bool_row(suite, idx, axiom, ok: bool, cfg, note="") -> CheckResult:
-    outcome = EqOutcome("pass" if ok else "fail", 0.0 if ok else -1.0, None, note)
-    return _row(suite, idx, axiom, outcome, cfg)
-
-
-def _cd_rows(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig, suite: str,
-             idx: int, restricted: bool) -> list[CheckResult]:
+def _cd_rows(r: Rows, f: SmoothMap, g: SmoothMap, L: LAssignment, restricted: bool):
     """CD.1-CD.7 on the composable pair (f, g), then the additivity lemma, or
     with restricted the DR form of CD.6, DR.8, DR.9 and R.1-R.4.  Each map is
     differentiated once: df = D(f), D(df), D(g) and D(h) for h = then(f, g)
     serve every equation that mentions them."""
-    rows: list[CheckResult] = []
-
-    def eq(axiom, lhs, rhs, gating=True):
-        rows.append(_eq(suite, idx, axiom, lhs, rhs, cfg, gating))
-
+    eq = r.eq
     n, m = f.dom.dim, f.cod.dim
     l, lY = L.l0(f.dom).dim, L.l0(f.cod).dim
     h = then(f, g)
@@ -107,15 +115,15 @@ def _cd_rows(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig, suite: 
         eq("Lemma.additive", D(add_maps(f, f2), L), add_maps(df, D(f2, L)))
         eq("Lemma.zero", D(zero_map(f.dom, SpaceObject(lY)), L),
            zero_map(SpaceObject(l + n), SpaceObject(lY)))
-        return rows
+        return
 
     point_guard = guard_subst(f.guard, shift_vars(n, l))
     eq("DR.8", D(restriction_of(f), L), restrict_map(select([l, n], [0]), point_guard))
     eq("DR.9", restriction_of(df), restrict_map(identity(SpaceObject(l + n)), point_guard))
     structural = guard_within(df.guard, l, n)
-    rows.append(_bool_row(suite, idx, "DR.9.structural", structural, cfg,
-                          "guard mentions only point variables" if structural
-                          else "guard mentions vector variables"))
+    r.holds("DR.9.structural", structural,
+            "guard mentions only point variables" if structural
+            else "guard mentions vector variables")
 
     # R.1-R.4 for the smooth partial maps
     rf, rh = restriction_of(f), restriction_of(h)
@@ -124,35 +132,14 @@ def _cd_rows(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig, suite: 
     eq("R.2", rf_rh, then(rh, rf))
     eq("R.3", restriction_of(then(rf, h)), rf_rh)
     eq("R.4", then(f, restriction_of(g)), then(rh, f))
-    return rows
 
 
-def check_cd_axioms(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig,
-                    suite: str = "cd", map_index: int = 0) -> list[CheckResult]:
+def cd_rows(r: Rows, pair, L: LAssignment):
     """CD.1-CD.7 (standard-form CD.2, printed form reported without gating)
     plus the additivity lemma, on the composable pair (f, g)."""
-    if f.cod != g.dom:
-        raise ValueError("check_cd_axioms wants a composable pair")
-    return _cd_rows(f, g, L, cfg, suite, map_index, restricted=False)
+    _cd_rows(r, *pair, L, restricted=False)
 
 
-def check_dr_axioms(f: SmoothMap, g: SmoothMap, L: LAssignment, cfg: RunConfig,
-                    suite: str = "dr", map_index: int = 0) -> list[CheckResult]:
+def dr_rows(r: Rows, pair, L: LAssignment):
     """DR.1-DR.9 plus the restriction axioms R.1-R.4 on the pair (f, g)."""
-    if f.cod != g.dom:
-        raise ValueError("check_dr_axioms wants a composable pair")
-    return _cd_rows(f, g, L, cfg, suite, map_index, restricted=True)
-
-
-def run_cd_suite(pairs, L: LAssignment, cfg: RunConfig) -> list[CheckResult]:
-    rows: list[CheckResult] = []
-    for idx, (f, g) in enumerate(pairs):
-        rows += check_cd_axioms(f, g, L, cfg, "cd", idx)
-    return rows
-
-
-def run_dr_suite(pairs, L: LAssignment, cfg: RunConfig) -> list[CheckResult]:
-    rows: list[CheckResult] = []
-    for idx, (f, g) in enumerate(pairs):
-        rows += check_dr_axioms(f, g, L, cfg, "dr", idx)
-    return rows
+    _cd_rows(r, *pair, L, restricted=True)

@@ -5,7 +5,7 @@ Objects are open subsets presented as guarded identity maps (X, e); a map
 idempotents.  The vector object of (X, e) is the full space (L(X), 1), so the
 derivative of a partial map is total in its vector block: the domain guard of
 D(f) depends only on the point.  The total maps of this category then satisfy
-the whole differential axiom suite, which check_split_cdc runs directly."""
+the whole differential axiom suite, which split_rows runs directly."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .expr import Guard, TRUE_GUARD, guard_and, guard_subst, shift_vars
-from .laws import _bool_row, _eq, _row, check_cd_axioms
-from .report import CheckResult
+from .laws import Rows, cd_rows
 from .smooth import (
     CLASSICAL,
     EqOutcome,
@@ -123,20 +122,19 @@ def total_in_split(m: SplitMap, cfg: RunConfig, label: str = "total") -> EqOutco
     return maps_equal(restriction_of(m.f), m.src.idem, cfg, label)
 
 
-def _d_guard_rows(suite, idx, m: SplitMap, dm: SplitMap, cfg) -> list[CheckResult]:
+def _d_guard_rows(r: Rows, m: SplitMap, dm: SplitMap):
     """The derivative's domain guard must not see the vector block: checked
     structurally, and by totality of dm = split_D(m), whose source guard is
     m's source guard on the point block."""
     n = m.src.space.dim
     l = dm.src.space.dim - n
     structural = guard_within(dm.f.guard, l, n)
-    return [_bool_row(suite, idx, "split.D-guard-structural", structural, cfg,
-                      "" if structural else "guard mentions vector variables"),
-            _row(suite, idx, "split.D-guard-is-source-guard",
-                 total_in_split(dm, cfg, f"{suite}:{idx}:dguard"), cfg)]
+    r.holds("split.D-guard-structural", structural,
+            "" if structural else "guard mentions vector variables")
+    r.add("split.D-guard-is-source-guard", total_in_split(dm, r.cfg, r.label("dguard")))
 
 
-def _restricted_projection_rows(suite, idx, m: SplitMap, L, cfg) -> list[CheckResult]:
+def _restricted_projection_row(r: Rows, m: SplitMap, L: LAssignment):
     """CD.3 with the split category's own projections: D of the guarded
     projection equals the guarded double projection."""
     e1 = m.src
@@ -150,39 +148,26 @@ def _restricted_projection_rows(suite, idx, m: SplitMap, L, cfg) -> list[CheckRe
     rhs = restrict_map(
         then(select([l_all, n + k], [0]), select([lx, l_all - lx], [0])),
         guard_subst(prod_guard, shift_vars(n + k, l_all)))
-    return [_eq(suite, idx, "split.CD.3-restricted", lhs, rhs, cfg)]
+    r.eq("split.CD.3-restricted", lhs, rhs)
 
 
-def check_split_cdc(entries, cfg: RunConfig, L: LAssignment = CLASSICAL) -> list[CheckResult]:
-    """The full differential suite inside the split category, for maps total
-    there: hom-conditions, split-totality, CD.1-7 on the underlying maps,
-    the derivative re-homing of the splitting construction, and the
-    degenerate run under the trivial vector assignment."""
-    suite = "split"
-    rows: list[CheckResult] = []
-    for idx, (m, g) in enumerate(entries):
-        rows.append(_row(suite, idx, "split.hom-condition",
-                         hom_condition(m, cfg, f"{suite}:{idx}:hom"), cfg))
-        rows.append(_row(suite, idx, "split.total-in-Kr",
-                         total_in_split(m, cfg, f"{suite}:{idx}:tot"), cfg))
-        rows += check_cd_axioms(m.f, g.f, L, cfg, suite=suite, map_index=idx)
-        dm = split_D(m, L)
-        rows.append(_row(suite, idx, "split.D-hom-condition",
-                         hom_condition(dm, cfg, f"{suite}:{idx}:dhom"), cfg))
-        rows += _d_guard_rows(suite, idx, m, dm, cfg)
-        rows += _restricted_projection_rows(suite, idx, m, L, cfg)
-        lsplit = split_L(m.src, L)
-        rows.append(_bool_row(suite, idx, "split.L-idempotent",
-                              split_L(lsplit, L) == lsplit, cfg))
-        trivial_rows = check_cd_axioms(m.f, g.f, TRIVIAL, cfg,
-                                       suite=suite, map_index=idx)
-        ok = all(r.status == "pass" for r in trivial_rows if r.gating)
-        rows.append(_bool_row(suite, idx, "split.trivial-L-degenerate", ok, cfg))
-    return rows
-
-
-def default_split_corpus() -> list[tuple[SplitMap, SplitMap]]:
-    """Open-subset corpus paired with a total polynomial target: the built-in
-    split corpus text, read as any corpus file is."""
-    from .corpus import SPLIT_TEXT, corpus_split_entries, parse_corpus
-    return corpus_split_entries(parse_corpus(SPLIT_TEXT))
+def split_rows(r: Rows, entry, L: LAssignment):
+    """The full differential suite inside the split category, for a map m
+    total there and its target g: hom-conditions, split-totality, CD.1-7 on
+    the underlying maps, the derivative re-homing of the splitting
+    construction, and the degenerate run under the trivial vector
+    assignment."""
+    m, g = entry
+    r.add("split.hom-condition", hom_condition(m, r.cfg, r.label("hom")))
+    r.add("split.total-in-Kr", total_in_split(m, r.cfg, r.label("tot")))
+    cd_rows(r, (m.f, g.f), L)
+    dm = split_D(m, L)
+    r.add("split.D-hom-condition", hom_condition(dm, r.cfg, r.label("dhom")))
+    _d_guard_rows(r, m, dm)
+    _restricted_projection_row(r, m, L)
+    lsplit = split_L(m.src, L)
+    r.holds("split.L-idempotent", split_L(lsplit, L) == lsplit)
+    trivial = Rows(r.suite, r.idx, r.cfg)
+    cd_rows(trivial, (m.f, g.f), TRIVIAL)
+    r.holds("split.trivial-L-degenerate",
+            all(row.status == "pass" for row in trivial.rows if row.gating))

@@ -6,13 +6,16 @@ import time
 
 from faadibruno import jets as jets_module
 from faadibruno import smooth as smooth_module
+from faadibruno.cli import run_suite
 from faadibruno.config import RunConfig
 from faadibruno.corpus import (
     COMONAD_TEXT,
     DEFAULT_PAIRS_TEXT,
     GUARDED_PAIRS_TEXT,
+    SPLIT_TEXT,
     corpus_maps,
     corpus_pairs,
+    corpus_split_entries,
     parse_corpus,
 )
 from faadibruno.jets import (
@@ -21,8 +24,7 @@ from faadibruno.jets import (
     enumerate_partitions,
     jet_equal,
 )
-from faadibruno.jetlaws import run_comonad_suite, run_faa_r_suite, run_linear_suite
-from faadibruno.laws import run_cd_suite, run_dr_suite
+from faadibruno.jetlaws import linear_items
 from faadibruno.smooth import (
     CLASSICAL,
     TRIVIAL,
@@ -33,7 +35,6 @@ from faadibruno.smooth import (
     parse_smooth_map,
     then,
 )
-from faadibruno.splitting import check_split_cdc, default_split_corpus
 
 CFG = RunConfig()  # seed 42, 200 samples, tol_rel 1e-9, tol_abs 1e-8, order 4
 PAIR_CFG = CFG.with_(samples=100)
@@ -65,15 +66,15 @@ def test_acceptance_1_faa_di_bruno_functoriality():
 
 
 def test_acceptance_2_axiom_suites():
-    cd_rows = run_cd_suite(PAIRS, CLASSICAL, CFG)
-    dr_rows = run_dr_suite(GUARDED, CLASSICAL, CFG)
+    cd_rows = run_suite("cd", PAIRS, CFG, CLASSICAL)
+    dr_rows = run_suite("dr", GUARDED, CFG, CLASSICAL)
     # degenerate runs: every suite that typechecks with collapsed vectors
     # (linearity needs linear objects, which the trivial assignment has none of)
     small = CFG.with_(samples=60, order=3)
-    trivial_rows = (run_cd_suite(PAIRS, TRIVIAL, CFG)
-                    + run_dr_suite(GUARDED, TRIVIAL, CFG)
-                    + run_faa_r_suite(GUARDED[:3], small, L=TRIVIAL)
-                    + run_comonad_suite([f for f, _ in GUARDED[:2]], small, L=TRIVIAL))
+    trivial_rows = (run_suite("cd", PAIRS, CFG, TRIVIAL)
+                    + run_suite("dr", GUARDED, CFG, TRIVIAL)
+                    + run_suite("faa-r", GUARDED[:3], small, L=TRIVIAL)
+                    + run_suite("comonad", [f for f, _ in GUARDED[:2]], small, L=TRIVIAL))
     lemma_rows = [r for r in cd_rows if r.axiom.startswith("Lemma")]
     ok = (gating_ok(cd_rows) and gating_ok(dr_rows) and gating_ok(trivial_rows)
           and lemma_rows != [])
@@ -82,7 +83,7 @@ def test_acceptance_2_axiom_suites():
 
 
 def test_acceptance_3_restriction_jets():
-    rows = run_faa_r_suite(GUARDED, CFG)
+    rows = run_suite("faa-r", GUARDED, CFG)
     wanted = {"jet.R.1", "jet.R.2", "jet.R.3", "jet.R.4", "jet.res-composite",
               "jet.product-restriction", "jet.product-lax",
               "jet.total-characterization", "jet.leq-characterization",
@@ -94,10 +95,10 @@ def test_acceptance_3_restriction_jets():
 
 def test_acceptance_4_comonad_laws():
     maps = corpus_maps(parse_corpus(COMONAD_TEXT))
-    rows = run_comonad_suite(maps, CFG)
+    rows = run_suite("comonad", maps, CFG)
     counit_rows = [r for r in rows if r.axiom.startswith("comonad.counit")]
     poly_exact = all(
-        "symbolic" in r.note or r.worst_residual <= 1e-12
+        r.worst_residual <= 1e-12
         for r in counit_rows[:4])  # the two polynomial corpus entries
     square_rows = [r for r in rows if r.axiom == "comonad.coalgebra-square"]
     ok = (gating_ok(rows) and poly_exact
@@ -107,7 +108,7 @@ def test_acceptance_4_comonad_laws():
 
 
 def test_acceptance_5_linearity_characterization():
-    rows = run_linear_suite(CFG)
+    rows = run_suite("linear", linear_items(CFG), CFG)
     lam = [r for r in rows if r.axiom == "linear.lambda-image-is-linear"]
     non = [r for r in rows if r.axiom == "linear.tower-of-nonlinear-is-not"]
     shape = [r for r in rows if r.axiom in
@@ -118,7 +119,7 @@ def test_acceptance_5_linearity_characterization():
 
 
 def test_acceptance_6_idempotent_splitting():
-    rows = check_split_cdc(default_split_corpus(), CFG)
+    rows = run_suite("split", corpus_split_entries(parse_corpus(SPLIT_TEXT)), CFG)
     structural = [r for r in rows if r.axiom == "split.D-guard-structural"]
     sampled = [r for r in rows if r.axiom == "split.D-guard-is-source-guard"]
     ok = gating_ok(rows) and len(structural) == 4 and len(sampled) == 4
@@ -179,7 +180,7 @@ def test_acceptance_8b_sign_flip_in_derivative_detected(monkeypatch):
         return neg_map(term) if isinstance(term, smooth_module.SmoothMap) else term
 
     monkeypatch.setattr(jets_module, "_derivative_tail_term", flipped)
-    rows = run_comonad_suite([parse_smooth_map("fn(x) -> (x^3)")], MUT_CFG)
+    rows = run_suite("comonad", [parse_smooth_map("fn(x) -> (x^3)")], MUT_CFG)
     monkeypatch.undo()
     failures = [r for r in rows if r.gating and r.status == "fail"]
     caught = failures != [] and any(r.witness_point is not None for r in failures)
@@ -192,8 +193,8 @@ def test_acceptance_8c_dropped_guard_conjunct_detected(monkeypatch):
         return g1
 
     monkeypatch.setattr(smooth_module, "guard_and", dropping)
-    dr_rows = run_dr_suite(GUARDED, CLASSICAL, MUT_CFG)
-    faa_rows = run_faa_r_suite(GUARDED[:3], MUT_CFG)
+    dr_rows = run_suite("dr", GUARDED, MUT_CFG, CLASSICAL)
+    faa_rows = run_suite("faa-r", GUARDED[:3], MUT_CFG)
     monkeypatch.undo()
     failures = [r for r in dr_rows + faa_rows if r.gating and r.status == "fail"]
     caught = failures != [] and any(r.witness_point is not None for r in failures)

@@ -4,10 +4,14 @@ from pathlib import Path
 import pytest
 
 from faadibruno.cli import main
+from faadibruno.config import derive_seed
 from faadibruno.corpus import (
+    COMONAD_TEXT,
     CorpusError,
     DEFAULT_PAIRS_TEXT,
+    GUARDED_PAIRS_TEXT,
     SPLIT_TEXT,
+    corpus_maps,
     corpus_pairs,
     corpus_split_entries,
     parse_corpus,
@@ -115,6 +119,74 @@ def test_cli_linear_suite_at_order_zero_names_the_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the linear suite needs --order 1 or more\n"
+
+
+def test_cli_corpus_for_a_suite_that_reads_none_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("fn(x) -> (x)\n")
+    assert main(["axioms", "--suite", "linear", "--order", "1", "--samples", "5",
+                 "--corpus", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --corpus: the linear suite reads no corpus\n"
+
+
+def test_cli_jets_for_a_suite_other_than_faa_r_is_a_usage_error(tmp_path, capsys):
+    jets_file = tmp_path / "jets.json"
+    jets_file.write_text(json.dumps(jet_to_dict(
+        cofree_jet(parse_smooth_map("fn(x) -> (x^2)"), CLASSICAL, 1))))
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("fn(x) -> (x^2)\nfn(y) -> (sin(y))\n")
+    assert main(["axioms", "--suite", "cd", "--order", "1", "--samples", "5",
+                 "--corpus", str(corpus), "--jets", str(jets_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --jets: the cd suite reads no jets\n"
+
+
+def _report_rows(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main([*argv, "--order", "2", "--samples", "20", "--seed", "5", "--json", str(out)])
+    capsys.readouterr()
+    return code, json.loads(out.read_text())["results"]
+
+
+def _assert_row_seeds(suite, rows):
+    for r in rows:
+        assert r["seed"] == derive_seed(5, f"{suite}:{r['map_index']}:{r['axiom']}")
+
+
+@pytest.mark.parametrize("suite, items", [
+    ("cd", len(corpus_pairs(parse_corpus(DEFAULT_PAIRS_TEXT)))),
+    ("dr", len(corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT)))),
+    ("faa-r", len(corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT)))),
+    ("comonad", len(corpus_maps(parse_corpus(COMONAD_TEXT)))),
+    ("linear", 20),
+    ("split", len(corpus_split_entries(parse_corpus(SPLIT_TEXT)))),
+])
+def test_cli_rows_carry_the_seed_and_index_of_their_item(suite, items, tmp_path, capsys):
+    """Each row's seed mixes "suite:map_index:axiom" into --seed, and the
+    items of a suite are numbered 0, 1, ... in corpus order."""
+    code, rows = _report_rows(["axioms", "--suite", suite], tmp_path, capsys)
+    assert code == 0
+    assert {r["map_index"] for r in rows} == set(range(items))
+    _assert_row_seeds(suite, rows)
+
+
+def test_cli_jets_are_numbered_after_the_corpus_pairs(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("fn(x) -> (1/x)\nfn(y) -> (y^2)\nfn(x) -> (sqrt(x))\nfn(y) -> (cos(y))\n")
+    jets_file = tmp_path / "jets.json"
+    jets_file.write_text(json.dumps([
+        jet_to_dict(cofree_jet(parse_smooth_map(text), CLASSICAL, 2))
+        for text in ("fn(x) -> (x^3)", "fn(x) -> (log(x))")]))
+    code, rows = _report_rows(["axioms", "--suite", "faa-r", "--corpus", str(corpus),
+                               "--jets", str(jets_file)], tmp_path, capsys)
+    assert code == 0
+    assert {r["map_index"] for r in rows} == {0, 1, 2, 3}
+    jet_axioms = {"jet.multilinear", "jet.side-condition", "jet.R.1"}
+    assert {r["axiom"] for r in rows if r["map_index"] >= 2} == jet_axioms
+    _assert_row_seeds("faa-r", rows)
 
 
 def test_cli_parse_error_exit_code(capsys):

@@ -2,14 +2,8 @@ from faadibruno import jetlaws
 from faadibruno.config import RunConfig
 from faadibruno.corpus import GUARDED_PAIRS_TEXT, corpus_pairs, parse_corpus
 from faadibruno.jets import cofree_jet, compose_jets, jet_from_dict, jet_to_dict
-from faadibruno.jetlaws import (
-    check_comonad_laws,
-    check_multilinearity,
-    run_comonad_suite,
-    run_faa_r_suite,
-    run_linear_suite,
-    validate_jet,
-)
+from faadibruno.cli import run_suite
+from faadibruno.jetlaws import check_multilinearity, linear_items
 from faadibruno.report import overall_status
 from faadibruno.smooth import CLASSICAL, apply_map, parse_smooth_map
 
@@ -32,7 +26,7 @@ def gating_failures(rows):
 
 
 def test_faa_r_suite_passes_on_guarded_corpus():
-    rows = run_faa_r_suite(GUARDED_PAIRS, CFG)
+    rows = run_suite("faa-r", GUARDED_PAIRS, CFG)
     assert gating_failures(rows) == []
     assert overall_status(rows) == "pass"
 
@@ -58,7 +52,7 @@ def test_operation_outputs_stay_well_formed():
     }
     for name, jet in produced.items():
         assert check_multilinearity(jet, CFG, f"wf:{name}").ok, name
-        for out in check_guard_side_condition(jet, CFG, f"wf:{name}"):
+        for out in check_guard_side_condition(jet, CFG, f"wf:{name}:side"):
             assert out.ok, name
 
 
@@ -76,7 +70,7 @@ def test_failing_multilinearity_row_has_the_full_layout_as_witness():
     data = jet_to_dict(F)
     data["derivs"][1] = "fn(v1,v2,x) -> (6*x*v1*v2 + v1)"
     bad = jet_from_dict(data)
-    (row,) = [r for r in validate_jet(bad, CFG, "faa-r", 0) if r.axiom == "jet.multilinear"]
+    (row,) = [r for r in run_suite("faa-r", [bad], CFG) if r.axiom == "jet.multilinear"]
     assert row.status == "fail"
     # the layout v1, v2, w, x of the second component
     assert len(row.witness_point) == 4
@@ -120,33 +114,34 @@ def test_validate_jet_flags_wrong_guard():
     # narrow the second component's guard: side condition violated
     data["derivs"][1] = "fn(v1,v2,x) -> (2/x^3*(v1*v2)) where x > 0"
     bad = jet_from_dict(data)
-    rows = validate_jet(bad, CFG, "faa-r", 0)
+    rows = run_suite("faa-r", [bad], CFG)
     assert any(r.status == "fail" for r in rows)
 
 
 def test_comonad_suite_on_polynomials():
-    rows = run_comonad_suite([pm("fn(x) -> (x^3)"), pm("fn(x) -> (x^2 + x)")],
-                             RunConfig(samples=60, order=3))
+    rows = run_suite("comonad", [pm("fn(x) -> (x^3)"), pm("fn(x) -> (x^2 + x)")],
+                     RunConfig(samples=60, order=3))
     assert gating_failures(rows) == []
     counits = [r for r in rows if r.axiom == "comonad.counit-faa-eps"]
     assert counits
-    # exact on polynomials: structurally after simplify, or within 1e-12
+    # exact on polynomials: within 1e-12
     for r in counits:
-        assert "symbolic" in r.note or r.worst_residual <= 1e-12
+        assert r.worst_residual <= 1e-12
 
 
 def test_comonad_suite_on_sin_order_three():
-    rows = check_comonad_laws(pm("fn(x) -> (sin(x))"), RunConfig(samples=50, order=3))
+    rows = run_suite("comonad", [pm("fn(x) -> (sin(x))")], RunConfig(samples=50, order=3))
     assert gating_failures(rows) == []
 
 
 def test_comonad_suite_on_guarded_map():
-    rows = check_comonad_laws(pm("fn(x) -> (1/x)"), RunConfig(samples=40, order=3))
+    rows = run_suite("comonad", [pm("fn(x) -> (1/x)")], RunConfig(samples=40, order=3))
     assert gating_failures(rows) == []
 
 
 def test_linear_suite():
-    rows = run_linear_suite(RunConfig(samples=50, order=3))
+    cfg = RunConfig(samples=50, order=3)
+    rows = run_suite("linear", linear_items(cfg), cfg)
     assert gating_failures(rows) == []
     kinds = {r.axiom for r in rows}
     assert "linear.lambda-image-is-linear" in kinds
@@ -161,10 +156,10 @@ def test_product_lax_row_reads_like_the_other_boolean_rows(monkeypatch):
         (r,) = [r for r in rows if r.axiom == axiom]
         return r
 
-    lax = row(run_faa_r_suite(GUARDED_PAIRS[:1], cfg), "jet.product-lax")
+    lax = row(run_suite("faa-r", GUARDED_PAIRS[:1], cfg), "jet.product-lax")
     assert (lax.status, lax.worst_residual, lax.note) == ("pass", 0.0, "")
     monkeypatch.setattr(jetlaws, "leq", lambda *args: False)
-    rows = run_faa_r_suite(GUARDED_PAIRS[:1], cfg)
+    rows = run_suite("faa-r", GUARDED_PAIRS[:1], cfg)
     lax, char = row(rows, "jet.product-lax"), row(rows, "jet.leq-characterization")
     assert lax.status == char.status == "fail"
     assert lax.worst_residual == char.worst_residual == -1.0
@@ -173,7 +168,7 @@ def test_product_lax_row_reads_like_the_other_boolean_rows(monkeypatch):
 
 def test_faa_r_builds_each_composite_once(monkeypatch):
     # h, R.2 (two), (rs f) h, R.4 (two), the lax product, the leq and
-    # compatible definitions (two), and validate_jet's R.1: ten composites
+    # compatible definitions (two), and the well-formedness rows' R.1: ten composites
     # per pair
     calls = []
 
@@ -183,7 +178,7 @@ def test_faa_r_builds_each_composite_once(monkeypatch):
 
     monkeypatch.setattr(jetlaws, "compose_jets", counting)
     pairs = corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT))
-    rows = run_faa_r_suite(pairs, RunConfig(samples=20, order=2))
+    rows = run_suite("faa-r", pairs, RunConfig(samples=20, order=2))
     assert overall_status(rows) == "pass"
     assert len(calls) <= 10 * len(pairs)
     # R.1 is reported once per pair

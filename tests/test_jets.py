@@ -27,12 +27,11 @@ from faadibruno.jets import (
     jet_to_dict,
     lambda_embed,
     lambda_object,
-    pair_jets,
-    projection_jet,
     restriction_jet,
     select_jet,
     trivial_monoid,
     truncate_jet,
+    tuple_jets,
 )
 from faadibruno.corpus import COMONAD_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
 from faadibruno.smooth import (
@@ -238,7 +237,7 @@ def test_pair_of_projections_is_identity_jet():
     o2 = jet("fn(x,y) -> (x, y)", 3).src
     from faadibruno.jets import product_objects
     prod = product_objects(SMOOTH, [o1, o2])
-    paired = pair_jets(projection_jet([o1, o2], 0, 3), projection_jet([o1, o2], 1, 3))
+    paired = tuple_jets([select_jet([o1, o2], [0], 3), select_jet([o1, o2], [1], 3)])
     assert jet_equal(paired, identity_jet(prod, 3), CFG, "pair-proj").ok
 
 
@@ -316,9 +315,9 @@ def test_epsilon_preserves_products():
 
     f = jet("fn(x) -> (x^2)", 3)
     h = jet("fn(x) -> (sin(x))", 3)
-    assert maps_equal(epsilon(pair_jets(f, h)),
+    assert maps_equal(epsilon(tuple_jets([f, h])),
                       tuple_map([epsilon(f), epsilon(h)]), CFG, "eps-pair").ok
-    pi = projection_jet([f.dst, h.dst], 0, 3)
+    pi = select_jet([f.dst, h.dst], [0], 3)
     assert maps_equal(epsilon(pi), select([1, 1], [0]), CFG, "eps-proj").ok
 
 

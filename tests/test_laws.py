@@ -4,7 +4,7 @@ import pytest
 
 from faadibruno import smooth as S
 from faadibruno.config import RunConfig
-from faadibruno.laws import check_cd_axioms, check_dr_axioms, run_cd_suite, run_dr_suite
+from faadibruno.cli import run_suite
 from faadibruno.report import overall_status
 from faadibruno.smooth import CLASSICAL, TRIVIAL, D, parse_smooth_map
 
@@ -34,13 +34,13 @@ def gating_failures(rows):
 
 
 def test_cd_suite_passes_classical_total():
-    rows = run_cd_suite(TOTAL_PAIRS, CLASSICAL, CFG)
+    rows = run_suite("cd", TOTAL_PAIRS, CFG, CLASSICAL)
     assert gating_failures(rows) == []
     assert overall_status(rows) == "pass"
 
 
 def test_cd2_printed_form_reported_without_gating():
-    rows = check_cd_axioms(*TOTAL_PAIRS[0], CLASSICAL, CFG)
+    rows = run_suite("cd", TOTAL_PAIRS[:1], CFG, CLASSICAL)
     printed = [r for r in rows if r.axiom == "CD.2.printed-form"]
     assert len(printed) == 1
     assert printed[0].gating is False
@@ -49,18 +49,18 @@ def test_cd2_printed_form_reported_without_gating():
 
 
 def test_dr_suite_passes_on_guarded_corpus():
-    rows = run_dr_suite(GUARDED_PAIRS, CLASSICAL, CFG)
+    rows = run_suite("dr", GUARDED_PAIRS, CFG, CLASSICAL)
     assert gating_failures(rows) == []
 
 
 def test_trivial_assignment_passes_degenerately():
-    rows = run_cd_suite(TOTAL_PAIRS, TRIVIAL, CFG)
-    rows += run_dr_suite(GUARDED_PAIRS, TRIVIAL, CFG)
+    rows = run_suite("cd", TOTAL_PAIRS, CFG, TRIVIAL)
+    rows += run_suite("dr", GUARDED_PAIRS, CFG, TRIVIAL)
     assert gating_failures(rows) == []
 
 
 def test_dr9_structural_row():
-    rows = check_dr_axioms(*GUARDED_PAIRS[0], CLASSICAL, CFG)
+    rows = run_suite("dr", GUARDED_PAIRS[:1], CFG, CLASSICAL)
     structural = [r for r in rows if r.axiom == "DR.9.structural"]
     assert structural and structural[0].status == "pass"
 
@@ -68,7 +68,7 @@ def test_dr9_structural_row():
 def test_broken_derivative_detected():
     # a wrong chain-rule composite: forgets to move the point through f
     f, g = GUARDED_PAIRS[1]
-    rows = check_cd_axioms(f, g, CLASSICAL, CFG)
+    rows = run_suite("cd", [(f, g)], CFG, CLASSICAL)
     assert gating_failures(rows) == []
     from faadibruno import smooth as S
 
@@ -79,8 +79,8 @@ def test_broken_derivative_detected():
     assert out.witness is not None
 
 
-@pytest.mark.parametrize("check", [check_cd_axioms, check_dr_axioms])
-def test_each_map_is_differentiated_at_most_once_per_pair(check, monkeypatch):
+@pytest.mark.parametrize("suite", ["cd", "dr"])
+def test_each_map_is_differentiated_at_most_once_per_pair(suite, monkeypatch):
     differentiated = []
     tower = S.derivative_tower
 
@@ -91,5 +91,5 @@ def test_each_map_is_differentiated_at_most_once_per_pair(check, monkeypatch):
     monkeypatch.setattr(S, "derivative_tower", counting)
     for f, g in TOTAL_PAIRS + GUARDED_PAIRS:
         differentiated.clear()
-        check(f, g, CLASSICAL, RunConfig(samples=5))
+        run_suite(suite, [(f, g)], RunConfig(samples=5), CLASSICAL)
         assert differentiated and max(Counter(differentiated).values()) == 1

@@ -1,15 +1,16 @@
 import pytest
 
+from faadibruno.cli import run_suite
 from faadibruno.config import RunConfig
+from faadibruno.corpus import SPLIT_TEXT, corpus_split_entries, parse_corpus
 from faadibruno.expr import Guard, GuardAtom, var
+from faadibruno.laws import Rows
 from faadibruno.report import overall_status
 from faadibruno.smooth import TRIVIAL, apply_map, maps_equal, parse_smooth_map
 from faadibruno.splitting import (
     SplitError,
     SplitMap,
     _d_guard_rows,
-    check_split_cdc,
-    default_split_corpus,
     hom_condition,
     split_D,
     split_identity,
@@ -21,6 +22,7 @@ from faadibruno.splitting import (
 )
 
 CFG = RunConfig(samples=60)
+SPLIT_CORPUS = corpus_split_entries(parse_corpus(SPLIT_TEXT))
 
 
 def pm(text):
@@ -100,7 +102,7 @@ def test_trivial_assignment_on_split_derivative():
 
 
 def test_split_cdc_suite_passes():
-    rows = check_split_cdc(default_split_corpus(), CFG)
+    rows = run_suite("split", SPLIT_CORPUS, CFG)
     failures = [r for r in rows if r.gating and r.status != "pass"]
     assert failures == []
     assert overall_status(rows) == "pass"
@@ -122,7 +124,7 @@ def test_d_guard_row_starves_when_points_run_out():
     # the doubled domain is 2-dimensional: eight probes and five random
     # points, short of 50 samples
     cfg = RunConfig(samples=50, retry_cap=5)
-    rows = check_split_cdc(default_split_corpus()[:1], cfg)
+    rows = run_suite("split", SPLIT_CORPUS[:1], cfg)
     row, = [r for r in rows if r.axiom == "split.D-guard-is-source-guard"]
     assert row.status == "starved"
     assert row.note == "sampling starvation"
@@ -132,8 +134,9 @@ def test_d_guard_row_reports_its_witness():
     # D(1/x) is defined wherever x != 0, the source only where x > 0: the
     # first point where exactly one of the two holds is the probe (0, -1)
     m = SplitMap(pm("fn(x) -> (1/x)"), split_object(1, X_POS), split_object(1))
-    rows = _d_guard_rows("split", 0, m, split_D(m), CFG)
-    row, = [r for r in rows if r.axiom == "split.D-guard-is-source-guard"]
+    r = Rows("split", 0, CFG)
+    _d_guard_rows(r, m, split_D(m))
+    row, = [row for row in r.rows if row.axiom == "split.D-guard-is-source-guard"]
     assert row.status == "fail"
     assert row.witness_point == (0.0, -1.0)
     assert row.note == "guard mismatch"
