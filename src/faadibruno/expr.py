@@ -38,9 +38,6 @@ class OutOfDomainError(ExprError):
     """Evaluation hit a point outside a primitive's mathematical domain."""
 
 
-FUNCTION_KINDS = ("sin", "cos", "exp", "log", "sqrt")
-
-
 # The intern table: every live node, keyed by its structure with the
 # arguments given by id (a live node keeps its arguments alive, so their ids
 # are not reused while its entry stands).  It holds each node by a weak
@@ -54,13 +51,14 @@ class Expr:
     """An immutable expression node, hash-consed (Filliâtre & Conchon,
     *Type-safe modular hash-consing*, 2006): Expr(...) returns the live node
     of the same structure if there is one, so structurally equal nodes are
-    one object and == is identity.  The private slots cache the node's
-    free_vars, var_span, simplify and diff results.  Construction is not
-    thread-safe: two threads could each build a node of the same structure."""
+    one object and == is identity.  Expr(...) does not rewrite: nodes are
+    built by the constructors below, which return normal forms, so every live
+    node is normal.  The private slots cache the node's free_vars, var_span
+    and diff results.  Construction is not thread-safe: two threads could
+    each build a node of the same structure."""
 
     __slots__ = ("kind", "args", "name", "value", "exponent", "_hash",
-                 "_free_vars", "_var_span", "_simplified", "_simplified_once",
-                 "_diffs", "__weakref__")
+                 "_free_vars", "_var_span", "_diffs", "__weakref__")
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), name: str = "",
                 value: Fraction | None = None, exponent: int = 0):
@@ -77,8 +75,6 @@ class Expr:
             _set_slot(node, "_hash", hash((kind, args, name, value, exponent)))
             _set_slot(node, "_free_vars", None)
             _set_slot(node, "_var_span", None)
-            _set_slot(node, "_simplified", None)
-            _set_slot(node, "_simplified_once", None)
             _set_slot(node, "_diffs", None)
             _NODES[key] = weakref.ref(node, partial(_NODES.pop, key))
         return node
@@ -103,6 +99,14 @@ class Expr:
         return pretty_expr(self)
 
 
+# --- constructors in normal form ------------------------------------------------
+#
+# Each constructor applies a small fixed rule set to its already normal
+# arguments (constant folding plus unit and zero eliminations) and builds a
+# node with Expr(...) only when no rule applies, so what it returns is normal.
+# The rules preserve values on the guard of any enclosing map; guards are
+# carried separately, so dropping a fault-capable subterm (0 * e) is sound.
+
 def var(name: str) -> Expr:
     return Expr("var", name=name)
 
@@ -113,49 +117,122 @@ def const(value) -> Expr:
 
 
 def add(a: Expr, b: Expr) -> Expr:
+    if a.kind == "const" and b.kind == "const":
+        return const(a.value + b.value)
+    if a is ZERO:
+        return b
+    if b is ZERO:
+        return a
     return Expr("add", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
+    if a.kind == "const" and b.kind == "const":
+        return const(a.value - b.value)
+    if b is ZERO:
+        return a
+    if a is ZERO:
+        return neg(b)
+    if a is b:
+        return ZERO
     return Expr("sub", (a, b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    ac = a.kind == "const"
+    bc = b.kind == "const"
+    if ac and bc:
+        return const(a.value * b.value)
+    if a is ZERO or b is ZERO:
+        return ZERO
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    # keep constants on the left and fold nested constant factors
+    if bc:
+        a, b, ac = b, a, True
+    if ac and b.kind == "mul" and b.args[0].kind == "const":
+        return mul(const(a.value * b.args[0].value), b.args[1])
     return Expr("mul", (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    if a.kind == "const" and b.kind == "const" and b.value != 0:
+        return const(a.value / b.value)
+    if a is ZERO:
+        return ZERO
+    if b is ONE:
+        return a
     return Expr("div", (a, b))
 
 
 def ipow(base: Expr, exponent: int) -> Expr:
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError(f"integer power wants a non-negative int, got {exponent!r}")
+    if exponent == 0:
+        return ONE
+    if exponent == 1:
+        return base
+    if base.kind == "const":
+        return const(base.value ** exponent)
+    if base.kind == "pow":
+        return ipow(base.args[0], base.exponent * exponent)
     return Expr("pow", (base,), exponent=exponent)
 
 
 def neg(a: Expr) -> Expr:
+    if a.kind == "neg":
+        return a.args[0]
+    if a.kind == "const":
+        return const(-a.value)
+    if a.kind == "mul" and a.args[0].kind == "const":
+        return mul(const(-a.args[0].value), a.args[1])
     return Expr("neg", (a,))
 
 
+_EXACT_FUNCTION_VALUES = {
+    ("sin", Fraction(0)): Fraction(0),
+    ("cos", Fraction(0)): Fraction(1),
+    ("exp", Fraction(0)): Fraction(1),
+    ("log", Fraction(1)): Fraction(0),
+    ("sqrt", Fraction(0)): Fraction(0),
+    ("sqrt", Fraction(1)): Fraction(1),
+}
+
+
+def _function(kind: str, a: Expr) -> Expr:
+    if a.kind == "const":
+        hit = _EXACT_FUNCTION_VALUES.get((kind, a.value))
+        if hit is not None:
+            return const(hit)
+    return Expr(kind, (a,))
+
+
 def sin(a: Expr) -> Expr:
-    return Expr("sin", (a,))
+    return _function("sin", a)
 
 
 def cos(a: Expr) -> Expr:
-    return Expr("cos", (a,))
+    return _function("cos", a)
 
 
 def exp(a: Expr) -> Expr:
-    return Expr("exp", (a,))
+    return _function("exp", a)
 
 
 def log(a: Expr) -> Expr:
-    return Expr("log", (a,))
+    return _function("log", a)
 
 
 def sqrt(a: Expr) -> Expr:
-    return Expr("sqrt", (a,))
+    return _function("sqrt", a)
+
+
+# The constructor of each kind of node with arguments but pow, which also
+# takes its exponent; the parser looks function names up in _FUNCTIONS.
+_FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
+_BUILDERS = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, **_FUNCTIONS}
 
 
 # The integer constants constant folding makes most, built once and kept, so
@@ -197,7 +274,9 @@ def var_span(e: Expr) -> float:
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Simultaneous substitution of expressions for variables (no simplify)."""
+    """Simultaneous substitution of expressions for variables.  Every node is
+    rebuilt through its constructor, so the result is normal; subst(e, {}) is
+    the normal form of e, and is e itself when e is normal."""
     return _subst(e, mapping, {})
 
 
@@ -209,8 +288,12 @@ def _subst(e: Expr, mapping: Mapping[str, Expr], memo: dict) -> Expr:
         return e
     out = memo.get(e)
     if out is None:
-        args = tuple([_subst(a, mapping, memo) for a in e.args])
-        out = memo[e] = Expr(e.kind, args, e.name, e.value, e.exponent)
+        args = [_subst(a, mapping, memo) for a in e.args]
+        if e.kind == "pow":
+            out = ipow(args[0], e.exponent)
+        else:
+            out = _BUILDERS[e.kind](*args)
+        memo[e] = out
     return out
 
 
@@ -222,13 +305,13 @@ def diff(e: Expr, v: str) -> Expr:
         _set_slot(e, "_diffs", diffs)
     out = diffs.get(v)
     if out is None:
-        out = diffs[v] = simplify(_diff(e, v, {}))
+        out = diffs[v] = _diff(e, v, {})
     return out
 
 
 def _diff(e: Expr, v: str, memo: dict) -> Expr:
-    """The unsimplified derivative, with memo holding each node already
-    differentiated in this call."""
+    """diff, with memo holding each node already differentiated in this
+    call."""
     out = memo.get(e)
     if out is None:
         out = memo[e] = _diff_rule(e, v, memo)
@@ -254,8 +337,6 @@ def _diff_rule(e: Expr, v: str, memo: dict) -> Expr:
     if k == "pow":
         (a,) = e.args
         n = e.exponent
-        if n == 0:
-            return ZERO
         return mul(mul(const(n), ipow(a, n - 1)), _diff(a, v, memo))
     if k == "neg":
         return neg(_diff(e.args[0], v, memo))
@@ -272,129 +353,6 @@ def _diff_rule(e: Expr, v: str, memo: dict) -> Expr:
     if k == "sqrt":
         return div(da, mul(const(2), sqrt(a)))
     raise ExprError(f"unknown node kind {k!r}")
-
-
-def simplify(e: Expr) -> Expr:
-    """Small fixed rewrite set: constant folding plus unit/zero eliminations.
-    Semantics-preserving on the guard of any enclosing map; guards are carried
-    separately, so dropping a fault-capable subterm (0 * e) is sound here."""
-    out = e._simplified
-    if out is None:
-        out = _simplify_once(e)
-        while True:
-            nxt = _simplify_once(out)
-            if nxt is out:
-                break
-            out = nxt
-        _set_slot(e, "_simplified", out)
-    return out
-
-
-def _simplify_once(e: Expr) -> Expr:
-    """One bottom-up rewrite pass, cached on the node."""
-    if not e.args:
-        return e
-    out = e._simplified_once
-    if out is None:
-        out = _rewrite(e, tuple(map(_simplify_once, e.args)))
-        _set_slot(e, "_simplified_once", out)
-    return out
-
-
-def _rewrite(e: Expr, args: tuple[Expr, ...]) -> Expr:
-    """e's rewrite, given its arguments already rewritten."""
-    k = e.kind
-    if k in ("add", "sub", "mul", "div"):
-        return _simplify_binary(k, args[0], args[1])
-    if k == "pow":
-        return _simplify_pow(args[0], e.exponent)
-    if k == "neg":
-        a = args[0]
-        if a.kind == "neg":
-            return a.args[0]
-        if a.kind == "const":
-            return const(-a.value)
-        if a.kind == "mul" and a.args[0].kind == "const":
-            return mul(const(-a.args[0].value), a.args[1])
-        return neg(a)
-    return _simplify_function(k, args[0])
-
-
-def _simplify_binary(k: str, a: Expr, b: Expr) -> Expr:
-    ac = a.kind == "const"
-    bc = b.kind == "const"
-    if k == "add":
-        if ac and bc:
-            return const(a.value + b.value)
-        if a is ZERO:
-            return b
-        if b is ZERO:
-            return a
-        return add(a, b)
-    if k == "sub":
-        if ac and bc:
-            return const(a.value - b.value)
-        if b is ZERO:
-            return a
-        if a is ZERO:
-            return neg(b)
-        if a is b:
-            return ZERO
-        return sub(a, b)
-    if k == "mul":
-        if ac and bc:
-            return const(a.value * b.value)
-        if a is ZERO or b is ZERO:
-            return ZERO
-        if a is ONE:
-            return b
-        if b is ONE:
-            return a
-        # keep constants on the left and fold nested constant factors
-        if bc and not ac:
-            a, b = b, a
-            ac, bc = bc, ac
-        if ac and b.kind == "mul" and b.args[0].kind == "const":
-            return mul(const(a.value * b.args[0].value), b.args[1])
-        return mul(a, b)
-    # k == "div"
-    if ac and bc and b.value != 0:
-        return const(a.value / b.value)
-    if a is ZERO:
-        return ZERO
-    if b is ONE:
-        return a
-    return div(a, b)
-
-
-def _simplify_pow(a: Expr, n: int) -> Expr:
-    if n == 0:
-        return ONE
-    if n == 1:
-        return a
-    if a.kind == "const":
-        return const(a.value ** n)
-    if a.kind == "pow":
-        return ipow(a.args[0], a.exponent * n)
-    return ipow(a, n)
-
-
-_EXACT_FUNCTION_VALUES = {
-    ("sin", Fraction(0)): Fraction(0),
-    ("cos", Fraction(0)): Fraction(1),
-    ("exp", Fraction(0)): Fraction(1),
-    ("log", Fraction(1)): Fraction(0),
-    ("sqrt", Fraction(0)): Fraction(0),
-    ("sqrt", Fraction(1)): Fraction(1),
-}
-
-
-def _simplify_function(k: str, a: Expr) -> Expr:
-    if a.kind == "const":
-        hit = _EXACT_FUNCTION_VALUES.get((k, a.value))
-        if hit is not None:
-            return const(hit)
-    return Expr(k, (a,))
 
 
 # --- guards -----------------------------------------------------------------
@@ -435,26 +393,19 @@ def _atom_is_trivially_true(atom: GuardAtom) -> bool:
     return e.value != 0
 
 
-def _normalize_atoms(atoms) -> tuple[GuardAtom, ...]:
+def make_guard(atoms) -> Guard:
+    """The normal guard of the atoms: none trivially true, none repeated."""
     seen = []
     for atom in atoms:
-        atom = GuardAtom(atom.op, simplify(atom.expr))
-        if _atom_is_trivially_true(atom):
-            continue
-        if atom not in seen:
+        if not _atom_is_trivially_true(atom) and atom not in seen:
             seen.append(atom)
-    return tuple(seen)
-
-
-def make_guard(atoms) -> Guard:
-    return Guard(_normalize_atoms(atoms))
+    return Guard(tuple(seen))
 
 
 def guard_and(g1: Guard, g2: Guard) -> Guard:
-    """Conjunction of two normal guards: atoms simplified, none trivially
-    true, none repeated, as make_guard leaves them (a bare variable atom is
-    normal too).  The result is make_guard(g1.atoms + g2.atoms), built
-    without normalizing again: g1's atoms, then those of g2 not among them."""
+    """Conjunction of two normal guards.  The result is
+    make_guard(g1.atoms + g2.atoms), built without normalizing again: g1's
+    atoms, then those of g2 not among them."""
     if not (g1.atoms or g2.atoms):
         return TRUE_GUARD
     return Guard(g1.atoms + tuple(a for a in g2.atoms if a not in g1.atoms))
@@ -761,6 +712,10 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        # a map literal's parameters, each to its canonical variable; None
+        # (a bare expression) takes every name as a variable of that name
+        self.names: dict[str, Expr] | None = None
+        self.scope = ""  # where names are being read: "map body" or "guard"
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -837,12 +792,18 @@ class _Parser:
             return const(Fraction(t.text))
         if t.kind == "ident":
             self.next()
-            if t.text in FUNCTION_KINDS:
+            build = _FUNCTIONS.get(t.text)
+            if build is not None:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return Expr(t.text, (inner,))
-            return var(t.text)
+                return build(inner)
+            if self.names is None:
+                return var(t.text)
+            v = self.names.get(t.text)
+            if v is None:
+                raise UnboundVariableError(f"unbound variable {t.text!r} in {self.scope}")
+            return v
         if t.kind == "op" and t.text == "(":
             self.next()
             inner = self.expr()
@@ -863,11 +824,11 @@ class _Parser:
             return GuardAtom(">0" if t.text == ">" else "!=0", e)
         self.error("expected '> 0' or '!= 0' in guard")
 
-    def guard(self) -> Guard:
+    def guard(self) -> list[GuardAtom]:
         atoms = [self.gatom()]
         while self.accept_op("&&"):
             atoms.append(self.gatom())
-        return make_guard(atoms)
+        return atoms
 
     def map_literal(self) -> ParsedMap:
         t = self.expect_ident()
@@ -880,39 +841,28 @@ class _Parser:
         self.expect_op(")")
         if len(set(params)) != len(params):
             self.error("duplicate parameter name")
+        self.names = {p: var(var_name(i)) for i, p in enumerate(params)}
+        self.scope = "map body"
         self.expect_op("->")
         self.expect_op("(")
         coords = [self.expr()]
         while self.accept_op(","):
             coords.append(self.expr())
         self.expect_op(")")
-        guard = TRUE_GUARD
+        atoms = []
         t = self.peek()
         if t.kind == "ident" and t.text == "where":
             self.next()
-            guard = self.guard()
+            self.scope = "guard"
+            atoms = self.guard()
         end = self.peek()
         if end.kind != "eof":
             self.error(f"unexpected trailing input {end.text!r}")
-        return _canonicalize(params, coords, guard)
-
-
-def _canonicalize(params, coords, guard) -> ParsedMap:
-    allowed = set(params)
-    for e in coords:
-        for name in sorted(free_vars(e) - allowed):
-            raise UnboundVariableError(f"unbound variable {name!r} in map body")
-    for name in sorted(guard_vars(guard) - allowed):
-        raise UnboundVariableError(f"unbound variable {name!r} in guard")
-    rename = {p: var(var_name(i)) for i, p in enumerate(params)}
-    coords = tuple(simplify(subst(e, rename)) for e in coords)
-    guard = guard_subst(guard, rename)
-    # denominators and log/sqrt arguments contribute guard atoms so the map
-    # is smooth everywhere its guard holds
-    atoms = list(guard.atoms)
-    for e in coords:
-        atoms.extend(domain_atoms(e))
-    return ParsedMap(len(params), coords, make_guard(atoms))
+        # denominators and log/sqrt arguments contribute guard atoms so the map
+        # is smooth everywhere its guard holds
+        for e in coords:
+            atoms.extend(domain_atoms(e))
+        return ParsedMap(len(params), tuple(coords), make_guard(atoms))
 
 
 def var_name(i: int) -> str:
@@ -968,7 +918,7 @@ def _paren(e: Expr, min_prec: int) -> str:
 
 
 def pretty_expr(e: Expr) -> str:
-    """Grammar-conforming text; parse(pretty(e)) equals e after simplify."""
+    """Grammar-conforming text; parse_expression(pretty_expr(e)) is e."""
     k = e.kind
     if k == "var":
         return e.name

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from .config import RunConfig, derive_seed
-from .expr import const, guard_subst, mul, shift_vars, simplify
+from .expr import const, guard_subst, mul, shift_vars
 from .jets import (
     JetError,
     JetMorphism,
@@ -74,8 +74,7 @@ def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str) -> EqOutcom
     q = const(LINEARITY_SCALAR)
 
     def scaled(m: SmoothMap) -> SmoothMap:
-        return SmoothMap(m.dom, m.cod, tuple(simplify(mul(q, e)) for e in m.coords),
-                         m.guard)
+        return SmoothMap(m.dom, m.cod, tuple(mul(q, e) for e in m.coords), m.guard)
 
     outcomes = []
     for n in range(1, min(f.order, MULTILINEAR_ORDER) + 1):

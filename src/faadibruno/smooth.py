@@ -35,16 +35,15 @@ from .expr import (
     neg,
     pretty_map,
     shift_vars,
-    simplify,
     subst,
     var,
     var_name,
     var_span,
 )
 
-# Entries kept by each structural constructor cache (select, identity and the
-# probes here; the jet constructors in jets).  A layout is built once while it
-# stays among the most recently used; the bound keeps a long-lived process from
+# Entries kept by each structural constructor cache (select and the probes
+# here; the jet constructors in jets).  A layout is built once while it stays
+# among the most recently used; the bound keeps a long-lived process from
 # holding every layout it ever built.
 STRUCTURE_CACHE_SIZE = 1024
 
@@ -114,10 +113,8 @@ def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
 
 # --- category structure -------------------------------------------------------
 
-@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def identity(obj: SpaceObject) -> SmoothMap:
-    coords = tuple(var(var_name(i)) for i in range(obj.dim))
-    return SmoothMap(obj, obj, coords)
+    return select([obj.dim], [0])
 
 
 def then(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -125,7 +122,7 @@ def then(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     if f.cod != g.dom:
         raise SmoothMapError(f"cannot compose {f.cod} into {g.dom}")
     mapping = {var_name(i): f.coords[i] for i in range(f.cod.dim)}
-    coords = tuple(simplify(subst(e, mapping)) for e in g.coords)
+    coords = tuple(subst(e, mapping) for e in g.coords)
     guard = guard_and(f.guard, guard_subst(g.guard, mapping))
     return SmoothMap(f.dom, g.cod, coords, guard)
 
@@ -164,10 +161,6 @@ def _select(block_dims: tuple[int, ...], picks: tuple[int, ...]) -> SmoothMap:
     return SmoothMap(SpaceObject(total), SpaceObject(out_dim), tuple(coords))
 
 
-def projection(block_dims: Sequence[int], i: int) -> SmoothMap:
-    return select(block_dims, [i])
-
-
 def bang(obj: SpaceObject) -> SmoothMap:
     return SmoothMap(obj, TERMINAL, ())
 
@@ -195,12 +188,12 @@ def guard_within(guard: Guard, offset: int, dim: int) -> bool:
 def add_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     if f.dom != g.dom or f.cod != g.cod:
         raise SmoothMapError("sum wants parallel maps")
-    coords = tuple(simplify(add(a, b)) for a, b in zip(f.coords, g.coords))
+    coords = tuple(add(a, b) for a, b in zip(f.coords, g.coords))
     return SmoothMap(f.dom, f.cod, coords, guard_and(f.guard, g.guard))
 
 
 def neg_map(f: SmoothMap) -> SmoothMap:
-    return SmoothMap(f.dom, f.cod, tuple(simplify(neg(e)) for e in f.coords), f.guard)
+    return SmoothMap(f.dom, f.cod, tuple(neg(e) for e in f.coords), f.guard)
 
 
 # --- monoids and the vector-object assignment ----------------------------------
@@ -292,10 +285,11 @@ def derivative_tower(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> list[S
             total = ZERO
             for j in range(d):
                 total = add(total, mul(var(var_name(base + j)), diff(e, var_name(j))))
-            new_exprs.append(simplify(total))
+            new_exprs.append(total)
         exprs = tuple(new_exprs)
-        # renaming is injective, so it commutes with simplify and diff: the
-        # renamed components are the ones built in the layout directly
+        # renaming is injective, so it commutes with the constructors' rules
+        # and with diff: the renamed components are the ones built in the
+        # layout directly
         layout = {**point_rename,
                   **{var_name(d + i): var(var_name(i)) for i in range(k * l)}}
         coords = tuple(subst(e, layout) for e in exprs)

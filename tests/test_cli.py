@@ -194,6 +194,20 @@ def test_cli_parse_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("fn(x) -> (x + 0*y)", "map body"),
+    ("fn(x) -> (x) where 0*y + 1 > 0", "guard"),
+], ids=["body", "guard"])
+def test_cli_unbound_name_is_an_error_even_where_it_folds_away(text, where, capsys):
+    assert main(["diff", text, "--order", "0"]) == 2
+    assert capsys.readouterr().err == f"error: unbound variable 'y' in {where}\n"
+
+
+def test_cli_diff_prints_the_normal_form_of_nested_negations(capsys):
+    assert main(["diff", "fn(x) -> (-(-(-1*x)))", "--order", "0"]) == 0
+    assert capsys.readouterr().out == "fn(x1) -> (-x1)\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("fn(y) -> (y)\nobj (1) where x1 >> 0\nfn(x) -> (x)\n",
      "line 2: guard atoms compare against literal 0 (line 1, column 19)"),
@@ -297,7 +311,7 @@ COMPOSE_GOLDEN = GOLDEN / "compose_inverse_with_square_plus_identity_order5.txt"
 
 
 def test_cli_compose_output_matches_golden_file(capsys):
-    """The symbolic layer (diff, simplify, printing) gives the recorded text
+    """The symbolic layer (diff, normal forms, printing) gives the recorded text
     byte for byte."""
     assert main(["compose", "fn(x) -> (1/x)", "fn(y) -> (y^2 + y)",
                  "--order", "5"]) == 0

@@ -35,7 +35,6 @@ from faadibruno.smooth import (
     maps_equal,
     parse_smooth_map,
     probe_points,
-    projection,
     restriction_of,
     sample_points,
     select,
@@ -114,8 +113,8 @@ def test_structural_caches_stay_bounded():
         select([1, n], [0])
     assert S._select.cache_info().currsize <= STRUCTURE_CACHE_SIZE
     for n in range(STRUCTURE_CACHE_SIZE + 20):
-        identity(SpaceObject(n))
-    assert identity.cache_info().currsize <= STRUCTURE_CACHE_SIZE
+        identity(SpaceObject(n))  # the layout [n], held by select's cache
+    assert S._select.cache_info().currsize <= STRUCTURE_CACHE_SIZE
 
 
 def test_componentwise_recognized_without_building_it():
@@ -138,8 +137,8 @@ def test_componentwise_recognized_without_building_it():
 # --- products ----------------------------------------------------------------------
 
 def test_pair_of_projections_is_identity():
-    p0 = projection([1, 2], 0)
-    p1 = projection([1, 2], 1)
+    p0 = select([1, 2], [0])
+    p1 = select([1, 2], [1])
     assert maps_equal(tuple_map([p0, p1]), identity(SpaceObject(3)), FAST, "pair-proj").ok
 
 
@@ -147,7 +146,7 @@ def test_pair_then_projection_lax():
     f = pm("fn(x) -> (x + 1)")
     g = pm("fn(x) -> (log(x)) where x > 0")
     paired = tuple_map([f, g])
-    lhs = then(paired, projection([1, 1], 0))
+    lhs = then(paired, select([1, 1], [0]))
     assert map_leq(lhs, f, FAST, "lax-proj").ok
 
 
@@ -184,9 +183,9 @@ def test_r3_instance():
 # --- the differential ------------------------------------------------------------------
 
 def test_d_of_projection_is_projection_of_vector_block():
-    p0 = projection([1, 2], 0)
+    p0 = select([1, 2], [0])
     lhs = D(p0)
-    rhs = then(projection([3, 3], 0), projection([1, 2], 0))
+    rhs = then(select([3, 3], [0]), select([1, 2], [0]))
     assert maps_equal(lhs, rhs, FAST, "cd3-instance").ok
 
 
