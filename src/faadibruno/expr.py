@@ -487,7 +487,8 @@ def _map_steps(steps, v: list) -> None:
 class Tape:
     """A guard and coordinate expressions compiled into straight-line steps
     over one list of slots: the inputs, then the constants, then one slot per
-    step.  Built by compile_tape."""
+    step, each slot a column with a value per point.  Built by compile_tape;
+    run_columns is the one evaluator and run_batch its view point by point."""
 
     __slots__ = ("arity", "consts", "atoms", "steps", "roots")
 
@@ -502,49 +503,44 @@ class Tape:
         """Per point: None where a guard atom is false or faults, the tuple
         of coordinate values, or the exception evaluating that point raises
         (OutOfDomainError for a fault, UnboundVariableError for a point short
-        of the arity; coordinates past it are ignored).  The points are
-        evaluated a column at a time; if any column op raises, every point is
-        redone as a batch of its own, so each fault belongs to the point that
+        of the arity; coordinates past it are ignored).  The points run as
+        columns through run_columns; if that raises, every point is redone
+        as a batch of its own, so each fault belongs to the point that
         raised it."""
-        try:
-            return self._columns(points)
-        except Exception:
-            return [self._alone(point) for point in points]
-
-    def _alone(self, point):
-        try:
-            return self._columns((point,))[0]
-        except Exception as err:
-            return err
-
-    def _columns(self, points) -> list:
-        """run_batch with one list per slot, a value per point; raises what
-        the first failing column op raises, except that in a batch of one
-        point a faulting guard atom is false."""
         n = len(points)
-        cols = list(zip(*points))
-        if n and len(cols) < self.arity:
-            raise UnboundVariableError(var_name(len(cols)))
-        v = [list(map(float, col)) for col in cols[:self.arity]]
-        v += [[c] * n for c in self.consts]
-        rows = range(n)  # the points whose guard atoms have held so far
+        try:
+            cols = list(zip(*points))
+            if n and len(cols) < self.arity:
+                raise UnboundVariableError(var_name(len(cols)))
+            rows, roots = self.run_columns([list(map(float, c)) for c in cols[:self.arity]], n)
+        except Exception as err:
+            return [err] if n == 1 else [self.run_batch((point,))[0] for point in points]
+        out = [None] * n
+        for i, value in zip(rows, zip(*roots) if roots else repeat(())):
+            out[i] = value
+        return out
+
+    def run_columns(self, cols: Sequence[list], n: int) -> tuple[list, list]:
+        """The tape over n points given as one column of floats per input:
+        the rows (indices into the columns, ascending) where every guard
+        atom holds, and one column per coordinate with its values at those
+        rows.  Raises what the first failing column op raises, except that
+        for a single point a faulting guard atom is false."""
+        v = [*cols, *([c] * n for c in self.consts)]
+        rows = list(range(n))  # the points whose guard atoms have held so far
         for steps, root, positive in self.atoms:
             try:
                 _map_steps(steps, v)
             except OutOfDomainError:
                 if n == 1:
-                    return [None]
+                    return [], [[] for _ in self.roots]
                 raise
             held = list(map(_POSITIVE if positive else _NONZERO, v[root]))
             if not all(held):
                 rows = list(compress(rows, held))
                 v = [list(compress(col, held)) for col in v]
         _map_steps(self.steps, v)
-        out = [None] * n
-        values = zip(*[v[r] for r in self.roots]) if self.roots else repeat(())
-        for i, value in zip(rows, values):
-            out[i] = value
-        return out
+        return rows, [v[r] for r in self.roots]
 
 
 def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:

@@ -77,4 +77,28 @@ def report_document(results: list[CheckResult], cfg, suites: list[str]) -> dict:
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """json.dumps(document, sort_keys=True, indent=2) + "\n", written here:
+    with an indent, json.dumps falls back to its pure-Python encoder."""
+    return _render(document, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null",
+              "True": "true", "False": "false"}
+
+
+def _render(value, newline: str) -> str:
+    """A value of plain JSON types with string keys, each nested line
+    starting with newline and two more spaces a level."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if not isinstance(value, (dict, list, tuple)):
+        text = repr(value)
+        return _CONSTANTS.get(text, text)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + newline + "]"

@@ -13,8 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .config import RunConfig, derive_seed
 from .expr import (
@@ -391,11 +391,11 @@ class EqOutcome:
 
 
 def _residual(a: float, b: float, floor: float) -> float:
-    """Relative residual with an absolute floor.  A non-finite value on either
-    side is infinitely far from anything, so it never passes a tolerance."""
+    """Relative residual with an absolute floor, 0.0 between equal values.  A
+    non-finite value on either side is infinitely far from anything."""
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b), floor)
+    return abs(a - b) / max(abs(a), abs(b), floor) if a != b else 0.0
 
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
@@ -413,49 +413,88 @@ def probe_points(dim: int) -> tuple[Point, ...]:
     return tuple(probes)
 
 
-def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterable[Point]:
-    rng = random.Random(derive_seed(cfg.seed, label))
-    if dim == 0:
-        yield ()
-        return
-    yield from probe_points(dim)
-    # rng.uniform(-radius, radius), inlined: random.uniform(a, b) is
-    # a + (b - a) * random(), so the stream is the same to the bit
-    lo = -cfg.radius
-    span = cfg.radius - lo
-    draw = rng.random
-    for _ in range(cfg.retry_cap):
-        yield tuple([lo + span * draw() for _ in range(dim)])
+class PointStream:
+    """The seeded sample points of one check, taken a batch at a time as
+    columns: the probes, then retry_cap draws of random.uniform(-radius,
+    radius) per coordinate, point after point; at dim 0, one empty point."""
+
+    def __init__(self, dim: int, cfg: RunConfig, label: str):
+        self._probes = [list(col) for col in zip(*probe_points(dim))]
+        self._taken = 0
+        self._end = len(probe_points(dim)) + cfg.retry_cap if dim else 1
+        self._draw = random.Random(derive_seed(cfg.seed, label)).random
+        self._lo = -cfg.radius
+        self._span = cfg.radius - self._lo
+
+    def take(self, k: int) -> tuple[int, list[list[float]]]:
+        """(n, columns): the next n points, k unless the stream runs out, as
+        one list of floats per coordinate."""
+        start = self._taken
+        n = min(k, self._end - start)
+        self._taken += n
+        cols = [col[start:start + n] for col in self._probes]
+        d = len(cols)
+        # random.uniform(a, b) is a + (b - a) * random(), inlined
+        lo, span, draw = self._lo, self._span, self._draw
+        flat = [lo + span * draw() for _ in repeat(None, n * d - sum(map(len, cols)))]
+        for j, col in enumerate(cols):
+            col += flat[j::d]
+        return n, cols
 
 
-# Most points pulled from sample_points and evaluated together by one
-# Tape.run_batch; bounds the columns a batch holds.  When the two sides
-# differ, the first batch holds at most the probes, so a check that fails at
-# a probe evaluates few points.
+def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterator[Point]:
+    """All the points of a PointStream, one tuple at a time."""
+    n, cols = PointStream(dim, cfg, label).take(len(probe_points(dim)) + cfg.retry_cap)
+    return zip(*cols) if cols else iter([()] * n)
+
+
+# Most points run on a tape together.  When the sides differ, the first batch
+# holds at most the probes, so a check failing at a probe runs few points.
 BATCH_SIZE = 256
 
 
 def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """Partial-map equality, the one sampling loop: guards agree as booleans
     at every sampled point, values agree on the common domain within tol_rel
-    (abs floor tol_abs).  Points are evaluated a batch at a time (identical
-    sides once) and the results are read in point order.  Guards
-    run before coordinates and a faulting guard atom reads as false, so each
-    point's results give the outcome of evaluating it alone: a guard
-    mismatch first, then f's fault, then g's."""
+    (abs floor tol_abs).  Each batch is taken from a PointStream as columns
+    and run on each side's tape (identical sides once).  A batch is accepted
+    whole when both sides keep the same rows and every residual is within
+    tol_rel (identical sides: every value is finite); any other batch is
+    walked point by point with Tape.run_batch, where each point's results
+    give the outcome of evaluating it alone (a guard mismatch first, then
+    f's fault, then g's), so the outcome is the point-at-a-time one."""
     if f.dom != g.dom or f.cod != g.cod:
         return EqOutcome("fail", math.inf, None, "shape mismatch")
     same = f == g
     tf = f.tape()
     tg = tf if same else g.tape()
-    floor = cfg.abs_floor
     worst = 0.0
     accepted = 0
     target = cfg.samples if f.dom.dim > 0 else 1
-    points = sample_points(f.dom.dim, cfg, label)
+    points = PointStream(f.dom.dim, cfg, label)
     size = BATCH_SIZE if same else min(len(probe_points(f.dom.dim)), BATCH_SIZE)
-    while batch := list(islice(points, min(target - accepted, size))):
+    floors = repeat(cfg.abs_floor)
+    while (taken := points.take(min(target - accepted, size)))[0]:
         size = BATCH_SIZE
+        n, cols = taken
+        try:  # column reductions settle a batch that holds no deciding event
+            rows, fv = tf.run_columns(cols, n)
+            g_rows, gv = (rows, fv) if same else tg.run_columns(cols, n)
+            # equal columns of finite values are 0.0 apart, and a sum is
+            # finite only if every term is
+            largest = max((0.0 if a == b and math.isfinite(sum(a))
+                           else max(map(_residual, a, b, floors), default=0.0)
+                           for a, b in zip(fv, gv)), default=0.0)
+            settled = rows == g_rows and largest <= cfg.tol_rel
+        except Exception:  # a fault at some point of the batch
+            settled = False
+        if settled:
+            accepted += len(rows)
+            worst = max(worst, largest)
+            if accepted >= target:
+                return EqOutcome("pass", worst, None, "", accepted)
+            continue
+        batch = list(zip(*cols)) if cols else [()] * n
         fr = tf.run_batch(batch)
         gr = fr if same else tg.run_batch(batch)
         for point, fv, gv in zip(batch, fr, gr):
@@ -469,13 +508,8 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
                     raise fault
                 return EqOutcome("fail", math.inf, point, f"eval fault: {fault}",
                                  accepted)
-            if same:
-                # _residual(a, a, floor): 0.0 for a finite value, inf otherwise
-                if not all(map(math.isfinite, fv)):
-                    worst = math.inf
-            else:
-                for a, b in zip(fv, gv):
-                    worst = max(worst, _residual(a, b, floor))
+            for a, b in zip(fv, gv):
+                worst = max(worst, _residual(a, b, cfg.abs_floor))
             accepted += 1
             if worst > cfg.tol_rel:
                 return EqOutcome("fail", worst, point, "value mismatch", accepted)

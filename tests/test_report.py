@@ -1,0 +1,57 @@
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from faadibruno.config import RunConfig
+from faadibruno.report import CheckResult, render_json, report_document
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
+
+
+def json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_render_json_gives_each_golden_report_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert render_json(doc) == json_dumps(doc) == text
+
+
+NOTES = st.one_of(st.just(""), st.text(), st.sampled_from(
+    ['he said "no"', "back\\slash", "tab\there", "ünïcödé ∂f/∂x", "emoji 😀", "line\nbreak"]))
+FLOATS = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, -0.0, 1e-300, 1e300]))
+RESULTS = st.builds(
+    CheckResult,
+    suite=st.sampled_from(["cd", "dr", "faa-r", "comonad", "split", "linear"]),
+    map_index=st.integers(0, 10**6),
+    axiom=st.text(min_size=1),
+    status=st.sampled_from(["pass", "fail", "starved"]),
+    worst_residual=FLOATS,
+    seed=st.integers(0, 2**31 - 1),
+    witness_point=st.one_of(st.none(), st.lists(FLOATS, max_size=4).map(tuple)),
+    component=st.one_of(st.none(), st.integers(0, 8)),
+    gating=st.booleans(),
+    note=NOTES)
+
+
+@given(st.lists(RESULTS, max_size=6), st.lists(st.sampled_from(["cd", "dr", "split"]),
+                                               max_size=3))
+def test_render_json_equals_json_dumps_on_reports(results, suites):
+    doc = report_document(results, RunConfig(), suites)
+    assert render_json(doc) == json_dumps(doc)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | NOTES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(NOTES, inner, max_size=4),
+    max_leaves=20)
+
+
+@given(JSON)
+def test_render_json_equals_json_dumps_on_any_document(doc):
+    assert render_json(doc) == json_dumps(doc)

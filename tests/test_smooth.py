@@ -12,10 +12,12 @@ from faadibruno.expr import (
 )
 from faadibruno import smooth as S
 from faadibruno.smooth import (
+    BATCH_SIZE,
     CLASSICAL,
     SMOOTH,
     STRUCTURE_CACHE_SIZE,
     MonoidStructure,
+    PointStream,
     SmoothMap,
     SmoothMapError,
     SpaceObject,
@@ -389,18 +391,60 @@ def test_d_matches_finite_diff_across_corpus():
 
 # --- equality protocol -------------------------------------------------------------------
 
+def _uniform_points(dim, cfg, label):
+    """The stream's points as random.uniform draws them, one tuple at a time."""
+    if dim == 0:
+        return [()]
+    rng = random.Random(derive_seed(cfg.seed, label))
+    return list(probe_points(dim)) + [tuple(rng.uniform(-cfg.radius, cfg.radius)
+                                            for _ in range(dim))
+                                      for _ in range(cfg.retry_cap)]
+
+
+def _hex_points(points):
+    return [tuple(map(float.hex, p)) for p in points]
+
+
+def _take_all(stream, dim, sizes):
+    """Take the given sizes, then the rest; the points as tuples."""
+    points = []
+    for k in [*sizes, BATCH_SIZE, BATCH_SIZE]:
+        n, cols = stream.take(k)
+        assert len(cols) == dim and all(len(col) == n for col in cols)
+        points += zip(*cols) if cols else [()] * n
+    assert stream.take(3) == (0, [[] for _ in range(dim)])
+    return points
+
+
 @pytest.mark.parametrize("dim", range(5))
 @pytest.mark.parametrize("seed, radius", [(0, 2.0), (42, 2.0), (7, 0.3), (123456, 5.5)])
 def test_sample_points_draw_as_random_uniform(dim, seed, radius):
     cfg = RunConfig(seed=seed, radius=radius, retry_cap=40)
-    got = list(sample_points(dim, cfg, "stream"))
-    if dim == 0:
-        assert got == [()]
-        return
-    rng = random.Random(derive_seed(seed, "stream"))
-    want = list(probe_points(dim)) + [tuple(rng.uniform(-radius, radius) for _ in range(dim))
-                                      for _ in range(cfg.retry_cap)]
-    assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+    want = _hex_points(_uniform_points(dim, cfg, "stream"))
+    assert _hex_points(sample_points(dim, cfg, "stream")) == want
+    probes = len(probe_points(dim))
+    # takes that end inside the probes, cross their end, end at retry_cap
+    for sizes in ([], [1], [probes - 1, 2, 0, 5], [probes + 3, 40], [probes + 40]):
+        assert _hex_points(_take_all(PointStream(dim, cfg, "stream"), dim, sizes)) == want
+
+
+@given(st.integers(0, 4), st.integers(0, 2**31 - 1), st.sampled_from([0.3, 2.0, 5.5]),
+       st.integers(1, 30), st.lists(st.integers(0, 40), max_size=6))
+def test_point_stream_equals_random_uniform_for_any_takes(dim, seed, radius, retry_cap,
+                                                          sizes):
+    cfg = RunConfig(seed=seed, radius=radius, retry_cap=retry_cap)
+    stream = PointStream(dim, cfg, "takes")
+    assert (_hex_points(_take_all(stream, dim, sizes))
+            == _hex_points(_uniform_points(dim, cfg, "takes")))
+
+
+def test_equal_values_are_zero_apart_under_an_underflowing_floor():
+    # tol_abs / tol_rel underflows to 0.0; both sides are 0.0 at the origin
+    cfg = RunConfig(tol_abs=1e-300, tol_rel=1e30, samples=20)
+    assert cfg.abs_floor == 0.0
+    f, g = pm("fn(x, y) -> (x*y)"), pm("fn(x, y) -> (x*y) where x + 10 > 0")
+    out = maps_equal(f, g, cfg, "zero-floor")
+    assert out.status == "pass" and out.worst_residual == 0.0
 
 
 def test_maps_equal_detects_value_mismatch():
@@ -587,17 +631,18 @@ def test_d_n_rejects_a_negative_order():
         d_n(pm("fn(x) -> (x^2)"), -1)
 
 
-def _counting_sample_points(monkeypatch):
-    """Count the points the sampling loop pulls from sample_points."""
-    pulled = []
+def _counting_takes(monkeypatch):
+    """Count the points each take hands the sampling loop."""
+    taken = []
+    take = S.PointStream.take
 
-    def counting(dim, cfg, label):
-        for point in sample_points(dim, cfg, label):
-            pulled.append(point)
-            yield point
+    def counting(stream, k):
+        n, cols = take(stream, k)
+        taken.append(n)
+        return n, cols
 
-    monkeypatch.setattr(S, "sample_points", counting)
-    return pulled
+    monkeypatch.setattr(S.PointStream, "take", counting)
+    return taken
 
 
 @pytest.mark.parametrize("dim", range(6))
@@ -612,31 +657,32 @@ def test_probe_count_is_the_number_of_probes(dim):
     ("fn(x, y, z) -> (x*y, z)", "fn(x, y, z) -> (x*y, z - 2)"),
 ])
 def test_check_failing_at_its_first_probe_pulls_only_the_probes(text, shifted, monkeypatch):
-    pulled = _counting_sample_points(monkeypatch)
+    taken = _counting_takes(monkeypatch)
     f, g = pm(text), pm(shifted)
     out = maps_equal(f, g, RunConfig(samples=200), "first-probe")
     assert out.status == "fail" and out.witness == probe_points(f.dom.dim)[0]
-    assert len(pulled) <= len(probe_points(f.dom.dim))
+    assert 0 < sum(taken) <= len(probe_points(f.dom.dim))
 
 
 def test_identical_sides_take_their_samples_in_one_batch(monkeypatch):
-    batches = []
-    run_batch = S.Tape.run_batch
+    taken = _counting_takes(monkeypatch)
+    runs = []
+    run_columns = S.Tape.run_columns
 
-    def counting(tape, points):
-        batches.append(len(points))
-        return run_batch(tape, points)
+    def counting(tape, cols, n):
+        runs.append(n)
+        return run_columns(tape, cols, n)
 
-    monkeypatch.setattr(S.Tape, "run_batch", counting)
+    monkeypatch.setattr(S.Tape, "run_columns", counting)
     f = pm("fn(x, y) -> (x*y)")
     out = maps_equal(f, f, RunConfig(samples=20), "one-batch")
     assert out.status == "pass" and out.samples == 20
-    assert batches == [20]
+    assert taken == [20] and runs == [20]
 
 
 def test_passing_check_pulls_exactly_its_samples(monkeypatch):
-    pulled = _counting_sample_points(monkeypatch)
+    taken = _counting_takes(monkeypatch)
     f = pm("fn(x, y) -> (x*y)")
     out = maps_equal(f, f, RunConfig(samples=300), "all-accepted")
     assert out.status == "pass" and out.samples == 300
-    assert len(pulled) == 300
+    assert taken == [BATCH_SIZE, 300 - BATCH_SIZE]
