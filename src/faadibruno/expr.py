@@ -53,11 +53,12 @@ class Expr:
     of the same structure if there is one, so structurally equal nodes are
     one object and == is identity.  Expr(...) does not rewrite: nodes are
     built by the constructors below, which return normal forms, so every live
-    node is normal.  The private slots cache the node's free_vars, var_span
+    node is normal.  Since == is identity, the identity hash object.__hash__
+    agrees with it.  The private slots cache the node's free_vars, var_span
     and diff results.  Construction is not thread-safe: two threads could
     each build a node of the same structure."""
 
-    __slots__ = ("kind", "args", "name", "value", "exponent", "_hash",
+    __slots__ = ("kind", "args", "name", "value", "exponent",
                  "_free_vars", "_var_span", "_diffs", "__weakref__")
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), name: str = "",
@@ -72,7 +73,6 @@ class Expr:
             _set_slot(node, "name", name)
             _set_slot(node, "value", value)
             _set_slot(node, "exponent", exponent)
-            _set_slot(node, "_hash", hash((kind, args, name, value, exponent)))
             _set_slot(node, "_free_vars", None)
             _set_slot(node, "_var_span", None)
             _set_slot(node, "_diffs", None)
@@ -84,9 +84,6 @@ class Expr:
 
     def __delattr__(self, name):
         raise AttributeError(f"Expr nodes are immutable; cannot delete {name!r}")
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return (Expr, (self.kind, self.args, self.name, self.value, self.exponent))
@@ -168,15 +165,19 @@ def div(a: Expr, b: Expr) -> Expr:
 
 
 def ipow(base: Expr, exponent: int) -> Expr:
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError(f"integer power wants a non-negative int, got {exponent!r}")
+    """base^exponent for any integer exponent.  A negative power of a, like a
+    quotient by a, gives the guard atom a != 0 (domain_atoms), so no rule may
+    drop one: 0^-n stays a node, and (a^m)^n is not merged into a^(m*n) when
+    m and n are both negative."""
+    if not isinstance(exponent, int):
+        raise ValueError(f"integer power wants an int, got {exponent!r}")
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
-    if base.kind == "const":
+    if base.kind == "const" and (exponent > 0 or base.value != 0):
         return const(base.value ** exponent)
-    if base.kind == "pow":
+    if base.kind == "pow" and (exponent > 0 or base.exponent > 0):
         return ipow(base.args[0], base.exponent * exponent)
     return Expr("pow", (base,), exponent=exponent)
 
@@ -332,8 +333,11 @@ def _diff_rule(e: Expr, v: str, memo: dict) -> Expr:
         a, b = e.args
         return add(mul(_diff(a, v, memo), b), mul(a, _diff(b, v, memo)))
     if k == "div":
+        # a'*b^-1 - a*b'*b^-2: the tower of 1/x holds x^-(k+1), where the
+        # quotient form (a'b - ab')/b^2 would square the denominator per order
         a, b = e.args
-        return div(sub(mul(_diff(a, v, memo), b), mul(a, _diff(b, v, memo))), ipow(b, 2))
+        return sub(mul(_diff(a, v, memo), ipow(b, -1)),
+                   mul(mul(a, _diff(b, v, memo)), ipow(b, -2)))
     if k == "pow":
         (a,) = e.args
         n = e.exponent
@@ -426,7 +430,8 @@ def guard_vars(g: Guard) -> frozenset[str]:
 
 def domain_atoms(e: Expr) -> tuple[GuardAtom, ...]:
     """Guard atoms under which every primitive on the path is defined and
-    smooth: denominators != 0, log/sqrt arguments > 0."""
+    smooth: denominators and bases of negative powers != 0, log/sqrt
+    arguments > 0."""
     out: list[GuardAtom] = []
     seen: set = set()
 
@@ -439,6 +444,8 @@ def domain_atoms(e: Expr) -> tuple[GuardAtom, ...]:
             walk(a)
         if node.kind == "div":
             out.append(GuardAtom("!=0", node.args[1]))
+        elif node.kind == "pow" and node.exponent < 0:
+            out.append(GuardAtom("!=0", node.args[0]))
         elif node.kind in ("log", "sqrt"):
             out.append(GuardAtom(">0", node.args[0]))
 
@@ -456,6 +463,7 @@ _UNARY_OPS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos,
 # reports.  Any other exception propagates unchanged.
 _FAULTS = {
     (operator.truediv, ZeroDivisionError): "division by zero",
+    (operator.pow, ZeroDivisionError): "division by zero",  # 0.0 ** -n
     (operator.pow, OverflowError): "overflow in pow",
     (math.exp, OverflowError): "overflow in exp",
     (math.sin, ValueError): "sin of an infinite argument",
@@ -768,16 +776,17 @@ class _Parser:
             else:
                 return e
 
-    # factor := ["-"] atom ["^" nat]
+    # factor := ["-"] atom ["^" ["-"] nat]
     def factor(self) -> Expr:
         negated = self.accept_op("-")
         e = self.atom()
         if self.accept_op("^"):
+            sign = -1 if self.accept_op("-") else 1
             t = self.peek()
             if t.kind != "num" or "." in t.text:
-                self.error("power wants a non-negative integer exponent")
+                self.error("power wants an integer exponent, such as 2 or -1")
             self.next()
-            e = ipow(e, int(t.text))
+            e = ipow(e, sign * int(t.text))
         return neg(e) if negated else e
 
     # atom := number | ident | func "(" expr ")" | "(" expr ")"

@@ -21,7 +21,7 @@ Env = Mapping[str, float]
 
 def eval_expr(e: Expr, env: Env) -> float:
     """Evaluate to an IEEE double.  Raises OutOfDomainError on domain faults
-    (division by zero, log of non-positive, sqrt of negative, overflow) and
+    (division by zero, a negative power of zero, log of non-positive, sqrt of negative, overflow) and
     UnboundVariableError for variables missing from env."""
     k = e.kind
     if k == "const":
@@ -46,6 +46,8 @@ def eval_expr(e: Expr, env: Env) -> float:
         x = eval_expr(e.args[0], env)
         try:
             return x ** e.exponent
+        except ZeroDivisionError:  # 0.0 to a negative power
+            raise OutOfDomainError("division by zero") from None
         except OverflowError:
             raise OutOfDomainError("overflow in pow") from None
     if k == "neg":

@@ -237,6 +237,56 @@ def test_guard_atom_fault_means_false():
 def test_pow_overflow_is_a_domain_fault():
     with pytest.raises(OutOfDomainError, match="overflow in pow"):
         eval_expr(E.ipow(X, 2000), {"x1": 3.0})
+    with pytest.raises(OutOfDomainError, match="overflow in pow"):
+        eval_expr(E.ipow(X, -2), {"x1": 1e-200})
+
+
+# --- negative powers ---------------------------------------------------------------
+
+def test_negative_power_parses_prints_and_guards_its_base():
+    m = parse_map("fn(x) -> (x^-2)")
+    assert m.coords == (E.ipow(X, -2),) and m.coords[0].exponent == -2
+    assert m.guard == Guard((GuardAtom("!=0", X),))
+    assert pretty_map(1, m.coords, m.guard) == "fn(x1) -> (x1^-2) where x1 != 0"
+    assert parse_expression("3*-x1^-2") is E.mul(const(3), E.neg(E.ipow(X, -2)))
+    assert parse_expression("2^-1") is const(Fraction(1, 2))
+    for text in ("x1^(-2)", "x1^1.5", "x1^-x2"):
+        with pytest.raises(ParseError, match="power wants an integer exponent"):
+            parse_expression(text)
+
+
+def test_negative_powers_keep_the_guard_their_base_gives():
+    # (x^-1)^-1 is x only where x != 0: merging would drop the atom
+    twice = E.ipow(E.ipow(X, -1), -1)
+    assert twice.kind == "pow" and twice.args[0] is E.ipow(X, -1)
+    assert parse_map("fn(x) -> ((x^-1)^-1)").guard.atoms[0] == GuardAtom("!=0", X)
+    assert parse_expression(pretty_expr(twice)) is twice
+    # one negative exponent merges: a^(m*n) is guarded by a != 0 as before
+    assert E.ipow(E.ipow(X, -1), 2) is E.ipow(X, -2)
+    assert E.ipow(E.ipow(X, 2), -1) is E.ipow(X, -2)
+    # a negative power of zero stays a node, and its guard is false
+    zero_inv = E.ipow(const(0), -1)
+    assert zero_inv.kind == "pow" and zero_inv.args[0] is const(0)
+    assert parse_map("fn(x) -> (x + 0^-1)").guard == Guard((GuardAtom("!=0", const(0)),))
+
+
+def test_negative_power_of_zero_is_the_same_fault_on_the_tape_and_the_reference():
+    for e, point in ((parse_expression("0^-1"), (1.0,)), (E.ipow(X, -1), (0.0,)),
+                     (E.ipow(X, -2), (-0.0,))):
+        with pytest.raises(OutOfDomainError, match="^division by zero$"):
+            eval_expr(e, {"x1": point[0]})
+        tape = compile_tape((e,), TRUE_GUARD, 1)
+        for batch in ([point], [(2.0,), point]):
+            got = tape.run_batch(batch)[-1]
+            assert type(got) is OutOfDomainError and str(got) == "division by zero"
+
+
+def test_quotient_rule_uses_negative_powers():
+    # (a/b)' = a'*b^-1 - a*b'*b^-2: no quotient, no squared denominator
+    assert diff(E.div(const(1), X), "x1") is E.neg(E.ipow(X, -2))
+    assert diff(E.div(X, Y), "x1") is E.ipow(Y, -1)
+    assert diff(E.div(X, Y), "x2") is E.neg(E.mul(X, E.ipow(Y, -2)))
+    assert diff(E.ipow(X, -2), "x1") is E.mul(const(-2), E.ipow(X, -3))
 
 
 def test_guard_and_idempotent():
@@ -326,7 +376,7 @@ def exprs(build=_normal):
             st.tuples(children, children).map(lambda ab: build("sub", *ab)),
             st.tuples(children, children).map(lambda ab: build("mul", *ab)),
             children.map(lambda a: build("neg", a)),
-            st.tuples(children, st.integers(0, 3)).map(
+            st.tuples(children, st.integers(-3, 3)).map(
                 lambda an: build("pow", an[0], exponent=an[1])),
             children.map(lambda a: build("sin", a)),
             children.map(lambda a: build("cos", a)),
@@ -345,7 +395,10 @@ def test_simplify_preserves_eval(e, a, b):
     env = {"x1": a, "x2": b}
     normal = subst(e, {})
     assert subst(normal, {}) is normal
-    before = eval_expr(e, env)
+    try:
+        before = eval_expr(e, env)
+    except OutOfDomainError:
+        return  # outside the raw tree's domain a rule may drop the fault (0 * e)
     after = eval_expr(normal, env)
     assert ulps_apart(before, after) <= 4.0
 
@@ -353,6 +406,22 @@ def test_simplify_preserves_eval(e, a, b):
 @given(exprs())
 def test_parse_of_pretty_is_identity_after_simplify(e):
     assert parse_expression(pretty_expr(e)) is e
+
+
+@given(exprs(), st.floats(-2, 2), st.floats(-2, 2))
+def test_pretty_text_evaluates_as_python_with_pow_for_caret(e, a, b):
+    """Printed components are read back as Python with ^ taken as ** (as in
+    `3*-x1^-2`): the same value bit for bit, or a fault in both."""
+    env = {"x1": a, "x2": b}
+    code = pretty_expr(e).replace("^", "**")
+    namespace = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, **env}
+    try:
+        want = eval_expr(e, env)
+    except OutOfDomainError:
+        with pytest.raises((ZeroDivisionError, OverflowError, ValueError)):
+            eval(code, namespace)
+        return
+    assert _bits([eval(code, namespace)]) == _bits([want])
 
 
 @given(exprs(), exprs(), st.floats(-2, 2), st.floats(-2, 2))
@@ -411,7 +480,8 @@ def shared_exprs(draw):
         kind = draw(st.sampled_from(_TAPE_KINDS))
         a = draw(st.sampled_from(pool))
         if kind == "pow":
-            node = E.Expr("pow", (a,), exponent=draw(st.sampled_from([0, 1, 2, 3, 7, 400])))
+            node = E.Expr("pow", (a,), exponent=draw(
+                st.sampled_from([-400, -3, -2, -1, 0, 1, 2, 3, 7, 400])))
         elif kind in ("add", "sub", "mul", "div"):
             node = E.Expr(kind, (a, draw(st.sampled_from(pool))))
         else:
@@ -478,6 +548,10 @@ def test_tape_matches_eval_expr_bit_for_bit(pool, data, a, b):
     ("exp(x1^3)", (10.0,), "overflow in exp"),
     ("sin(x1^200*x1^200)", (10.0,), "sin of an infinite argument"),
     ("cos(0 - x1^200*x1^200)", (10.0,), "cos of an infinite argument"),
+    # a negative power faults where its base is zero, in argument order
+    ("(x1 - 1)^-3 * log(x1 - 2)", (1.0,), "division by zero"),
+    ("log(x1 - 2) * (x1 - 1)^-3", (1.0,), "log of non-positive argument"),
+    ("x1^-2 + 1/x1", (1e-200,), "overflow in pow"),
 ])
 def test_tape_first_fault_follows_eval_expr(text, point, message):
     e = parse_expression(text)

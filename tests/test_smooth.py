@@ -310,6 +310,40 @@ def test_derivative_tower_lists_d_1_to_d_n_with_D_first():
     assert S.derivative_tower(f, 0) == [] and d_n(f, 0) is f
 
 
+def _nodes(e):
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(node.args)
+    return seen
+
+
+def test_tower_of_reciprocal_holds_one_negative_power_per_component():
+    # d_k(1/x)(v_1..v_k; x) = (-1)^k k! x^-(k+1) v_1..v_k: one pow node, no
+    # quotient, and a node count linear in k (the quotient form (a'b - ab')/b^2
+    # held x^(2^k))
+    tower = S.derivative_tower(pm("fn(x) -> (1/x)"), 7)
+    for k, m in enumerate(tower, start=1):
+        nodes = _nodes(m.coords[0])
+        assert [(n.exponent, n.args[0].name) for n in nodes if n.kind == "pow"] == \
+            [(-(k + 1), f"x{k + 1}")]
+        assert not [n for n in nodes if n.kind == "div"]
+        assert len(nodes) <= 2 * k + 4
+        (value,) = apply_map(m, [1.5] * k + [0.5])
+        assert value == pytest.approx((-1) ** k * math.factorial(k) * 1.5 ** k * 2.0 ** (k + 1),
+                                      rel=1e-12)
+
+
+def test_order_seven_tower_of_reciprocal_is_finite_near_zero():
+    # x^128 underflows to 0.0 at x = 1e-3; x^-8 is 1e24
+    d7 = S.derivative_tower(pm("fn(x) -> (1/x)"), 7)[-1]
+    (value,) = apply_map(d7, [1.0] * 7 + [1e-3])
+    assert math.isfinite(value)
+    assert value == pytest.approx(-math.factorial(7) * 1e24, rel=1e-12)
+
+
 def test_dn_insertion_trivial_assignment_degenerates():
     f = pm("fn(x) -> (x^2)")
     lhs = d_n(f, 2, TRIVIAL)
