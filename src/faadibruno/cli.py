@@ -34,7 +34,7 @@ from .jets import (
 )
 from .jetlaws import comonad_rows, faa_r_rows, linear_items, linear_rows
 from .laws import Rows, cd_rows, dr_rows
-from .report import CheckResult, overall_status, render_json, report_document, sort_results
+from .report import CheckResult, overall_status, sort_results, write_report
 from .smooth import CLASSICAL, LAssignment, apply_map, d_n, parse_smooth_map
 from .splitting import SplitError, split_rows
 
@@ -191,9 +191,8 @@ def cmd_axioms(args) -> int:
     status = overall_status(results)
     print(f"suite {args.suite}: {status} ({len(results)} checks)")
     if args.json:
-        document = report_document(results, cfg, [args.suite])
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(render_json(document))
+            write_report(fh, results, cfg, [args.suite])
     return _EXIT[status]
 
 

@@ -442,15 +442,25 @@ def domain_atoms(e: Expr) -> tuple[GuardAtom, ...]:
         seen.add(node)
         for a in node.args:
             walk(a)
-        if node.kind == "div":
-            out.append(GuardAtom("!=0", node.args[1]))
-        elif node.kind == "pow" and node.exponent < 0:
-            out.append(GuardAtom("!=0", node.args[0]))
-        elif node.kind in ("log", "sqrt"):
-            out.append(GuardAtom(">0", node.args[0]))
+        atom = _own_atom(node.kind, node.args, node.exponent)
+        if atom is not None:
+            out.append(atom)
 
     walk(e)
     return tuple(out)
+
+
+def _own_atom(kind: str, args: tuple[Expr, ...], exponent: int = 0) -> GuardAtom | None:
+    """The atom under which the operation kind on args is defined, if it can
+    fault: a quotient's denominator and a negative power's base != 0, a log
+    or sqrt argument > 0."""
+    if kind == "div":
+        return GuardAtom("!=0", args[1])
+    if kind == "pow" and exponent < 0:
+        return GuardAtom("!=0", args[0])
+    if kind in ("log", "sqrt"):
+        return GuardAtom(">0", args[0])
+    return None
 
 
 # --- straight-line evaluation -------------------------------------------------
@@ -720,6 +730,9 @@ class _Parser:
         # (a bare expression) takes every name as a variable of that name
         self.names: dict[str, Expr] | None = None
         self.scope = ""  # where names are being read: "map body" or "guard"
+        # while a map body is read: the domain atom of each operation read,
+        # once each in reading order (see map_literal)
+        self.domain: dict[GuardAtom, None] | None = None
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -745,6 +758,12 @@ class _Parser:
             self.next()
             return True
         return False
+
+    def note(self, kind: str, args: tuple[Expr, ...], exponent: int = 0):
+        if self.domain is not None:
+            atom = _own_atom(kind, args, exponent)
+            if atom is not None:
+                self.domain[atom] = None
 
     def expect_ident(self) -> Token:
         t = self.peek()
@@ -772,7 +791,11 @@ class _Parser:
             if t.kind == "op" and t.text in ("*", "/"):
                 self.next()
                 rhs = self.factor()
-                e = mul(e, rhs) if t.text == "*" else div(e, rhs)
+                if t.text == "*":
+                    e = mul(e, rhs)
+                else:
+                    self.note("div", (e, rhs))
+                    e = div(e, rhs)
             else:
                 return e
 
@@ -787,6 +810,7 @@ class _Parser:
                 self.error("power wants an integer exponent, such as 2 or -1")
             self.next()
             e = ipow(e, sign * int(t.text))
+            self.note(e.kind, e.args, e.exponent)
         return neg(e) if negated else e
 
     # atom := number | ident | func "(" expr ")" | "(" expr ")"
@@ -802,6 +826,7 @@ class _Parser:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
+                self.note(t.text, (inner,))
                 return build(inner)
             if self.names is None:
                 return var(t.text)
@@ -848,12 +873,14 @@ class _Parser:
             self.error("duplicate parameter name")
         self.names = {p: var(var_name(i)) for i, p in enumerate(params)}
         self.scope = "map body"
+        self.domain = {}
         self.expect_op("->")
         self.expect_op("(")
         coords = [self.expr()]
         while self.accept_op(","):
             coords.append(self.expr())
         self.expect_op(")")
+        read, self.domain = self.domain, None
         atoms = []
         t = self.peek()
         if t.kind == "ident" and t.text == "where":
@@ -864,9 +891,12 @@ class _Parser:
         if end.kind != "eof":
             self.error(f"unexpected trailing input {end.text!r}")
         # denominators and log/sqrt arguments contribute guard atoms so the map
-        # is smooth everywhere its guard holds
+        # is smooth everywhere its guard holds: first those of the normal
+        # coordinates, then those of operations the normal form dropped
+        # (0*(1/x) is 0), so the map keeps the domain it was written with
         for e in coords:
             atoms.extend(domain_atoms(e))
+        atoms.extend(read)
         return ParsedMap(len(params), tuple(coords), make_guard(atoms))
 
 

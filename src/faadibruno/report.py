@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 SCHEMA_VERSION = 1
 
@@ -58,7 +59,22 @@ def overall_status(results: list[CheckResult]) -> str:
 
 
 def report_document(results: list[CheckResult], cfg, suites: list[str]) -> dict:
-    ordered = sort_results(results)
+    """The report of results, which are in report order (sort_results)."""
+    return _document(results, [r.as_dict() for r in results], cfg, suites)
+
+
+def write_report(fh, results: list[CheckResult], cfg, suites: list[str]) -> None:
+    """Write render_json(report_document(results, cfg, suites)) to fh a piece
+    at a time: the keys before "results", then each row as it is rendered,
+    then "status" and "suites".  No piece is longer than the text before the
+    first row or one rendered row, so the whole text is never held."""
+    document = _document(results, map(CheckResult.as_dict, results), cfg, suites)
+    for piece in _pieces(document, "\n", 1):
+        fh.write(piece)
+    fh.write("\n")
+
+
+def _document(results: list[CheckResult], rows, cfg, suites: list[str]) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "suites": sorted(suites),
@@ -71,8 +87,8 @@ def report_document(results: list[CheckResult], cfg, suites: list[str]) -> dict:
             "radius": cfg.radius,
             "retry_cap": cfg.retry_cap,
         },
-        "status": overall_status(ordered),
-        "results": [r.as_dict() for r in ordered],
+        "status": overall_status(results),
+        "results": rows,
     }
 
 
@@ -85,20 +101,39 @@ def render_json(document: dict) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 _CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null",
               "True": "true", "False": "false"}
+_SCALARS = (str, int, float, type(None))
 
 
 def _render(value, newline: str) -> str:
-    """A value of plain JSON types with string keys, each nested line
-    starting with newline and two more spaces a level."""
+    """A value of plain JSON types with string keys (any iterable but a str
+    or dict is an array), each nested line starting with newline and two
+    more spaces a level."""
     if isinstance(value, str):
         return _encode_str(value)
-    if not isinstance(value, (dict, list, tuple)):
+    if isinstance(value, _SCALARS):
         text = repr(value)
         return _CONSTANTS.get(text, text)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+    return "".join(_pieces(value, newline, 0))
+
+
+def _pieces(value, newline: str, depth: int):
+    """The text of a dict or array as _render writes it, in pieces: the
+    opening bracket with the first item, each further item with the comma
+    before it, and the closing bracket.  Items that are dicts or arrays are
+    split the same way to depth more levels; deeper ones come whole."""
     inner = newline + "  "
     if isinstance(value, dict):
-        items = [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + newline + "]"
+        items = ((f"{_encode_str(k)}: ", v) for k, v in sorted(value.items()))
+        opening, closing = "{", "}"
+    else:
+        items = zip(repeat(""), value)
+        opening, closing = "[", "]"
+    lead = opening + inner
+    for key, item in items:
+        if depth and not isinstance(item, _SCALARS):
+            yield lead + key
+            yield from _pieces(item, inner, depth - 1)
+        else:
+            yield lead + key + _render(item, inner)
+        lead = "," + inner
+    yield newline + closing if lead[0] == "," else opening + closing

@@ -1,8 +1,11 @@
+import functools
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
+from faadibruno import expr, jets, smooth
 from faadibruno.cli import main
 from faadibruno.config import derive_seed
 from faadibruno.corpus import (
@@ -17,7 +20,7 @@ from faadibruno.corpus import (
     parse_corpus,
 )
 from faadibruno.jets import cofree_jet, jet_to_dict
-from faadibruno.smooth import CLASSICAL, parse_smooth_map
+from faadibruno.smooth import CLASSICAL, STRUCTURE_CACHE_SIZE, parse_smooth_map
 
 
 def test_corpus_default_pairs_parse():
@@ -318,14 +321,23 @@ def test_cli_compose_output_matches_golden_file(capsys):
     assert capsys.readouterr().out.encode() == COMPOSE_GOLDEN.read_bytes()
 
 
-@pytest.mark.parametrize("suite, order", [
+REPORT_GOLDENS = [
     pytest.param(suite, 3, id=suite)
     for suite in ("cd", "comonad", "dr", "faa-r", "linear", "split")
 ] + [
     pytest.param(suite, 4, id=f"{suite}-order4")
     for suite in ("cd", "comonad", "dr", "faa-r", "split")
 ] + [pytest.param("comonad", 5, id="comonad-order5"),
-      pytest.param("comonad", 6, id="comonad-order6")])
+      pytest.param("comonad", 6, id="comonad-order6")]
+
+
+def test_cli_golden_cases_cover_every_golden_report():
+    """So each recorded report comes out byte for byte through cmd_axioms."""
+    names = {f"{p.values[0]}_order{p.values[1]}_samples50_seed0.json" for p in REPORT_GOLDENS}
+    assert names == {path.name for path in GOLDEN.glob("*.json")}
+
+
+@pytest.mark.parametrize("suite, order", REPORT_GOLDENS)
 def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     """The recorded report of each suite, byte for byte: comonad covers the
     jets-over-jets construction (delta, products, selections), faa-r and dr
@@ -393,3 +405,24 @@ def test_cli_rejects_malformed_jets_payload(payload, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys):
+    """A long-lived process that runs the same suites again keeps no more
+    expression nodes alive after each round, and its caches keep the same
+    entries, each structural one within its bound."""
+    caches = {f"{mod.__name__}.{name}": obj for mod in (jets, smooth)
+              for name, obj in vars(mod).items() if isinstance(obj, functools._lru_cache_wrapper)}
+    # keyed by a jet order and by a base category, so they stay small
+    unbounded = {"faadibruno.jets.enumerate_partitions", "faadibruno.jets.faa_over"}
+    assert all(c.cache_parameters()["maxsize"] == STRUCTURE_CACHE_SIZE
+               for name, c in caches.items() if name not in unbounded)
+    rounds = []
+    for _ in range(3):
+        for suite in ("cd", "dr", "faa-r", "comonad"):
+            assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "20"]) == 0
+        capsys.readouterr()
+        gc.collect()
+        rounds.append((len(expr._NODES),
+                       {name: c.cache_info().currsize for name, c in caches.items()}))
+    assert rounds[1] == rounds[0] and rounds[2] == rounds[0]

@@ -74,6 +74,28 @@ def test_log_sqrt_contribute_guard_atoms():
     assert set(m.guard.atoms) == {GuardAtom(">0", X), GuardAtom(">0", Y)}
 
 
+@pytest.mark.parametrize("text, guard", [
+    ("fn(x) -> (0*(1/x))", "x1 != 0"),
+    ("fn(x) -> ((1/x)^0)", "x1 != 0"),
+    ("fn(x) -> (0*log(x))", "x1 > 0"),
+    ("fn(x) -> (1/x - 1/x)", "x1 != 0"),
+    ("fn(x) -> (0/x)", "x1 != 0"),
+])
+def test_map_keeps_the_domain_of_operations_its_normal_form_drops(text, guard):
+    m = parse_map(text)
+    assert m.coords[0].kind == "const"
+    assert str(m.guard) == guard
+
+
+def test_domain_of_dropped_operations_comes_after_the_normal_forms():
+    # the where-clause atoms, then those of the normal coordinates, then the
+    # atoms only the text gives; the where clause itself adds no domain atoms
+    m = parse_map("fn(x,y) -> (0*sqrt(y) + x/y) where 1/x > 0")
+    assert str(m.guard) == "1/x1 > 0 && x2 != 0 && x2 > 0"
+    # a negative power of a power is guarded by its merged base alone
+    assert str(parse_map("fn(x) -> ((x^2)^-1)").guard) == "x1 != 0"
+
+
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_map("fn(x) -> (x +* 2)")

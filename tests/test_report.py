@@ -1,12 +1,19 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig
-from faadibruno.report import CheckResult, render_json, report_document
+from faadibruno.report import (
+    CheckResult,
+    render_json,
+    report_document,
+    sort_results,
+    write_report,
+)
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
@@ -39,11 +46,39 @@ RESULTS = st.builds(
     note=NOTES)
 
 
+def streamed(results, cfg, suites) -> list[str]:
+    """The pieces write_report writes, in order, recorded by a sink."""
+    pieces: list[str] = []
+    write_report(SimpleNamespace(write=pieces.append), results, cfg, suites)
+    return pieces
+
+
 @given(st.lists(RESULTS, max_size=6), st.lists(st.sampled_from(["cd", "dr", "split"]),
                                                max_size=3))
 def test_render_json_equals_json_dumps_on_reports(results, suites):
-    doc = report_document(results, RunConfig(), suites)
-    assert render_json(doc) == json_dumps(doc)
+    """The streamed report too, which is the text the CLI writes."""
+    ordered = sort_results(results)
+    doc = report_document(ordered, RunConfig(), suites)
+    assert "".join(streamed(ordered, RunConfig(), suites)) == render_json(doc) == json_dumps(doc)
+
+
+def test_report_writer_writes_no_piece_longer_than_the_header_or_one_row():
+    results = sort_results([
+        CheckResult("cd", i, f"CD.{i % 7 + 1}", "fail" if i % 5 == 0 else "pass",
+                    i * 1e-13, 1000 + i, witness_point=(0.5, -1.25) if i % 5 == 0 else None,
+                    note="x" * 80 if i == 17 else "")
+        for i in range(60)])
+    pieces = streamed(results, RunConfig(), ["cd"])
+    text = "".join(pieces)
+    assert text == render_json(report_document(results, RunConfig(), ["cd"]))
+    header = text[:text.index("[") + 1]
+    assert header.endswith('"results": [')
+    # a row with the comma, newline and indent that come before it
+    rows = [",\n    " + json.dumps(r.as_dict(), sort_keys=True, indent=2).replace("\n", "\n    ")
+            for r in results]
+    bound = max(len(header), *map(len, rows))
+    assert max(map(len, pieces)) <= bound < len(text) // 20
+    assert len(pieces) > len(results)
 
 
 JSON = st.recursive(
