@@ -121,6 +121,8 @@ def _check_length(flag: str, vector, dim: int, exact: bool):
 
 
 def cmd_jet(args) -> int:
+    if args.directions is not None and args.point is None:
+        raise JetError("--directions: the tower is evaluated only at a --point")
     f = parse_smooth_map(args.map)
     if args.point is not None:
         _check_length("--point", args.point, f.dom.dim, exact=False)

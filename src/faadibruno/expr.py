@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress
 from typing import Mapping, Sequence
 
 
@@ -104,13 +105,24 @@ class Expr:
 # The rules preserve values on the guard of any enclosing map; guards are
 # carried separately, so dropping a fault-capable subterm (0 * e) is sound.
 
+# The most bits an exact constant's numerator or denominator, or a power's
+# exponent, may have.  It bounds constant folding: 2^99999999 is an error,
+# not a number too large to print or to hold.
+CONST_BITS = 4096
+
+
 def var(name: str) -> Expr:
     return Expr("var", name=name)
 
 
 def const(value) -> Expr:
     node = _SMALL_CONSTS.get(value)  # an integral Fraction hashes as its int
-    return node if node is not None else Expr("const", value=Fraction(value))
+    if node is not None:
+        return node
+    value = Fraction(value)
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > CONST_BITS:
+        raise ExprError(f"constant of more than {CONST_BITS} bits")
+    return Expr("const", value=value)
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -176,9 +188,16 @@ def ipow(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if base.kind == "const" and (exponent > 0 or base.value != 0):
+        # the power has at least |exponent|*(bits - 1) bits: 0 and +-1 fold
+        # at any exponent, and no power far past CONST_BITS is computed
+        bits = max(base.value.numerator.bit_length(), base.value.denominator.bit_length())
+        if abs(exponent) * (bits - 1) > CONST_BITS:
+            raise ExprError(f"constant of more than {CONST_BITS} bits")
         return const(base.value ** exponent)
     if base.kind == "pow" and (exponent > 0 or base.exponent > 0):
         return ipow(base.args[0], base.exponent * exponent)
+    if abs(exponent).bit_length() > CONST_BITS:
+        raise ExprError(f"exponent of more than {CONST_BITS} bits")
     return Expr("pow", (base,), exponent=exponent)
 
 
@@ -506,7 +525,7 @@ class Tape:
     """A guard and coordinate expressions compiled into straight-line steps
     over one list of slots: the inputs, then the constants, then one slot per
     step, each slot a column with a value per point.  Built by compile_tape;
-    run_columns is the one evaluator and run_batch its view point by point."""
+    run_columns is the one evaluator and run_point its view at one point."""
 
     __slots__ = ("arity", "consts", "atoms", "steps", "roots")
 
@@ -517,26 +536,18 @@ class Tape:
         self.steps = steps    # coordinate steps, run after the guard's
         self.roots = roots    # coordinate slots
 
-    def run_batch(self, points: Sequence[Sequence[float]]) -> list:
-        """Per point: None where a guard atom is false or faults, the tuple
-        of coordinate values, or the exception evaluating that point raises
-        (OutOfDomainError for a fault, UnboundVariableError for a point short
-        of the arity; coordinates past it are ignored).  The points run as
-        columns through run_columns; if that raises, every point is redone
-        as a batch of its own, so each fault belongs to the point that
-        raised it."""
-        n = len(points)
+    def run_point(self, point: Sequence[float]):
+        """None where a guard atom is false or faults at the point, the tuple
+        of coordinate values there, or the exception evaluating the point
+        raises (OutOfDomainError for a fault, UnboundVariableError for a
+        point short of the arity; coordinates past it are ignored)."""
         try:
-            cols = list(zip(*points))
-            if n and len(cols) < self.arity:
-                raise UnboundVariableError(var_name(len(cols)))
-            rows, roots = self.run_columns([list(map(float, c)) for c in cols[:self.arity]], n)
+            if len(point) < self.arity:
+                raise UnboundVariableError(var_name(len(point)))
+            rows, roots = self.run_columns([[float(x)] for x in point[:self.arity]], 1)
         except Exception as err:
-            return [err] if n == 1 else [self.run_batch((point,))[0] for point in points]
-        out = [None] * n
-        for i, value in zip(rows, zip(*roots) if roots else repeat(())):
-            out[i] = value
-        return out
+            return err
+        return tuple(col[0] for col in roots) if rows else None
 
     def run_columns(self, cols: Sequence[list], n: int) -> tuple[list, list]:
         """The tape over n points given as one column of floats per input:
@@ -660,6 +671,8 @@ class Token:
 
 
 _OPERATORS = ("->", "!=", "&&", "+", "-", "*", "/", "^", "(", ")", ",", ">")
+# ASCII digits only: str.isdigit also takes "²", which int() refuses
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -677,17 +690,11 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
+        number = _NUMBER.match(text, i)
+        if number:
+            tokens.append(Token("num", number.group(), line, col))
+            col += number.end() - i
+            i = number.end()
             continue
         if c.isalpha() or c == "_":
             j = i
@@ -765,6 +772,12 @@ class _Parser:
             if atom is not None:
                 self.domain[atom] = None
 
+    def number(self, t: Token) -> Fraction:
+        try:
+            return Fraction(t.text)
+        except ValueError:  # past int's limit on digits converted
+            self.error(f"number of {len(t.text)} characters is too long", t)
+
     def expect_ident(self) -> Token:
         t = self.peek()
         if t.kind != "ident":
@@ -809,7 +822,7 @@ class _Parser:
             if t.kind != "num" or "." in t.text:
                 self.error("power wants an integer exponent, such as 2 or -1")
             self.next()
-            e = ipow(e, sign * int(t.text))
+            e = ipow(e, sign * int(self.number(t)))
             self.note(e.kind, e.args, e.exponent)
         return neg(e) if negated else e
 
@@ -818,7 +831,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return const(Fraction(t.text))
+            return const(self.number(t))
         if t.kind == "ident":
             self.next()
             build = _FUNCTIONS.get(t.text)
@@ -848,7 +861,7 @@ class _Parser:
         if t.kind == "op" and t.text in (">", "!="):
             self.next()
             z = self.peek()
-            if z.kind != "num" or Fraction(z.text) != 0:
+            if z.kind != "num" or self.number(z) != 0:
                 self.error("guard atoms compare against literal 0")
             self.next()
             return GuardAtom(">0" if t.text == ">" else "!=0", e)

@@ -6,9 +6,11 @@ tower, each f_n: A^n x X -> B defined exactly where f_* is.  Composition sums
 over set partitions of the direction slots (the classical higher-order chain
 rule); restriction, products, the additive-map embedding, the counit/
 comultiplication pair and the derivative operator are all computed against a
-small protocol (product / select / tuple / then / restriction / equality), so
-the construction applies verbatim to its own output: jets of jets are jets
-whose base is the jet category one level down.
+small protocol of nine methods (product, then, tuple_map, select, restriction,
+restricted_then, order_of, shape_eq, equal), so the construction applies
+verbatim to its own output: jets of jets are jets whose base is the jet
+category one level down.  The bang into the terminal object is the empty
+select, select([o], []).
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _interchange_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> Monoi
 def trivial_monoid(cat, order: int = 0) -> MonoidStructure:
     """The monoid on the terminal object, the empty product."""
     t = cat.product([])
-    return MonoidStructure(t, cat.bang(cat.product([t, t]), order), cat.select([t], [0], order))
+    return MonoidStructure(t, cat.select([t, t], [], order), cat.select([t], [0], order))
 
 
 def product_objects(cat, objs) -> FaaObject:
@@ -160,8 +162,10 @@ def obj_shape_eq(cat, a: FaaObject, b: FaaObject) -> bool:
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def monoid_zero_arrow(cat, dom_obj, monoid: MonoidStructure, order):
     """The zero map dom -> carrier (total; callers restrict explicitly);
-    equal arguments give the same arrow object."""
-    return cat.then(cat.bang(dom_obj, order), monoid.zero)
+    equal arguments give the same arrow object.  Into the terminal object it
+    is the bang, the empty select, at the given order."""
+    bang = cat.select([dom_obj], [], order)
+    return bang if monoid.carrier == cat.product([]) else cat.then(bang, monoid.zero)
 
 
 def mon_sum(cat, monoid: MonoidStructure, terms):
@@ -456,14 +460,6 @@ class FaaCategory:
     def select(self, blocks, picks, order: int):
         return select_jet(list(blocks), list(picks), order, self.base)
 
-    def bang(self, obj: FaaObject, order: int):
-        base = self.base
-        star = base.bang(obj.point, order)
-        derivs = tuple(
-            base.bang(base.product(_vector_blocks(obj, n)), order)
-            for n in range(1, order + 1))
-        return JetMorphism(base, obj, self.product([]), star, derivs)
-
     def restriction(self, f: JetMorphism):
         return restriction_jet(f)
 
@@ -515,18 +511,15 @@ def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
     cat = f.base
     fb = faa_over(cat)
     inner = f.order - n
-    blocks = dn_blocks(f.src, n, jet_l0)
-    slots = insertion_slots(n)
     src_blocks = [jet_l0(f.src)] * n + [f.src]
-    entries = []
     src_obj = product_objects(cat, src_blocks)
-    for block, slot in zip(blocks, slots):
+    entries = []
+    for block, slot in zip(dn_blocks(f.src, n, jet_l0), insertion_slots(n)):
         if slot[0] == "zero":
             entries.append(zero_jet(src_obj, block.monoid, inner, cat))
-        elif slot[0] == "v":
-            entries.append(fb.select(src_blocks, [slot[1] - 1], inner))
         else:
-            entries.append(fb.select(src_blocks, [n], inner))
+            pick = slot[1] - 1 if slot[0] == "v" else n
+            entries.append(fb.select(src_blocks, [pick], inner))
     # ins is a tuple of select and zero jets, so linear; dnf differentiates a
     # jet the construction built, so its components are multilinear
     return _linear_then(fb.tuple_map(entries), dnf)

@@ -32,7 +32,6 @@ from .expr import (
     guard_subst,
     guard_vars,
     mul,
-    neg,
     pretty_map,
     shift_vars,
     subst,
@@ -103,7 +102,7 @@ Point = tuple[float, ...]
 
 
 def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
-    value = f.tape().run_batch((point,))[0]
+    value = f.tape().run_point(point)
     if value is None:
         raise OutOfDomainError(f"point {tuple(point)} outside guard {f.guard}")
     if isinstance(value, Exception):
@@ -161,10 +160,6 @@ def _select(block_dims: tuple[int, ...], picks: tuple[int, ...]) -> SmoothMap:
     return SmoothMap(SpaceObject(total), SpaceObject(out_dim), tuple(coords))
 
 
-def bang(obj: SpaceObject) -> SmoothMap:
-    return SmoothMap(obj, TERMINAL, ())
-
-
 def zero_map(dom: SpaceObject, cod: SpaceObject) -> SmoothMap:
     return SmoothMap(dom, cod, (ZERO,) * cod.dim)
 
@@ -190,10 +185,6 @@ def add_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
         raise SmoothMapError("sum wants parallel maps")
     coords = tuple(add(a, b) for a, b in zip(f.coords, g.coords))
     return SmoothMap(f.dom, f.cod, coords, guard_and(f.guard, g.guard))
-
-
-def neg_map(f: SmoothMap) -> SmoothMap:
-    return SmoothMap(f.dom, f.cod, tuple(neg(e) for e in f.coords), f.guard)
 
 
 # --- monoids and the vector-object assignment ----------------------------------
@@ -338,18 +329,14 @@ def d_n_insertion(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> SmoothMap
     if n == 0:
         return f
     blocks = dn_blocks(f.dom, n, L.l0)
-    slots = insertion_slots(n)
-    l = L.l0(f.dom).dim
-    d = f.dom.dim
+    l, d = L.l0(f.dom).dim, f.dom.dim
     coords: list[Expr] = []
-    for block, slot in zip(blocks, slots):
+    for block, slot in zip(blocks, insertion_slots(n)):
         if slot[0] == "zero":
             coords.extend((ZERO,) * block.dim)
-        elif slot[0] == "v":
-            base = (slot[1] - 1) * l
+        else:  # a direction block, or the point, which comes after the n directions
+            base = (slot[1] - 1) * l if slot[0] == "v" else n * l
             coords.extend(var(var_name(base + k)) for k in range(block.dim))
-        else:
-            coords.extend(var(var_name(n * l + k)) for k in range(d))
     ins = SmoothMap(SpaceObject(n * l + d), SpaceObject(sum(b.dim for b in blocks)),
                     tuple(coords))
     return then(ins, iterate_D(f, n, L))
@@ -460,9 +447,9 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     and run on each side's tape (identical sides once).  A batch is accepted
     whole when both sides keep the same rows and every residual is within
     tol_rel (identical sides: every value is finite); any other batch is
-    walked point by point with Tape.run_batch, where each point's results
-    give the outcome of evaluating it alone (a guard mismatch first, then
-    f's fault, then g's), so the outcome is the point-at-a-time one."""
+    walked point by point with Tape.run_point up to the deciding point (a
+    guard mismatch first, then f's fault, then g's), so the outcome is the
+    point-at-a-time one."""
     if f.dom != g.dom or f.cod != g.cod:
         return EqOutcome("fail", math.inf, None, "shape mismatch")
     same = f == g
@@ -494,10 +481,9 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
             if accepted >= target:
                 return EqOutcome("pass", worst, None, "", accepted)
             continue
-        batch = list(zip(*cols)) if cols else [()] * n
-        fr = tf.run_batch(batch)
-        gr = fr if same else tg.run_batch(batch)
-        for point, fv, gv in zip(batch, fr, gr):
+        for point in (zip(*cols) if cols else repeat((), n)):
+            fv = tf.run_point(point)
+            gv = fv if same else tg.run_point(point)
             if (fv is None) != (gv is None):
                 return EqOutcome("fail", math.inf, point, "guard mismatch", accepted)
             if fv is None:
@@ -555,9 +541,6 @@ class SmoothCategory:
     def select(self, blocks: Sequence[SpaceObject], picks: Sequence[int],
                order: int | None = None) -> SmoothMap:
         return select([b.dim for b in blocks], picks)
-
-    def bang(self, obj: SpaceObject, order: int | None = None) -> SmoothMap:
-        return bang(obj)
 
     def restriction(self, f: SmoothMap) -> SmoothMap:
         return restriction_of(f)

@@ -76,32 +76,6 @@ def hom_condition(m: SplitMap, cfg: RunConfig, label: str = "hom") -> EqOutcome:
     return maps_equal(composite, m.f, cfg, label)
 
 
-def split_map(f: SmoothMap, src: SplitObject, dst: SplitObject,
-              cfg: RunConfig | None = None) -> SplitMap:
-    if f.dom != src.space or f.cod != dst.space:
-        raise SplitError("map does not fit the declared objects")
-    m = SplitMap(f, src, dst)
-    if cfg is not None:
-        out = hom_condition(m, cfg)
-        if not out.ok:
-            raise SplitError(f"hom-condition violated: {out.note}")
-    return m
-
-
-def split_identity(obj: SplitObject) -> SplitMap:
-    return SplitMap(obj.idem, obj, obj)
-
-
-def split_then(m1: SplitMap, m2: SplitMap, cfg: RunConfig | None = None) -> SplitMap:
-    if m1.dst != m2.src:
-        raise SplitError("objects do not match")
-    return split_map(then(m1.f, m2.f), m1.src, m2.dst, cfg)
-
-
-def split_restriction(m: SplitMap) -> SplitMap:
-    return SplitMap(restriction_of(m.f), m.src, m.src)
-
-
 def split_L(obj: SplitObject, L: LAssignment = CLASSICAL) -> SplitObject:
     """The vector object (L(X), 1): the idempotent is discarded."""
     return split_object(L.l0(obj.space).dim)

@@ -1,6 +1,6 @@
 """The tree evaluator: a recursive walk of an expression at a point given as
 a variable -> value mapping.  The package evaluates only through compiled
-tapes (expr.compile_tape, Tape.run_batch); this walk is the reference the
+tapes (expr.compile_tape, Tape.run_columns); this walk is the reference the
 tape must match bit for bit, faults and their order included."""
 
 from __future__ import annotations

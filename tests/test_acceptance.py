@@ -18,6 +18,7 @@ from faadibruno.corpus import (
     corpus_split_entries,
     parse_corpus,
 )
+from faadibruno.expr import neg
 from faadibruno.jets import (
     cofree_jet,
     compose_jets,
@@ -31,7 +32,6 @@ from faadibruno.smooth import (
     d_n,
     d_n_insertion,
     maps_equal,
-    neg_map,
     parse_smooth_map,
     then,
 )
@@ -177,7 +177,10 @@ def test_acceptance_8b_sign_flip_in_derivative_detected(monkeypatch):
     def flipped(cat, f, n, blocks):
         term = original(cat, f, n, blocks)
         # the curated flip lives in the base-level formula
-        return neg_map(term) if isinstance(term, smooth_module.SmoothMap) else term
+        if not isinstance(term, smooth_module.SmoothMap):
+            return term
+        return smooth_module.SmoothMap(term.dom, term.cod, tuple(map(neg, term.coords)),
+                                       term.guard)
 
     monkeypatch.setattr(jets_module, "_derivative_tail_term", flipped)
     rows = run_suite("comonad", [parse_smooth_map("fn(x) -> (x^3)")], MUT_CFG)

@@ -379,15 +379,30 @@ def test_cli_rejects_invalid_numeric_flags(argv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("body", [
-    pytest.param("(" * 3000 + "x" + ")" * 3000, id="nested-parentheses"),
-    pytest.param("+".join(["x"] * 3000), id="long-sum"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["jet", "fn(x) -> (" + "(" * 3000 + "x" + ")" * 3000 + ")"],
+                 "expression nested too deeply", id="nested-parentheses"),
+    pytest.param(["jet", "fn(x) -> (" + "+".join(["x"] * 3000) + ")"],
+                 "expression nested too deeply", id="long-sum"),
+    # str.isdigit takes a superscript two, which no number may hold
+    pytest.param(["diff", "fn(x) -> (2²)", "--order", "0"],
+                 "unexpected character '²' (line 1, column 12)", id="superscript-digit"),
+    pytest.param(["diff", "fn(x) -> (x^²)", "--order", "0"],
+                 "unexpected character '²' (line 1, column 13)", id="superscript-exponent"),
+    pytest.param(["diff", f"fn(x) -> ({'7' * 5000})", "--order", "0"],
+                 "number of 5000 characters is too long (line 1, column 11)",
+                 id="5000-digit-literal"),
+    pytest.param(["diff", "fn(x) -> (2^100000)", "--order", "0"],
+                 "constant of more than 4096 bits", id="huge-power"),
+    pytest.param(["jet", "fn(x) -> (x)", "--directions", "1"],
+                 "--directions: the tower is evaluated only at a --point",
+                 id="directions-without-point"),
 ])
-def test_cli_reports_too_deep_input_as_a_usage_error(body, capsys):
-    assert main(["jet", f"fn(x) -> ({body})"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: expression nested too deeply")
-    assert "Traceback" not in err
+def test_cli_reports_bad_input_as_a_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("payload", [

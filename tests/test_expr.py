@@ -103,6 +103,33 @@ def test_parse_error_has_position():
     assert "column" in str(err.value)
 
 
+def test_numbers_take_ascii_digits_and_convert_or_fail_at_their_position():
+    for text, col in (("2²", 2), ("x1^²", 4), ("1.²", 2), ("٣", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.col) == (1, col)
+    with pytest.raises(ParseError, match="too long .line 1, column 6"):
+        parse_expression("x1 + " + "9" * 5000)
+    with pytest.raises(ParseError, match="too long .line 1, column 4"):
+        parse_expression("x1^" + "9" * 5000)
+
+
+def test_exact_constants_and_exponents_are_bounded():
+    bits = E.CONST_BITS
+    assert E.ipow(const(2), bits - 1).value == 2 ** (bits - 1)
+    assert E.ipow(const(Fraction(1, 2)), 1 - bits).value == 2 ** (bits - 1)
+    for build in (lambda: const(2 ** bits), lambda: const(Fraction(1, 2 ** bits)),
+                  lambda: E.ipow(const(2), bits), lambda: E.ipow(const(3), 10 ** 12),
+                  lambda: E.ipow(X, 2 ** bits), lambda: E.ipow(E.ipow(X, 2 ** 2048), 2 ** 2048)):
+        with pytest.raises(ExprError, match=f"of more than {bits} bits"):
+            build()
+    # 0 and +-1 fold at any exponent, as the bound is checked before the power
+    huge = 10 ** 12 + 1
+    assert E.ipow(const(0), huge) is E.ZERO
+    assert E.ipow(const(1), -huge) is E.ONE
+    assert E.ipow(const(-1), huge) is const(-1)
+
+
 def test_unbound_variable_rejected():
     with pytest.raises(UnboundVariableError):
         parse_map("fn(x) -> (x + y)")
@@ -252,8 +279,7 @@ def test_guard_atom_fault_means_false():
     g = Guard((GuardAtom("!=0", E.div(const(1), X)),))
     assert guard_eval(g, {"x1": 0.0}) is False
     tape = compile_tape((X,), g, 1)
-    assert tape.run_batch([(0.0,)]) == [None]
-    assert tape.run_batch([(1.0,), (0.0,), (2.0,)]) == [(1.0,), None, (2.0,)]
+    assert [tape.run_point(p) for p in [(1.0,), (0.0,), (2.0,)]] == [(1.0,), None, (2.0,)]
 
 
 def test_pow_overflow_is_a_domain_fault():
@@ -297,10 +323,8 @@ def test_negative_power_of_zero_is_the_same_fault_on_the_tape_and_the_reference(
                      (E.ipow(X, -2), (-0.0,))):
         with pytest.raises(OutOfDomainError, match="^division by zero$"):
             eval_expr(e, {"x1": point[0]})
-        tape = compile_tape((e,), TRUE_GUARD, 1)
-        for batch in ([point], [(2.0,), point]):
-            got = tape.run_batch(batch)[-1]
-            assert type(got) is OutOfDomainError and str(got) == "division by zero"
+        got = compile_tape((e,), TRUE_GUARD, 1).run_point(point)
+        assert type(got) is OutOfDomainError and str(got) == "division by zero"
 
 
 def test_quotient_rule_uses_negative_powers():
@@ -535,8 +559,8 @@ def _reference(roots, guard, point):
         return (type(err), str(err))
 
 
-def _batch_result(result):
-    """One point's entry of Tape.run_batch, in _reference's terms."""
+def _point_result(result):
+    """What Tape.run_point gives, in _reference's terms."""
     if isinstance(result, Exception):
         return (type(result), str(result))
     return None if result is None else _bits(result)
@@ -549,14 +573,23 @@ def test_tape_matches_eval_expr_bit_for_bit(pool, data, a, b):
     atoms = data.draw(st.lists(
         st.builds(GuardAtom, st.sampled_from([">0", "!=0"]), st.sampled_from(pool)),
         max_size=3))
-    # a batch mixing the drawn point with points where guards fail and
-    # evaluation faults gives, point by point, what the point alone gives
+    # columns mixing the drawn point with points where guards fail and
+    # evaluation faults either raise a fault, where some point faults or
+    # falls outside the guard, or give each point what it gives alone
     points = [(a, b), (0.0, 0.0), (a, b), (-1.0, 0.5), (1e10, -1e200), (-3.0, a)]
     for guard in (TRUE_GUARD, Guard(tuple(atoms))):
         tape = compile_tape(roots, guard, 2)
         want = [_reference(roots, guard, p) for p in points]
-        assert [_batch_result(tape.run_batch([p])[0]) for p in points] == want
-        assert [_batch_result(r) for r in tape.run_batch(points)] == want
+        assert [_point_result(tape.run_point(p)) for p in points] == want
+        try:
+            rows, cols = tape.run_columns([list(c) for c in zip(*points)], len(points))
+        except OutOfDomainError:
+            assert any(w is None or isinstance(w[0], type) for w in want)
+            continue
+        got = [None] * len(points)
+        for i, *values in zip(rows, *cols):
+            got[i] = _bits(values)
+        assert got == want
 
 
 @pytest.mark.parametrize("text, point, message", [
@@ -580,14 +613,13 @@ def test_tape_first_fault_follows_eval_expr(text, point, message):
     with pytest.raises(OutOfDomainError, match=message):
         eval_expr(e, {"x1": point[0]})
     tape = compile_tape((e,), TRUE_GUARD, 1)
-    for batch in ([point], [point, point]):
-        assert [_batch_result(r) for r in tape.run_batch(batch)] == \
-            [(OutOfDomainError, message)] * len(batch)
+    assert _point_result(tape.run_point(point)) == (OutOfDomainError, message)
+    with pytest.raises(OutOfDomainError, match=message):
+        tape.run_columns([[point[0]] * 2], 2)
 
 
 def test_tape_short_point_names_the_missing_input_and_extra_coordinates_are_ignored():
     tape = compile_tape((E.add(X, Y),), Guard((GuardAtom("!=0", X),)), 2)
-    for batch in ([(1.0,)], [(1.0,), (1.0, 2.0), (1.0, 2.0, 9.0)]):
-        results = tape.run_batch(batch)
-        assert type(results[0]) is UnboundVariableError and str(results[0]) == "x2"
-        assert results[1:] == [(3.0,)] * (len(batch) - 1)
+    short = tape.run_point((1.0,))
+    assert type(short) is UnboundVariableError and str(short) == "x2"
+    assert tape.run_point((1.0, 2.0)) == tape.run_point((1.0, 2.0, 9.0)) == (3.0,)

@@ -531,11 +531,33 @@ def test_componentwise_product_is_componentwise():
 
 
 def test_category_adapters_define_one_protocol():
-    protocol = {"product", "then", "tuple_map", "select", "bang", "restriction",
+    protocol = {"product", "then", "tuple_map", "select", "restriction",
                 "restricted_then", "order_of", "shape_eq", "equal"}
     for adapter in (S.SmoothCategory, J.FaaCategory):
         assert {name for name, v in vars(adapter).items()
                 if callable(v) and not name.startswith("_")} == protocol
+
+
+def _bang(cat, obj, order):
+    """obj -> terminal in the category, built field by field: over a jet base,
+    the base's bang in every component."""
+    if cat is SMOOTH:
+        return S.SmoothMap(obj, SpaceObject(0), ())
+    base = cat.base
+    derivs = tuple(_bang(base, base.product(J._vector_blocks(obj, n)), order)
+                   for n in range(1, order + 1))
+    return J.JetMorphism(base, obj, cat.product([]), _bang(base, obj.point, order), derivs)
+
+
+def test_the_empty_select_is_the_bang_at_its_order_over_jets_of_jets():
+    F = J.faa_over(SMOOTH)
+    G = J.faa_over(F)
+    o2 = J.delta_object(_obj(1, 1), SMOOTH, 2)
+    got = G.select([o2], [], 2)
+    assert [d.order for d in got.derivs] == [2, 2]
+    assert got == _bang(G, o2, 2)
+    # a zero into the terminal monoid is that bang, so it keeps the order
+    assert J.zero_jet(o2, trivial_monoid(F), 2, F).star.order == 2
 
 
 @pytest.mark.parametrize("order", range(4))
@@ -707,7 +729,7 @@ def _literal_restriction(f):
         if n == 1:
             body = cat.select(blocks, [0], hint)
         else:
-            body = cat.then(cat.bang(cat.product(blocks), hint), src.monoid.zero)
+            body = cat.then(cat.select(blocks, [], hint), src.monoid.zero)
         derivs.append(cat.then(idem, body))
     return J.JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
 
@@ -761,7 +783,7 @@ def test_monoid_zero_arrow_is_built_once_per_arguments(level):
         dom = cat.product([o, o])
     got = J.monoid_zero_arrow(cat, dom, monoid, order)
     assert J.monoid_zero_arrow(cat, dom, monoid, order) is got
-    assert got == cat.then(cat.bang(dom, order), monoid.zero)
+    assert got == cat.then(cat.select([dom], [], order), monoid.zero)
 
 
 def test_linear_then_needs_a_multilinear_outer_jet():

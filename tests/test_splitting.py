@@ -6,18 +6,21 @@ from faadibruno.corpus import SPLIT_TEXT, corpus_split_entries, parse_corpus
 from faadibruno.expr import Guard, GuardAtom, var
 from faadibruno.laws import Rows
 from faadibruno.report import overall_status
-from faadibruno.smooth import TRIVIAL, apply_map, maps_equal, parse_smooth_map
+from faadibruno.smooth import (
+    TRIVIAL,
+    apply_map,
+    maps_equal,
+    parse_smooth_map,
+    restriction_of,
+    then,
+)
 from faadibruno.splitting import (
-    SplitError,
     SplitMap,
     _d_guard_rows,
     hom_condition,
     split_D,
-    split_identity,
     split_L,
-    split_map,
     split_object,
-    split_then,
     total_in_split,
 )
 
@@ -29,23 +32,33 @@ def pm(text):
     return parse_smooth_map(text)
 
 
+def checked_map(text, src, dst):
+    """The map of the text between the objects, checked to be one of the
+    split category."""
+    m = SplitMap(pm(text), src, dst)
+    assert hom_condition(m, CFG).ok
+    return m
+
+
 X_POS = Guard((GuardAtom(">0", var("x1")),))
 X_NONZERO = Guard((GuardAtom("!=0", var("x1")),))
 
 
 def test_split_identity_is_the_idempotent():
     obj = split_object(1, X_POS)
-    m = split_identity(obj)
+    m = SplitMap(obj.idem, obj, obj)
     assert m.f.coords == (var("x1"),)
     assert m.f.guard == X_POS
+    assert hom_condition(m, CFG).ok
 
 
 def test_inclusion_then_reciprocal():
     pos = split_object(1, X_POS)
     full = split_object(1)
-    incl = split_map(pm("fn(x) -> (x) where x > 0"), pos, full, CFG)
-    recip = split_map(pm("fn(x) -> (1/x)"), full, full, CFG)
-    comp = split_then(incl, recip, CFG)
+    incl = checked_map("fn(x) -> (x) where x > 0", pos, full)
+    recip = checked_map("fn(x) -> (1/x)", full, full)
+    comp = SplitMap(then(incl.f, recip.f), pos, full)
+    assert hom_condition(comp, CFG).ok
     assert comp.f.guard == Guard((GuardAtom(">0", var("x1")), GuardAtom("!=0", var("x1"))))
     assert apply_map(comp.f, (2.0,)) == (0.5,)
 
@@ -53,19 +66,17 @@ def test_inclusion_then_reciprocal():
 def test_r1_holds_in_split_category():
     pos = split_object(1, X_POS)
     full = split_object(1)
-    m = split_map(pm("fn(x) -> (log(x))"), pos, full, CFG)
-    from faadibruno.splitting import split_restriction
-    r = split_restriction(m)
-    comp = split_then(r, m)
-    assert maps_equal(comp.f, m.f, CFG, "split-r1").ok
+    m = checked_map("fn(x) -> (log(x))", pos, full)
+    comp = then(restriction_of(m.f), m.f)
+    assert maps_equal(comp, m.f, CFG, "split-r1").ok
 
 
 def test_hom_condition_violation_rejected():
     pos = split_object(1, X_POS)
     full = split_object(1)
     # defined on all of R, not fixed by the source idempotent
-    with pytest.raises(SplitError):
-        split_map(pm("fn(x) -> (x^2)"), pos, full, CFG)
+    out = hom_condition(SplitMap(pm("fn(x) -> (x^2)"), pos, full), CFG)
+    assert out.status == "fail" and out.note == "guard mismatch"
 
 
 def test_split_L_discards_idempotent():
@@ -77,7 +88,7 @@ def test_split_L_discards_idempotent():
 
 def test_split_D_of_identity_on_half_line():
     pos = split_object(1, X_POS)
-    m = split_identity(pos)
+    m = SplitMap(pos.idem, pos, pos)
     dm = split_D(m)
     assert apply_map(dm.f, (3.0, 2.0)) == (3.0,)  # D(id)(v, x) = v
     assert dm.src.guard == Guard((GuardAtom(">0", var("x2")),))
@@ -86,7 +97,7 @@ def test_split_D_of_identity_on_half_line():
 def test_split_D_of_square_on_half_line():
     pos = split_object(1, X_POS)
     full = split_object(1)
-    m = split_map(pm("fn(x) -> (x^2) where x > 0"), pos, full, CFG)
+    m = checked_map("fn(x) -> (x^2) where x > 0", pos, full)
     dm = split_D(m)
     assert apply_map(dm.f, (1.0, 3.0)) == (6.0,)
     assert hom_condition(dm, CFG, "dhom").ok
@@ -95,7 +106,7 @@ def test_split_D_of_square_on_half_line():
 def test_trivial_assignment_on_split_derivative():
     pos = split_object(1, X_POS)
     full = split_object(1)
-    m = split_map(pm("fn(x) -> (log(x))"), pos, full, CFG)
+    m = checked_map("fn(x) -> (log(x))", pos, full)
     dm = split_D(m, TRIVIAL)
     assert dm.f.cod.dim == 0
     assert hom_condition(dm, CFG, "trivial-dhom").ok
@@ -113,10 +124,10 @@ def test_split_cdc_suite_passes():
 
 def test_total_in_split_detects_mismatch():
     full = split_object(1)
-    m = split_map(pm("fn(x) -> (1/x)"), full, full, CFG)
+    m = checked_map("fn(x) -> (1/x)", full, full)
     assert not total_in_split(m, CFG, "tot").ok
     pos = split_object(1, X_NONZERO)
-    m2 = split_map(pm("fn(x) -> (1/x)"), pos, full, CFG)
+    m2 = checked_map("fn(x) -> (1/x)", pos, full)
     assert total_in_split(m2, CFG, "tot2").ok
 
 
