@@ -123,6 +123,9 @@ def _check_length(flag: str, vector, dim: int, exact: bool):
 def cmd_jet(args) -> int:
     if args.directions is not None and args.point is None:
         raise JetError("--directions: the tower is evaluated only at a --point")
+    if (k := len(args.directions or [])) > args.order:
+        raise JetError(f"--directions has {k} vector{'s' * (k > 1)}, "
+                       f"--order {args.order} reads at most {args.order}")
     f = parse_smooth_map(args.map)
     if args.point is not None:
         _check_length("--point", args.point, f.dom.dim, exact=False)

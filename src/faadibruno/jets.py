@@ -93,11 +93,6 @@ class JetMorphism:
     def order(self) -> int:
         return len(self.derivs)
 
-    def __str__(self):
-        parts = [f"*: {self.star}"]
-        parts += [f"{i + 1}: {d}" for i, d in enumerate(self.derivs)]
-        return "\n".join(parts)
-
 
 def truncate_jet(f: JetMorphism, order: int) -> JetMorphism:
     if order >= f.order:
@@ -141,8 +136,7 @@ def product_objects(cat, objs) -> FaaObject:
     if not objs:
         return FaaObject(trivial_monoid(cat), cat.product([]))
     if len(objs) > 1 and all(is_componentwise_monoid(o.monoid) for o in objs):
-        # what the fold of _interchange_product gives, built once and not
-        # cached: these reach hundreds of dimensions
+        # what the fold of _interchange_product gives, without the fold
         point = objs[0].point
         for o in objs[1:]:
             point = cat.product([point, o.point])
@@ -623,8 +617,8 @@ def jet_from_dict(data) -> JetMorphism:
     if not (isinstance(data.get("star"), str) and isinstance(texts, list)
             and all(isinstance(t, str) for t in texts)):
         raise JetError("star must be a string and derivs a list of strings")
-    if data.get("order") != len(texts):
-        raise JetError(f"order must equal the number of derivs, {len(texts)}")
+    if type(data.get("order")) is not int or data["order"] != len(texts):
+        raise JetError(f"order must be the integer number of derivs, {len(texts)}")
     star = parse_smooth_map(data["star"])
     derivs = tuple(parse_smooth_map(t) for t in texts)
     jet = JetMorphism(SMOOTH, src, dst, star, derivs)

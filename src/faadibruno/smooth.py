@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .config import RunConfig, derive_seed
 from .expr import (
@@ -198,6 +198,7 @@ class MonoidStructure:
     zero: object
 
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def componentwise_monoid(dim: int) -> MonoidStructure:
     carrier = SpaceObject(dim)
     coords = tuple(add(var(var_name(i)), var(var_name(dim + i))) for i in range(dim))
@@ -207,44 +208,27 @@ def componentwise_monoid(dim: int) -> MonoidStructure:
 
 
 def is_componentwise_monoid(m: MonoidStructure) -> bool:
-    """m == componentwise_monoid(dim) for its carrier's dim, decided field by
-    field without building that monoid."""
-    carrier, plus, zero = m.carrier, m.add, m.zero
-    if not (isinstance(carrier, SpaceObject) and isinstance(plus, SmoothMap)
-            and isinstance(zero, SmoothMap)):
-        return False
-    dim = carrier.dim
-    # only a var node has a name, so matching names means matching variables
-    return (plus.dom.dim == 2 * dim and plus.cod == carrier and plus.guard == TRUE_GUARD
-            and zero.dom == TERMINAL and zero.cod == carrier and zero.guard == TRUE_GUARD
-            and all(e is ZERO for e in zero.coords)
-            and all(e.kind == "add" and e.args[0].name == var_name(i)
-                    and e.args[1].name == var_name(dim + i)
-                    for i, e in enumerate(plus.coords)))
+    return isinstance(m.carrier, SpaceObject) and m == componentwise_monoid(m.carrier.dim)
 
 
 @dataclass(frozen=True, slots=True)
 class LAssignment:
-    """Assignment of a vector object L(X) to every space X.
+    """Assignment of a vector object L(X) to every space X, included in X as
+    its first L(X).dim coordinates and summed componentwise.  D_L[f](v, x)
+    is the Jacobian of f at x applied to v in those coordinates, read in the
+    first L(Y).dim coordinates of f.
 
-    classical: L(X) = X with componentwise addition.
+    classical: L(X) = X.
     trivial:   L(X) = terminal; every derivative collapses to the point map.
     """
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in ("classical", "trivial"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    def l0(self, obj: SpaceObject) -> SpaceObject:
-        return obj if self.variant == "classical" else TERMINAL
+    l0: Callable[[SpaceObject], SpaceObject]
 
     def monoid(self, obj: SpaceObject) -> MonoidStructure:
         return componentwise_monoid(self.l0(obj).dim)
 
 
-CLASSICAL = LAssignment("classical")
-TRIVIAL = LAssignment("trivial")
+CLASSICAL = LAssignment(lambda obj: obj)
+TRIVIAL = LAssignment(lambda obj: TERMINAL)
 
 
 # --- the differential operator -------------------------------------------------
@@ -261,20 +245,16 @@ def derivative_tower(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> list[S
         raise ValueError("order must be non-negative")
     d = f.dom.dim
     l = L.l0(f.dom).dim
+    cod = L.l0(f.cod)
     tower = []
-    exprs = f.coords
+    exprs = f.coords[:cod.dim]
     for k in range(1, n + 1):
         point_rename = shift_vars(d, k * l)
-        guard = guard_subst(f.guard, point_rename)
-        dom = SpaceObject(k * l + d)
-        if L.variant == "trivial":
-            tower.append(SmoothMap(dom, TERMINAL, (), guard))
-            continue
         base = d + (k - 1) * l
         new_exprs = []
         for e in exprs:
             total = ZERO
-            for j in range(d):
+            for j in range(l):
                 total = add(total, mul(var(var_name(base + j)), diff(e, var_name(j))))
             new_exprs.append(total)
         exprs = tuple(new_exprs)
@@ -284,7 +264,8 @@ def derivative_tower(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> list[S
         layout = {**point_rename,
                   **{var_name(d + i): var(var_name(i)) for i in range(k * l)}}
         coords = tuple(subst(e, layout) for e in exprs)
-        tower.append(SmoothMap(dom, L.l0(f.cod), coords, guard))
+        tower.append(SmoothMap(SpaceObject(k * l + d), cod, coords,
+                               guard_subst(f.guard, point_rename)))
     return tower
 
 

@@ -51,9 +51,6 @@ class SplitObject:
     def guard(self) -> Guard:
         return self.idem.guard
 
-    def __str__(self):
-        return f"R^{self.space.dim} | {self.guard}"
-
 
 def split_object(dim: int, guard: Guard = TRUE_GUARD) -> SplitObject:
     space = SpaceObject(dim)
@@ -65,9 +62,6 @@ class SplitMap:
     f: SmoothMap
     src: SplitObject
     dst: SplitObject
-
-    def __str__(self):
-        return f"{self.f}  : {self.src} -> {self.dst}"
 
 
 def hom_condition(m: SplitMap, cfg: RunConfig, label: str = "hom") -> EqOutcome:

@@ -397,6 +397,14 @@ def test_cli_rejects_invalid_numeric_flags(argv, capsys):
     pytest.param(["jet", "fn(x) -> (x)", "--directions", "1"],
                  "--directions: the tower is evaluated only at a --point",
                  id="directions-without-point"),
+    pytest.param(["jet", "fn(x) -> (x)", "--order", "2", "--point", "1",
+                  "--directions", "1;2;3"],
+                 "--directions has 3 vectors, --order 2 reads at most 2",
+                 id="directions-past-order"),
+    pytest.param(["jet", "fn(x) -> (x)", "--order", "0", "--point", "1",
+                  "--directions", "1"],
+                 "--directions has 1 vector, --order 0 reads at most 0",
+                 id="directions-at-order-0"),
 ])
 def test_cli_reports_bad_input_as_a_usage_error(argv, message, capsys):
     assert main(argv) == 2
@@ -411,6 +419,9 @@ def test_cli_reports_bad_input_as_a_usage_error(argv, message, capsys):
     {"src": {"carrier_dim": -1, "point_dim": 1},
      "dst": {"carrier_dim": 1, "point_dim": 1},
      "order": 0, "star": "fn(x) -> (x)", "derivs": []},
+    {"src": {"carrier_dim": 1, "point_dim": 1},
+     "dst": {"carrier_dim": 1, "point_dim": 1},
+     "order": True, "star": "fn(x) -> (x)", "derivs": ["fn(v, x) -> (v)"]},
 ])
 def test_cli_rejects_malformed_jets_payload(payload, tmp_path, capsys):
     jets_file = tmp_path / "jets.json"

@@ -494,6 +494,8 @@ def test_jet_serialization_roundtrip():
     lambda d: {**d, "derivs": [1, 2]},
     lambda d: {**d, "order": 5},
     lambda d: {k: v for k, v in d.items() if k != "order"},
+    lambda d: {**d, "order": True, "derivs": d["derivs"][:1]},
+    lambda d: {**d, "order": 1.0, "derivs": d["derivs"][:1]},
 ])
 def test_jet_from_dict_rejects_malformed_payloads(mangle):
     data = jet_to_dict(jet("fn(x) -> (x^2)", 2))

@@ -117,9 +117,13 @@ def test_structural_caches_stay_bounded():
     for n in range(STRUCTURE_CACHE_SIZE + 20):
         identity(SpaceObject(n))  # the layout [n], held by select's cache
     assert S._select.cache_info().currsize <= STRUCTURE_CACHE_SIZE
+    # filling it past the bound builds dims 0..1043, half a million nodes, so
+    # the bound is read from the cache instead
+    assert componentwise_monoid.cache_parameters()["maxsize"] == STRUCTURE_CACHE_SIZE
+    assert componentwise_monoid(3) is componentwise_monoid(3)
 
 
-def test_componentwise_recognized_without_building_it():
+def test_componentwise_recognized_as_its_constructors_output():
     zero1 = S.zero_map(S.TERMINAL, SpaceObject(1))
     others = [
         MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"), zero1),
@@ -224,10 +228,16 @@ def test_d_guard_depends_only_on_point_block():
 
 def test_d_trivial_assignment():
     f = pm("fn(x) -> (1/x)")
-    df = D(f, TRIVIAL)
-    assert df.cod.dim == 0
-    assert df.dom.dim == 1
-    assert df.guard == f.guard
+    assert D(f, TRIVIAL) == SmoothMap(f.dom, S.TERMINAL, (), f.guard)
+
+
+def test_an_assignment_is_data_read_by_one_derivative_formula():
+    # L(R^d) = R^1, the first coordinate: D contracts the first partial only
+    # and keeps the first output
+    first = S.LAssignment(lambda obj: SpaceObject(min(obj.dim, 1)))
+    f = pm("fn(x, y) -> (x*y, y) where y > 0")
+    assert D(f, first) == pm("fn(v, x, y) -> (v*y) where y > 0")
+    assert S.derivative_tower(f, 2, first)[1] == pm("fn(v, w, x, y) -> (0) where y > 0")
 
 
 # --- iterated and symmetric derivatives ---------------------------------------------------
