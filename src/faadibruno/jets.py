@@ -170,8 +170,13 @@ def mon_sum(cat, monoid: MonoidStructure, terms):
         for t in terms[1:]:
             out = add_maps(out, t)
         return out
+    terminal = monoid.carrier == cat.product([])
     for t in terms[1:]:
-        out = cat.then(cat.tuple_map([out, t]), monoid.add)
+        pair = cat.tuple_map([out, t])
+        # into the terminal, the sum is the bang after both restrictions, at
+        # the pair's order: product_objects(cat, []) has an order-0 monoid
+        add = trivial_monoid(cat, cat.order_of(pair)).add if terminal else monoid.add
+        out = cat.then(pair, add)
     return out
 
 

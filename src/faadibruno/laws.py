@@ -5,10 +5,13 @@ projections of a fresh sample domain, so guards flow through both sides."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .config import RunConfig, derive_seed
 from .expr import Guard, GuardAtom, guard_subst, shift_vars, var, var_name
 from .report import CheckResult
 from .smooth import (
+    STRUCTURE_CACHE_SIZE,
     EqOutcome,
     LAssignment,
     SmoothMap,
@@ -60,13 +63,39 @@ class Rows:
         self.add(axiom, EqOutcome("pass" if ok else "fail", 0.0 if ok else -1.0, None, note))
 
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def object_sides(dom: SpaceObject, cod: SpaceObject, L: LAssignment) -> dict:
+    """Both sides of the rows that read only the objects X = dom, Y = cod of a
+    pair: CD.1 on X's monoid, CD.3 on the projections of X x Y and D[0] = 0
+    into L(Y), keyed by axiom.  Built once per (dom, cod, L), so each side
+    is differentiated and compiled once; every row still draws its own
+    points under its own label."""
+    n, m = dom.dim, cod.dim
+    l, lY = L.l0(dom).dim, L.l0(cod).dim
+    mon = L.monoid(dom)
+    two = 2 * mon.carrier.dim
+    sides = {
+        "CD.1.add": (D(mon.add, L),
+                     then(select([L.l0(SpaceObject(two)).dim, two], [0]), mon.add)),
+        "CD.1.zero": (D(mon.zero, L), then(select([0, 0], [0]), mon.zero)),
+    }
+    for i in (0, 1):
+        sides[f"CD.3.pi{i}"] = (D(select([n, m], [i]), L),
+                                then(select([l + lY, n + m], [0]), select([l, lY], [i])))
+    sides["Lemma.zero"] = (D(zero_map(dom, SpaceObject(lY)), L),
+                           zero_map(SpaceObject(l + n), SpaceObject(lY)))
+    return sides
+
+
 def _cd_rows(r: Rows, f: SmoothMap, g: SmoothMap, L: LAssignment, restricted: bool):
     """CD.1-CD.7 on the composable pair (f, g), then the additivity lemma, or
     with restricted the DR form of CD.6, DR.8, DR.9 and R.1-R.4.  Each map is
     differentiated once: df = D(f), D(df), D(g) and D(h) for h = then(f, g)
-    serve every equation that mentions them."""
+    serve every equation that mentions them, and the rows on the objects
+    alone take their sides from object_sides."""
     eq = r.eq
-    n, m = f.dom.dim, f.cod.dim
+    sides = object_sides(f.dom, f.cod, L)
+    n = f.dom.dim
     l, lY = L.l0(f.dom).dim, L.l0(f.cod).dim
     h = then(f, g)
     df, dg, dh = D(f, L), D(g, L), D(h, L)
@@ -76,11 +105,8 @@ def _cd_rows(r: Rows, f: SmoothMap, g: SmoothMap, L: LAssignment, restricted: bo
     zero = zero_map(a.dom, SpaceObject(l))
     a_df = then(tuple_map([a, x]), df)
 
-    mon = L.monoid(f.dom)
-    two = 2 * mon.carrier.dim
-    eq("CD.1.add", D(mon.add, L),
-       then(select([L.l0(SpaceObject(two)).dim, two], [0]), mon.add))
-    eq("CD.1.zero", D(mon.zero, L), then(select([0, 0], [0]), mon.zero))
+    eq("CD.1.add", *sides["CD.1.add"])
+    eq("CD.1.zero", *sides["CD.1.zero"])
 
     lhs = then(tuple_map([add_maps(a, b), x]), df)
     eq("CD.2.additive", lhs, add_maps(a_df, then(tuple_map([b, x]), df)))
@@ -92,9 +118,8 @@ def _cd_rows(r: Rows, f: SmoothMap, g: SmoothMap, L: LAssignment, restricted: bo
     eq("CD.2.zero", then(tuple_map([zero_map(f.dom, SpaceObject(l)), identity(f.dom)]), df),
        restrict_map(zero_map(f.dom, SpaceObject(lY)), f.guard))
 
-    for i in (0, 1):
-        eq(f"CD.3.pi{i}", D(select([n, m], [i]), L),
-           then(select([l + lY, n + m], [0]), select([l, lY], [i])))
+    eq("CD.3.pi0", *sides["CD.3.pi0"])
+    eq("CD.3.pi1", *sides["CD.3.pi1"])
 
     eq("CD.4", D(tuple_map([f, h]), L), tuple_map([df, dh]))
     eq("CD.5", dh, then(tuple_map([df, then(select([l, n], [1]), f)]), dg))
@@ -113,8 +138,7 @@ def _cd_rows(r: Rows, f: SmoothMap, g: SmoothMap, L: LAssignment, restricted: bo
         # the equivalent form of CD.1 in the presence of the other axioms
         f2 = then(add_maps(identity(f.dom), identity(f.dom)), f)
         eq("Lemma.additive", D(add_maps(f, f2), L), add_maps(df, D(f2, L)))
-        eq("Lemma.zero", D(zero_map(f.dom, SpaceObject(lY)), L),
-           zero_map(SpaceObject(l + n), SpaceObject(lY)))
+        eq("Lemma.zero", *sides["Lemma.zero"])
         return
 
     point_guard = guard_subst(f.guard, shift_vars(n, l))

@@ -6,6 +6,7 @@ import time
 
 from faadibruno import jets as jets_module
 from faadibruno import smooth as smooth_module
+from faadibruno.laws import object_sides
 from faadibruno.cli import run_suite
 from faadibruno.config import RunConfig
 from faadibruno.corpus import (
@@ -195,10 +196,14 @@ def test_acceptance_8c_dropped_guard_conjunct_detected(monkeypatch):
     def dropping(g1, g2):
         return g1
 
+    # sides cached before the mutation would hide it from dr, and sides built
+    # under it would outlive it, so clear the cache on the way in and out
+    object_sides.cache_clear()
     monkeypatch.setattr(smooth_module, "guard_and", dropping)
     dr_rows = run_suite("dr", GUARDED, MUT_CFG, CLASSICAL)
     faa_rows = run_suite("faa-r", GUARDED[:3], MUT_CFG)
     monkeypatch.undo()
+    object_sides.cache_clear()
     failures = [r for r in dr_rows + faa_rows if r.gating and r.status == "fail"]
     caught = failures != [] and any(r.witness_point is not None for r in failures)
     report(8, "mutation: dropped guard conjunct in composition is detected "

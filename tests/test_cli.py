@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from faadibruno import expr, jets, smooth
+from faadibruno import expr, jets, laws, smooth
 from faadibruno.cli import main
 from faadibruno.config import derive_seed
 from faadibruno.corpus import (
@@ -437,7 +437,7 @@ def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys
     """A long-lived process that runs the same suites again keeps no more
     expression nodes alive after each round, and its caches keep the same
     entries, each structural one within its bound."""
-    caches = {f"{mod.__name__}.{name}": obj for mod in (jets, smooth)
+    caches = {f"{mod.__name__}.{name}": obj for mod in (jets, laws, smooth)
               for name, obj in vars(mod).items() if isinstance(obj, functools._lru_cache_wrapper)}
     # keyed by a jet order and by a base category, so they stay small
     unbounded = {"faadibruno.jets.enumerate_partitions", "faadibruno.jets.faa_over"}

@@ -562,6 +562,23 @@ def test_the_empty_select_is_the_bang_at_its_order_over_jets_of_jets():
     assert J.zero_jet(o2, trivial_monoid(F), 2, F).star.order == 2
 
 
+def test_a_sum_in_the_terminal_monoid_of_jets_keeps_its_terms_order_and_restriction():
+    F = J.faa_over(SMOOTH)
+    G = J.faa_over(F)
+    unit = G.product([])  # its monoid is built at order 0
+    a = G.select([unit], [], 2).star
+    assert a.order == 2 and J.mon_sum(F, unit.monoid, [a, a]).order == 2
+    # partial terms: the sum is the bang after both terms' restrictions
+    b1, b2 = (compose_jets(cofree_jet(pm(text), CLASSICAL, 2),
+                           F.select([_obj(1, 1)], [], 2))
+              for text in ("fn(x) -> (log(x))", "fn(x) -> (1/(x - 1))"))
+    got = J.mon_sum(F, unit.monoid, [b1, b2])
+    want = compose_jets(compose_jets(restriction_jet(b1), restriction_jet(b2)),
+                        F.select([_obj(1, 1)], [], 2))
+    assert got.order == 2
+    assert jet_equal(got, want, CFG, "terminal-sum").ok
+
+
 @pytest.mark.parametrize("order", range(4))
 def test_trivial_monoid_over_the_smooth_base_is_componentwise(order):
     # so the componentwise shortcuts fire for terminal factors

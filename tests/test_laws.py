@@ -2,7 +2,9 @@ from collections import Counter
 
 import pytest
 
+from faadibruno import laws
 from faadibruno import smooth as S
+from faadibruno.laws import object_sides
 from faadibruno.config import RunConfig
 from faadibruno.cli import run_suite
 from faadibruno.report import overall_status
@@ -91,5 +93,49 @@ def test_each_map_is_differentiated_at_most_once_per_pair(suite, monkeypatch):
     monkeypatch.setattr(S, "derivative_tower", counting)
     for f, g in TOTAL_PAIRS + GUARDED_PAIRS:
         differentiated.clear()
+        object_sides.cache_clear()  # so the pair's object rows are built here
         run_suite(suite, [(f, g)], RunConfig(samples=5), CLASSICAL)
         assert differentiated and max(Counter(differentiated).values()) == 1
+
+
+def test_rows_on_the_objects_reuse_their_sides_across_pairs(monkeypatch):
+    differentiated = []
+    tower = S.derivative_tower
+
+    def counting(f, n, L=CLASSICAL):
+        differentiated.append(f)
+        return tower(f, n, L)
+
+    monkeypatch.setattr(S, "derivative_tower", counting)
+    object_sides.cache_clear()
+    pairs = [TOTAL_PAIRS[0], GUARDED_PAIRS[0]]  # both R^1 -> R^1 -> R^1
+    run_suite("cd", pairs, RunConfig(samples=5), CLASSICAL)
+    one = S.SpaceObject(1)
+    mon = CLASSICAL.monoid(one)
+    structure = [mon.add, mon.zero, S.select([1, 1], [0]), S.select([1, 1], [1]),
+                 S.zero_map(one, one)]
+    counts = Counter(differentiated)
+    assert [counts[s] for s in structure] == [1] * len(structure)
+
+
+def test_object_sides_are_keyed_by_the_assignment(monkeypatch):
+    # split runs cd_rows under both assignments for one pair, so a TRIVIAL run
+    # after a CLASSICAL one must check the maps a fresh TRIVIAL run checks
+    checked = []
+    equal = laws.maps_equal
+
+    def recording(f, g, cfg, label):
+        checked.append((label, f, g))
+        return equal(f, g, cfg, label)
+
+    monkeypatch.setattr(laws, "maps_equal", recording)
+    pairs = TOTAL_PAIRS + GUARDED_PAIRS[:1]
+    cfg = RunConfig(samples=20)
+    run_suite("cd", pairs, cfg, CLASSICAL)
+    checked.clear()
+    after_classical = run_suite("cd", pairs, cfg, TRIVIAL)
+    seen = checked[:]
+    checked.clear()
+    object_sides.cache_clear()
+    assert after_classical == run_suite("cd", pairs, cfg, TRIVIAL)
+    assert seen == checked

@@ -11,6 +11,7 @@ from faadibruno.expr import (
     parse_expression, shift_vars, var,
 )
 from faadibruno import smooth as S
+from faadibruno.laws import object_sides
 from faadibruno.smooth import (
     BATCH_SIZE,
     CLASSICAL,
@@ -121,6 +122,11 @@ def test_structural_caches_stay_bounded():
     # the bound is read from the cache instead
     assert componentwise_monoid.cache_parameters()["maxsize"] == STRUCTURE_CACHE_SIZE
     assert componentwise_monoid(3) is componentwise_monoid(3)
+    # the sides of the rows on a pair's objects, keyed by equal objects and L
+    assert object_sides.cache_parameters()["maxsize"] == STRUCTURE_CACHE_SIZE
+    sides = object_sides(SpaceObject(1), SpaceObject(2), CLASSICAL)
+    again = object_sides(SpaceObject(1), SpaceObject(2), CLASSICAL)
+    assert all(a is b for tag in sides for a, b in zip(sides[tag], again[tag]))
 
 
 def test_componentwise_recognized_as_its_constructors_output():
