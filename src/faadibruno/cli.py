@@ -98,8 +98,12 @@ def _directions(text: str) -> list[tuple[float, ...]]:
     return [_VECTOR(v) for v in text.split(";")]
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_order_flag(p: argparse.ArgumentParser):
     p.add_argument("--order", type=_ORDER, default=4, help="jet truncation order")
+
+
+def _add_config_flags(p: argparse.ArgumentParser):
+    _add_order_flag(p)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=_COUNT, default=200)
     p.add_argument("--tol-rel", type=_TOLERANCE, default=1e-9)
@@ -212,18 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_VECTOR, help="comma-separated evaluation point")
     p.add_argument("--directions", type=_directions,
                    help="semicolon-separated direction vectors")
-    _add_config_flags(p)
+    _add_order_flag(p)
     p.set_defaults(fn=cmd_jet)
 
     p = sub.add_parser("compose", help="compose two jet towers")
     p.add_argument("f")
     p.add_argument("g")
-    _add_config_flags(p)
+    _add_order_flag(p)
+    p.add_argument("--seed", type=int, default=42,
+                   help="accepted and not read: composing samples nothing")
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("diff", help="print the symmetric derivative of given order")
     p.add_argument("map")
-    _add_config_flags(p)
+    _add_order_flag(p)
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("axioms", help="run a law suite over a corpus")

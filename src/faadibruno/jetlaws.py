@@ -161,7 +161,7 @@ def faa_r_rows(r: Rows, item, L: LAssignment):
     # restriction products
     paired = tuple_jets([f, h])
     r.eq("jet.product-restriction", restriction_jet(paired), rf_rh, equal=jet_equal)
-    pi0 = select_jet([f.dst, h.dst], [0], f.order)
+    pi0 = select_jet([f.dst, h.dst], [0], f.order, SMOOTH)
     lax_ok = leq(compose_jets(paired, pi0), f, cfg, label("lax"))
     r.holds("jet.product-lax", lax_ok,
             "" if lax_ok else "pairing then projection is not below f")
@@ -275,7 +275,7 @@ def linear_rows(r: Rows, item, L: LAssignment):
         return
     mon = componentwise_monoid(item.dom.dim)
     mon_out = componentwise_monoid(item.cod.dim)
-    lam = lambda_embed(item, mon, mon_out, cfg.order, cfg=cfg.with_(samples=50))
+    lam = lambda_embed(item, mon, mon_out, cfg.order, SMOOTH, cfg.with_(samples=50))
     r.holds("linear.lambda-image-is-linear", is_linear(lam, cfg, r.label("is-linear")))
     # componentwise shape: f_1 = pi_0 f_*, higher components vanish
     r.eq("linear.first-component", lam.derivs[0],

@@ -7,16 +7,17 @@ over set partitions of the direction slots (the classical higher-order chain
 rule); restriction, products, the additive-map embedding, the counit/
 comultiplication pair and the derivative operator are all computed against a
 small protocol of nine methods (product, then, tuple_map, select, restriction,
-restricted_then, order_of, shape_eq, equal), so the construction applies
-verbatim to its own output: jets of jets are jets whose base is the jet
-category one level down.  The bang into the terminal object is the empty
-select, select([o], []).
+restricted_then, add, order_of, equal), so the construction applies verbatim
+to its own output: jets of jets are jets whose base is the jet category one
+level down.  The bang into the terminal object is the empty select,
+select([o], []), and a sum of parallel maps is the base's add: over jets, the
+componentwise sum of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .config import RunConfig
 from .smooth import (
@@ -27,7 +28,6 @@ from .smooth import (
     STRUCTURE_CACHE_SIZE,
     SmoothMap,
     SpaceObject,
-    add_maps,
     componentwise_monoid,
     derivative_tower,
     dn_blocks,
@@ -125,10 +125,10 @@ def _interchange_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> Monoi
 
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
-def trivial_monoid(cat, order: int = 0) -> MonoidStructure:
+def trivial_monoid(cat) -> MonoidStructure:
     """The monoid on the terminal object, the empty product."""
     t = cat.product([])
-    return MonoidStructure(t, cat.select([t, t], [], order), cat.select([t], [0], order))
+    return MonoidStructure(t, cat.select([t, t], [], 0), cat.select([t], [0], 0))
 
 
 def product_objects(cat, objs) -> FaaObject:
@@ -149,10 +149,6 @@ def product_objects(cat, objs) -> FaaObject:
     return out
 
 
-def obj_shape_eq(cat, a: FaaObject, b: FaaObject) -> bool:
-    return cat.shape_eq(a.point, b.point) and cat.shape_eq(a.monoid.carrier, b.monoid.carrier)
-
-
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def monoid_zero_arrow(cat, dom_obj, monoid: MonoidStructure, order):
     """The zero map dom -> carrier (total; callers restrict explicitly);
@@ -162,22 +158,9 @@ def monoid_zero_arrow(cat, dom_obj, monoid: MonoidStructure, order):
     return bang if monoid.carrier == cat.product([]) else cat.then(bang, monoid.zero)
 
 
-def mon_sum(cat, monoid: MonoidStructure, terms):
-    out = terms[0]
-    if is_componentwise_monoid(monoid):
-        # then(<out, t>, add) substitutes into x_i + x_{dim+i}: add_maps builds
-        # the same coordinates and guard directly
-        for t in terms[1:]:
-            out = add_maps(out, t)
-        return out
-    terminal = monoid.carrier == cat.product([])
-    for t in terms[1:]:
-        pair = cat.tuple_map([out, t])
-        # into the terminal, the sum is the bang after both restrictions, at
-        # the pair's order: product_objects(cat, []) has an order-0 monoid
-        add = trivial_monoid(cat, cat.order_of(pair)).add if terminal else monoid.add
-        out = cat.then(pair, add)
-    return out
+def mon_sum(cat, terms):
+    """The sum of parallel maps, folded left by the category's add."""
+    return reduce(cat.add, terms)
 
 
 def _vector_blocks(obj: FaaObject, n: int) -> list:
@@ -204,11 +187,11 @@ def _zero_tail(cat, src: FaaObject, m_dst: MonoidStructure, first: int,
             for n in range(first, order + 1)]
 
 
-def identity_jet(obj: FaaObject, order: int, cat=SMOOTH) -> JetMorphism:
+def identity_jet(obj: FaaObject, order: int, cat) -> JetMorphism:
     return select_jet([obj], [0], order, cat)
 
 
-def select_jet(objs, picks, order: int, cat=SMOOTH) -> JetMorphism:
+def select_jet(objs, picks, order: int, cat) -> JetMorphism:
     """The jet selecting the listed factors of a product; equal layouts give
     the same jet object."""
     return _select_jet(tuple(objs), tuple(picks), order, cat)
@@ -223,19 +206,17 @@ def _select_jet(objs: tuple, picks: tuple[int, ...], order: int, cat) -> JetMorp
     return linear_block_jet(cat, src, dst, point_map, carrier_map, order)
 
 
-def zero_jet(src: FaaObject, m_dst: MonoidStructure, order: int, cat=SMOOTH) -> JetMorphism:
+def zero_jet(src: FaaObject, m_dst: MonoidStructure, order: int, cat) -> JetMorphism:
     star = monoid_zero_arrow(cat, src.point, m_dst, order)
     return JetMorphism(cat, src, lambda_object(m_dst), star,
                        tuple(_zero_tail(cat, src, m_dst, 1, order)))
 
 
 def lambda_embed(h, m_src: MonoidStructure, m_dst: MonoidStructure, order: int,
-                 cat=SMOOTH, cfg: RunConfig | None = None) -> JetMorphism:
+                 cat, cfg: RunConfig) -> JetMorphism:
     """Embed an additive zero-preserving carrier map as the jet
     (h, pi_0 h, 0, ...).  Additivity and zero preservation are verified by
-    sampling; violations are rejected."""
-    if cfg is None:
-        cfg = RunConfig(samples=50)
+    sampling under cfg; violations are rejected."""
     c = m_src.carrier
     sel_order = cat.order_of(h)
     both = [c, c]
@@ -264,8 +245,9 @@ def _check_composable(f: JetMorphism, g: JetMorphism):
     cat = f.base
     if g.base != cat:
         raise JetError("jets live over different bases")
-    if not obj_shape_eq(cat, f.dst, g.src):
-        raise JetError(f"cannot compose {f.dst} into {g.src}")
+    if f.dst != g.src:
+        differ = "points" if f.dst.point != g.src.point else "monoids"
+        raise JetError(f"cannot compose {f.dst} into {g.src}: their {differ} differ")
 
 
 def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
@@ -314,7 +296,7 @@ def _partition_sum(f: JetMorphism, g: JetMorphism, partitions) -> JetMorphism:
                     block_args[block] = cat.then(sel, comp)
             args = [block_args[block] for block in partition] + [point]
             terms.append(cat.then(cat.tuple_map(args), g.derivs[len(partition) - 1]))
-        derivs.append(mon_sum(cat, g.dst.monoid, terms))
+        derivs.append(mon_sum(cat, terms))
     return JetMorphism(cat, f.src, g.dst, star, tuple(derivs))
 
 
@@ -437,7 +419,7 @@ def derivative_jet(f: JetMorphism) -> JetMorphism:
             sel = cat.select(blocks, picks, cat.order_of(comp))
             terms.append(cat.then(sel, comp))
         terms.append(_derivative_tail_term(cat, f, n, blocks))
-        derivs.append(mon_sum(cat, dst.monoid, terms))
+        derivs.append(mon_sum(cat, terms))
     return JetMorphism(cat, src, dst, star, tuple(derivs))
 
 
@@ -470,11 +452,17 @@ class FaaCategory:
         return _restriction_jet(base, f.src, base.then(f.star, g.star),
                                 min(f.order, g.order))
 
+    def add(self, f: JetMorphism, g: JetMorphism):
+        """The sum of parallel jets: the base's add on the stars and on each
+        component, to the shorter order."""
+        if f.src != g.src or f.dst != g.dst:
+            raise JetError("sum wants parallel jets")
+        base = self.base
+        return JetMorphism(base, f.src, f.dst, base.add(f.star, g.star),
+                           tuple(map(base.add, f.derivs, g.derivs)))
+
     def order_of(self, f: JetMorphism) -> int:
         return f.order
-
-    def shape_eq(self, a: FaaObject, b: FaaObject) -> bool:
-        return obj_shape_eq(self.base, a, b)
 
     def equal(self, f, g, cfg, label) -> EqOutcome:
         return jet_equal(f, g, cfg, label)
@@ -588,7 +576,7 @@ def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
 def is_linear(f: JetMorphism, cfg: RunConfig, label: str = "linear") -> bool:
     """Between linear objects: D(f) equals the first projection followed by f."""
     cat = f.base
-    if not all(cat.shape_eq(o.point, o.monoid.carrier) for o in (f.src, f.dst)):
+    if not all(o.point == o.monoid.carrier for o in (f.src, f.dst)):
         raise JetError("linearity is defined between linear objects only")
     if f.order < 1:
         raise JetError("order exhausted")

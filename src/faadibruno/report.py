@@ -58,24 +58,15 @@ def overall_status(results: list[CheckResult]) -> str:
     return PASS
 
 
-def report_document(results: list[CheckResult], cfg, suites: list[str]) -> dict:
-    """The report of results, which are in report order (sort_results)."""
-    return _document(results, [r.as_dict() for r in results], cfg, suites)
-
-
 def write_report(fh, results: list[CheckResult], cfg, suites: list[str]) -> None:
-    """Write render_json(report_document(results, cfg, suites)) to fh a piece
-    at a time: the keys before "results", then each row as it is rendered,
-    then "status" and "suites".  No piece is longer than the text before the
-    first row or one rendered row, so the whole text is never held."""
-    document = _document(results, map(CheckResult.as_dict, results), cfg, suites)
-    for piece in _pieces(document, "\n", 1):
-        fh.write(piece)
-    fh.write("\n")
-
-
-def _document(results: list[CheckResult], rows, cfg, suites: list[str]) -> dict:
-    return {
+    """Write the report of results, which are in report order (sort_results),
+    to fh as json.dumps(report, sort_keys=True, indent=2) + "\n" would, a
+    piece at a time: the keys before "results", then each row as it is
+    rendered, then "status" and "suites".  No piece is longer than the text
+    before the first row or one rendered row, so the whole text is never
+    held.  The text is written here, since json.dumps with an indent falls
+    back to its pure-Python encoder."""
+    document = {
         "schema": SCHEMA_VERSION,
         "suites": sorted(suites),
         "seed": cfg.seed,
@@ -88,14 +79,11 @@ def _document(results: list[CheckResult], rows, cfg, suites: list[str]) -> dict:
             "retry_cap": cfg.retry_cap,
         },
         "status": overall_status(results),
-        "results": rows,
+        "results": map(CheckResult.as_dict, results),
     }
-
-
-def render_json(document: dict) -> str:
-    """json.dumps(document, sort_keys=True, indent=2) + "\n", written here:
-    with an indent, json.dumps falls back to its pure-Python encoder."""
-    return _render(document, "\n") + "\n"
+    for piece in _pieces(document, "\n", 1):
+        fh.write(piece)
+    fh.write("\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii

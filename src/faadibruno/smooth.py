@@ -529,11 +529,11 @@ class SmoothCategory:
     def restricted_then(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
         return restriction_of(then(f, g))
 
+    def add(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
+        return add_maps(f, g)
+
     def order_of(self, f: SmoothMap) -> int | None:
         return None
-
-    def shape_eq(self, a: SpaceObject, b: SpaceObject) -> bool:
-        return a == b
 
     def equal(self, f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
         return maps_equal(f, g, cfg, label)

@@ -379,6 +379,33 @@ def test_cli_rejects_invalid_numeric_flags(argv, capsys):
     assert "Traceback" not in err
 
 
+UNREAD_FLAGS = [("--seed", "3"), ("--samples", "5"), ("--tol-rel", "0.5"), ("--tol-abs", "0.5")]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([*command, flag, value], id=f"{command[0]}{flag}")
+    for command, flags in ((["jet", "fn(x) -> (x)"], UNREAD_FLAGS),
+                           (["diff", "fn(x) -> (x)", "--order", "1"], UNREAD_FLAGS),
+                           (["compose", "fn(x) -> (x)", "fn(y) -> (y)"], UNREAD_FLAGS[1:]))
+    for flag, value in flags
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    """jet, diff and compose sample nothing; compose keeps --seed, unread."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+def test_cli_compose_accepts_and_ignores_seed(capsys):
+    pair = ["compose", "fn(x) -> (1/x)", "fn(y) -> (y^2 + y)", "--order", "2"]
+    assert main(pair) == 0
+    plain = capsys.readouterr().out
+    assert main(pair + ["--seed", "3"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["jet", "fn(x) -> (" + "(" * 3000 + "x" + ")" * 3000 + ")"],
                  "expression nested too deeply", id="nested-parentheses"),

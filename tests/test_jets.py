@@ -112,7 +112,7 @@ def test_cofree_tower_of_cube():
 def test_cofree_of_addition_is_lambda_of_addition():
     mon = componentwise_monoid(1)
     F = cofree_jet(mon.add, CLASSICAL, 3)
-    lam = lambda_embed(mon.add, componentwise_monoid(2), mon, 3)
+    lam = lambda_embed(mon.add, componentwise_monoid(2), mon, 3, SMOOTH, CFG)
     assert jet_equal(F, lam, CFG, "cofree-add").ok
 
 
@@ -153,8 +153,8 @@ def test_compose_second_component_against_symbolic_oracle():
 
 def test_identity_jet_is_unit():
     F = jet("fn(x,y) -> (x*y, x + y)", 3)
-    left = compose_jets(identity_jet(F.src, 3), F)
-    right = compose_jets(F, identity_jet(F.dst, 3))
+    left = compose_jets(identity_jet(F.src, 3, SMOOTH), F)
+    right = compose_jets(F, identity_jet(F.dst, 3, SMOOTH))
     assert jet_equal(left, F, CFG, "unit-l").ok
     assert jet_equal(right, F, CFG, "unit-r").ok
 
@@ -237,13 +237,13 @@ def test_pair_of_projections_is_identity_jet():
     o2 = jet("fn(x,y) -> (x, y)", 3).src
     from faadibruno.jets import product_objects
     prod = product_objects(SMOOTH, [o1, o2])
-    paired = tuple_jets([select_jet([o1, o2], [0], 3), select_jet([o1, o2], [1], 3)])
-    assert jet_equal(paired, identity_jet(prod, 3), CFG, "pair-proj").ok
+    paired = tuple_jets([select_jet([o1, o2], [i], 3, SMOOTH) for i in (0, 1)])
+    assert jet_equal(paired, identity_jet(prod, 3, SMOOTH), CFG, "pair-proj").ok
 
 
 def test_restriction_of_total_jet_is_identity():
     F = jet("fn(x) -> (x^2)", 3)
-    assert jet_equal(restriction_jet(F), identity_jet(F.src, 3), CFG, "rs-total").ok
+    assert jet_equal(restriction_jet(F), identity_jet(F.src, 3, SMOOTH), CFG, "rs-total").ok
 
 
 def test_restriction_composite_lemma():
@@ -275,8 +275,8 @@ def test_r4_for_jets():
 def test_lambda_of_identity_is_identity_jet():
     mon = componentwise_monoid(2)
     from faadibruno.smooth import identity as sid
-    lam = lambda_embed(sid(mon.carrier), mon, mon, 3)
-    assert jet_equal(lam, identity_jet(lambda_object(mon), 3), CFG, "lambda-id").ok
+    lam = lambda_embed(sid(mon.carrier), mon, mon, 3, SMOOTH, CFG)
+    assert jet_equal(lam, identity_jet(lambda_object(mon), 3, SMOOTH), CFG, "lambda-id").ok
 
 
 def test_lambda_is_functorial():
@@ -284,17 +284,18 @@ def test_lambda_is_functorial():
     m2 = componentwise_monoid(1)
     h1 = pm("fn(x,y) -> (x + y, x - y)")
     h2 = pm("fn(u,v) -> (2*u + 3*v)")
-    lhs = lambda_embed(then(h1, h2), m1, m2, 3)
-    rhs = compose_jets(lambda_embed(h1, m1, m1, 3), lambda_embed(h2, m1, m2, 3))
+    lhs = lambda_embed(then(h1, h2), m1, m2, 3, SMOOTH, CFG)
+    rhs = compose_jets(lambda_embed(h1, m1, m1, 3, SMOOTH, CFG),
+                       lambda_embed(h2, m1, m2, 3, SMOOTH, CFG))
     assert jet_equal(lhs, rhs, CFG, "lambda-functor").ok
 
 
 def test_lambda_rejects_non_additive():
     mon = componentwise_monoid(1)
     with pytest.raises(NonAdditiveMapError):
-        lambda_embed(pm("fn(x) -> (x^2)"), mon, mon, 3)
+        lambda_embed(pm("fn(x) -> (x^2)"), mon, mon, 3, SMOOTH, CFG)
     with pytest.raises(NonAdditiveMapError):
-        lambda_embed(pm("fn(x) -> (x + 1)"), mon, mon, 3)
+        lambda_embed(pm("fn(x) -> (x + 1)"), mon, mon, 3, SMOOTH, CFG)
 
 
 # --- counit -------------------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def test_lambda_rejects_non_additive():
 def test_epsilon_extracts_star_and_preserves_structure():
     f = jet("fn(x) -> (x^2)", 3)
     g = jet("fn(y) -> (sin(y))", 3)
-    assert epsilon(identity_jet(f.src, 3)) == restriction_of(pm("fn(x) -> (x)"))
+    assert epsilon(identity_jet(f.src, 3, SMOOTH)) == restriction_of(pm("fn(x) -> (x)"))
     assert maps_equal(epsilon(compose_jets(f, g)),
                       then(epsilon(f), epsilon(g)), CFG, "eps-compose").ok
     r = jet("fn(x) -> (1/x)", 3)
@@ -317,7 +318,7 @@ def test_epsilon_preserves_products():
     h = jet("fn(x) -> (sin(x))", 3)
     assert maps_equal(epsilon(tuple_jets([f, h])),
                       tuple_map([epsilon(f), epsilon(h)]), CFG, "eps-pair").ok
-    pi = select_jet([f.dst, h.dst], [0], 3)
+    pi = select_jet([f.dst, h.dst], [0], 3, SMOOTH)
     assert maps_equal(epsilon(pi), select([1, 1], [0]), CFG, "eps-proj").ok
 
 
@@ -347,9 +348,9 @@ def test_derivative_of_tower_is_tower_of_derivative():
 
 def test_derivative_of_lambda_image_is_projected():
     mon = componentwise_monoid(1)
-    lam = lambda_embed(pm("fn(x) -> (3*x)"), mon, mon, 3)
+    lam = lambda_embed(pm("fn(x) -> (3*x)"), mon, mon, 3, SMOOTH, CFG)
     lhs = derivative_jet(lam)
-    pi0 = select_jet([lambda_object(mon), lam.src], [0], 2)
+    pi0 = select_jet([lambda_object(mon), lam.src], [0], 2, SMOOTH)
     rhs = compose_jets(pi0, truncate_jet(lam, 2))
     assert jet_equal(lhs, rhs, CFG, "dlambda").ok
 
@@ -427,7 +428,7 @@ def test_restricted_then_is_the_restriction_of_the_composite(level):
     order = 4
     objs = [_obj(1, 1), _obj(1, 1)]
     # the longer selection is truncated to the composite's order
-    sel = select_jet(objs, [1], order + 1)
+    sel = select_jet(objs, [1], order + 1, SMOOTH)
     G = jet("fn(x) -> (log(x) + 1/(x - 1))", order)
     cat, f, g = (SMOOTH, sel.star, G.star) if level == 0 else (J.faa_over(SMOOTH), sel, G)
     got = cat.restricted_then(f, g)
@@ -437,9 +438,23 @@ def test_restricted_then_is_the_restriction_of_the_composite(level):
 
 def test_restricted_then_rejects_what_compose_rejects():
     fb = J.faa_over(SMOOTH)
-    sel = select_jet([_obj(1, 2), _obj(1, 1)], [0], 3)
+    sel = select_jet([_obj(1, 2), _obj(1, 1)], [0], 3, SMOOTH)
     with pytest.raises(JetError):
         fb.restricted_then(sel, jet("fn(x) -> (log(x))", 3))
+
+
+def test_compose_rejects_objects_whose_monoids_differ_in_more_than_shape():
+    # b + a is a commutative monoid on R^1, but not the componentwise one
+    swapped = MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"),
+                              zero_map(SpaceObject(0), SpaceObject(1)))
+    assert swapped != componentwise_monoid(1)
+    F, G = jet("fn(x) -> (log(x))"), jet("fn(y) -> (y^2)")
+    f = J.JetMorphism(SMOOTH, F.src, FaaObject(swapped, SpaceObject(1)), F.star, F.derivs)
+    assert str(f.dst) == str(G.src)
+    with pytest.raises(JetError, match="their monoids differ"):
+        compose_jets(f, G)
+    with pytest.raises(JetError, match="their monoids differ"):
+        J.faa_over(SMOOTH).restricted_then(f, G)
 
 
 # --- linearity --------------------------------------------------------------------------------------
@@ -447,7 +462,7 @@ def test_restricted_then_rejects_what_compose_rejects():
 def test_lambda_image_of_matrix_is_linear():
     m2 = componentwise_monoid(2)
     h = pm("fn(x,y) -> (x + 2*y, 3*x - y)")
-    lam = lambda_embed(h, m2, m2, 3)
+    lam = lambda_embed(h, m2, m2, 3, SMOOTH, CFG)
     assert is_linear(lam, CFG)
 
 
@@ -460,7 +475,7 @@ def test_scaling_tower_is_linear_and_equals_its_embedding():
     F = jet("fn(x) -> (3*x)", 3)
     assert is_linear(F, CFG)
     mon = componentwise_monoid(1)
-    lam = lambda_embed(pm("fn(x) -> (3*x)"), mon, mon, 3)
+    lam = lambda_embed(pm("fn(x) -> (3*x)"), mon, mon, 3, SMOOTH, CFG)
     assert jet_equal(F, lam, CFG, "3x-lambda").ok
 
 
@@ -519,7 +534,7 @@ def _obj(carrier, point):
 
 def test_select_jet_returns_one_object_per_layout():
     objs = [_obj(1, 1), _obj(2, 2)]
-    assert select_jet(objs, [1, 0], 3) is select_jet(tuple(objs), (1, 0), 3, SMOOTH)
+    assert select_jet(objs, [1, 0], 3, SMOOTH) is select_jet(tuple(objs), (1, 0), 3, SMOOTH)
     F = J.faa_over(SMOOTH)
     level2 = [lambda_object(componentwise_monoid(1)), _obj(1, 1)]
     assert F.select(level2, [1], 2) is F.select(tuple(level2), (1,), 2)
@@ -534,7 +549,7 @@ def test_componentwise_product_is_componentwise():
 
 def test_category_adapters_define_one_protocol():
     protocol = {"product", "then", "tuple_map", "select", "restriction",
-                "restricted_then", "order_of", "shape_eq", "equal"}
+                "restricted_then", "add", "order_of", "equal"}
     for adapter in (S.SmoothCategory, J.FaaCategory):
         assert {name for name, v in vars(adapter).items()
                 if callable(v) and not name.startswith("_")} == protocol
@@ -567,23 +582,59 @@ def test_a_sum_in_the_terminal_monoid_of_jets_keeps_its_terms_order_and_restrict
     G = J.faa_over(F)
     unit = G.product([])  # its monoid is built at order 0
     a = G.select([unit], [], 2).star
-    assert a.order == 2 and J.mon_sum(F, unit.monoid, [a, a]).order == 2
+    assert a.order == 2 and J.mon_sum(F, [a, a]).order == 2
     # partial terms: the sum is the bang after both terms' restrictions
     b1, b2 = (compose_jets(cofree_jet(pm(text), CLASSICAL, 2),
                            F.select([_obj(1, 1)], [], 2))
               for text in ("fn(x) -> (log(x))", "fn(x) -> (1/(x - 1))"))
-    got = J.mon_sum(F, unit.monoid, [b1, b2])
+    got = J.mon_sum(F, [b1, b2])
     want = compose_jets(compose_jets(restriction_jet(b1), restriction_jet(b2)),
                         F.select([_obj(1, 1)], [], 2))
     assert got.order == 2
     assert jet_equal(got, want, CFG, "terminal-sum").ok
 
 
-@pytest.mark.parametrize("order", range(4))
-def test_trivial_monoid_over_the_smooth_base_is_componentwise(order):
-    # so the componentwise shortcuts fire for terminal factors
-    m = trivial_monoid(SMOOTH, order)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_the_sum_of_jets_is_the_monoid_addition_after_the_pair(order):
+    """add(f, g) is <f, g> then the addition of the target monoid: the vector
+    monoid jet_L, the interchange product of two of them, and the terminal
+    monoid.  trivial_monoid builds its addition at order 0, since an object
+    carries no order; at the jets' order that addition is the bang."""
+    fb = J.faa_over(SMOOTH)
+    o = _obj(1, 1)
+    vectors = J.jet_L(o, SMOOTH, order)
+    pair = J._interchange_product(fb, vectors, vectors)
+    unit = trivial_monoid(fb).carrier
+
+    def cofree(*coords):
+        return cofree_jet(pm(f"fn(x) -> ({', '.join(coords)})"), CLASSICAL, order)
+
+    def to_unit(text):
+        return compose_jets(cofree(text), fb.select([o], [], order))
+
+    cases = [(vectors.add, cofree("log(x)"), cofree("1/(x - 1)")),
+             (pair.add, cofree("log(x)", "sin(x)"), cofree("1/(x - 1)", "sqrt(x)")),
+             (fb.select([unit, unit], [], order), to_unit("log(x)"), to_unit("sqrt(x)"))]
+    for add, f, g in cases:
+        assert f.dst == g.dst == add.dst
+        got = fb.add(f, g)
+        assert got.order == order
+        assert got == compose_jets(tuple_jets([f, g]), add)
+
+
+def test_the_sum_of_jets_wants_parallel_jets():
+    fb = J.faa_over(SMOOTH)
+    with pytest.raises(JetError):
+        fb.add(jet("fn(x) -> (x)"), jet("fn(x) -> (x, x)"))
+
+
+@pytest.mark.parametrize("factors", range(4))
+def test_trivial_monoid_over_the_smooth_base_is_componentwise(factors):
+    # so the componentwise shortcut fires for terminal factors
+    m = trivial_monoid(SMOOTH)
     assert m == componentwise_monoid(0) and is_componentwise_monoid(m)
+    product = J.product_objects(SMOOTH, [FaaObject(m, SpaceObject(1))] * factors)
+    assert product.monoid == m
 
 
 def test_jet_structure_caches_stay_bounded():
@@ -592,11 +643,8 @@ def test_jet_structure_caches_stay_bounded():
     assert side * side > bound
     for a in range(side):
         for b in range(side):
-            select_jet([_obj(0, a), _obj(0, b)], [0], 1)
+            select_jet([_obj(0, a), _obj(0, b)], [0], 1, SMOOTH)
     assert J._select_jet.cache_info().currsize <= bound
-    for order in range(bound + 20):
-        trivial_monoid(SMOOTH, order)
-    assert trivial_monoid.cache_info().currsize <= bound
     zero = zero_map(SpaceObject(0), SpaceObject(1))
     for k in range(bound + 20):
         m = MonoidStructure(SpaceObject(1), pm(f"fn(a,b) -> (a + b + {k})"), zero)
@@ -660,7 +708,7 @@ def test_product_objects_folds_when_a_monoid_is_not_componentwise():
     assert not is_componentwise_monoid(product.monoid)
     F = J.faa_over(SMOOTH)
     level2 = [J.delta_object(_obj(1, 1), SMOOTH, 2),
-              FaaObject(trivial_monoid(F, 2), _obj(0, 1))]
+              FaaObject(trivial_monoid(F), _obj(0, 1))]
     assert J.product_objects(F, level2) == _faa_product_fold(F, level2)
 
 
@@ -684,7 +732,7 @@ def test_componentwise_mon_sum_equals_the_substituted_fold(width):
     want = terms[0]
     for t in terms[1:]:
         want = then(tuple_map([want, t]), monoid.add)
-    assert J.mon_sum(SMOOTH, monoid, terms) == want
+    assert J.mon_sum(SMOOTH, terms) == want
 
 
 class CountingSmooth:
@@ -814,7 +862,7 @@ def test_linear_then_needs_a_multilinear_outer_jet():
         "order": 3, "star": "fn(x) -> (x)",
         "derivs": ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + b^2)",
                    "fn(a, b, c, x) -> (0)"]})
-    ident = select_jet([g.src], [0], 3)
+    ident = select_jet([g.src], [0], 3, SMOOTH)
     literal, shortcut = compose_jets(ident, g), J._linear_then(ident, g)
     assert literal.derivs[:2] == shortcut.derivs[:2]
     assert literal.derivs[2] != shortcut.derivs[2]
