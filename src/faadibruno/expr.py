@@ -641,6 +641,9 @@ def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
     atoms = [(len(steps), visit(atom.expr), atom.op == ">0") for atom in guard.atoms]
     guard_end = len(steps)
     coord_refs = [visit(e) for e in coords]
+    # visit and may_fault reach themselves through their cells: emptying the
+    # cells frees the compile tables now, not at the next cycle collection
+    visit = may_fault = None
 
     n_consts = len(const_values)
 

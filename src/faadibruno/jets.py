@@ -16,6 +16,7 @@ componentwise sum of the base.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -78,7 +79,7 @@ class FaaObject:
         return f"({self.monoid.carrier}, {self.point})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class JetMorphism:
     base: object  # category adapter of the components
     src: FaaObject
@@ -250,12 +251,24 @@ def _check_composable(f: JetMorphism, g: JetMorphism):
         raise JetError(f"cannot compose {f.dst} into {g.src}: their {differ} differ")
 
 
+# The composite of each pair of factors, while it lives.  A key holds weak
+# references to the factors, which hash and compare as their referents, so
+# equal factors find it; an entry keeps neither factor alive and goes when its
+# composite goes, as the expression nodes of expr._NODES do.
+_COMPOSITES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     """Diagrammatic composite f then g.  Each component is the partition sum:
     (fg)_n = sum over partitions {B_1..B_k} of {1..n} of
     g_k(f_|B_1|(v_B1; x), ..., f_|B_k|(v_Bk; x); f_*(x)).  Orders are
-    truncated to the shorter operand (the usable-order pyramid)."""
-    return _partition_sum(f, g, enumerate_partitions)
+    truncated to the shorter operand (the usable-order pyramid).  Equal
+    factors give the same composite object while it lives."""
+    key = (weakref.ref(f), weakref.ref(g))
+    out = _COMPOSITES.get(key)
+    if out is None:
+        out = _COMPOSITES[key] = _partition_sum(f, g, enumerate_partitions)
+    return out
 
 
 def _linear_then(l: JetMorphism, g: JetMorphism) -> JetMorphism:

@@ -421,33 +421,57 @@ def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterator[Point]:
 BATCH_SIZE = 256
 
 
+def _batch_size(target: int, accepted: int, drawn: int, first: int) -> int:
+    """The points of the next batch: first, then the points still needed
+    while none has been rejected, then that need over the share accepted so
+    far, with a margin of a quarter; never more than the target or
+    BATCH_SIZE."""
+    need, cap = target - accepted, min(target, BATCH_SIZE)
+    if not drawn:
+        return first
+    if accepted == drawn:
+        return min(need, cap)
+    if not accepted:
+        return cap
+    return min(-(-5 * need * drawn // (4 * accepted)), cap)
+
+
 def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """Partial-map equality, the one sampling loop: guards agree as booleans
     at every sampled point, values agree on the common domain within tol_rel
-    (abs floor tol_abs).  Each batch is taken from a PointStream as columns
-    and run on each side's tape (identical sides once).  A batch is accepted
-    whole when both sides keep the same rows and every residual is within
-    tol_rel (identical sides: every value is finite); any other batch is
-    walked point by point with Tape.run_point up to the deciding point (a
-    guard mismatch first, then f's fault, then g's), so the outcome is the
-    point-at-a-time one."""
+    (abs floor tol_abs).  A check passes on cfg.samples points, and on at
+    least one drawn point past the probes.  Each batch is taken from a
+    PointStream as columns, sized by the acceptance seen so far, and run on
+    each side's tape (identical sides once).  A batch is accepted whole, up
+    to the row that reaches the target, when both sides keep the same rows
+    there and every residual is within tol_rel (identical sides: every value
+    is finite); any other batch is walked point by point with Tape.run_point
+    up to the deciding point (a guard mismatch first, then f's fault, then
+    g's), so the outcome is the point-at-a-time one."""
     if f.dom != g.dom or f.cod != g.cod:
         return EqOutcome("fail", math.inf, None, "shape mismatch")
     same = f == g
     tf = f.tape()
     tg = tf if same else g.tape()
     worst = 0.0
-    accepted = 0
-    target = cfg.samples if f.dom.dim > 0 else 1
-    points = PointStream(f.dom.dim, cfg, label)
-    size = BATCH_SIZE if same else min(len(probe_points(f.dom.dim)), BATCH_SIZE)
+    accepted = drawn = 0
+    dim = f.dom.dim
+    # a pass needs a drawn point: each probe has at most one nonzero
+    # coordinate, or all its coordinates equal
+    target = max(cfg.samples, len(probe_points(dim)) + 1) if dim > 0 else 1
+    points = PointStream(dim, cfg, label)
+    first = min(target if same else len(probe_points(dim)), BATCH_SIZE)
     floors = repeat(cfg.abs_floor)
-    while (taken := points.take(min(target - accepted, size)))[0]:
-        size = BATCH_SIZE
+    while (taken := points.take(_batch_size(target, accepted, drawn, first)))[0]:
         n, cols = taken
+        drawn += n
+        need = target - accepted
         try:  # column reductions settle a batch that holds no deciding event
             rows, fv = tf.run_columns(cols, n)
             g_rows, gv = (rows, fv) if same else tg.run_columns(cols, n)
+            if len(rows) > need:  # a point-at-a-time check stops at row need
+                rows, fv = rows[:need], [col[:need] for col in fv]
+                g_rows, gv = g_rows[:need], [col[:need] for col in gv]
             # equal columns of finite values are 0.0 apart, and a sum is
             # finite only if every term is
             largest = max((0.0 if a == b and math.isfinite(sum(a))

@@ -49,8 +49,10 @@ def reference_maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str)
         return EqOutcome("fail", math.inf, None, "shape mismatch")
     worst = 0.0
     accepted = 0
-    target = cfg.samples if f.dom.dim > 0 else 1
-    for point in reference_points(f.dom.dim, cfg, label):
+    # a pass needs a drawn point past the probes
+    dim = f.dom.dim
+    target = max(cfg.samples, len(probe_points(dim)) + 1) if dim > 0 else 1
+    for point in reference_points(dim, cfg, label):
         fv, gv = _value(f, point), _value(g, point)
         if (fv is None) != (gv is None):
             return EqOutcome("fail", math.inf, point, "guard mismatch", accepted)

@@ -124,6 +124,16 @@ def test_cli_linear_suite_at_order_zero_names_the_flag(capsys):
     assert captured.err == "error: the linear suite needs --order 1 or more\n"
 
 
+@pytest.mark.parametrize("samples", ["1", "2", "3", "5"])
+def test_cli_linear_suite_with_fewer_samples_than_probes_passes(samples, tmp_path, capsys):
+    # the towers of x*y and x*y^2 are not linear, yet agree with a linear
+    # map at every probe off the diagonal, so a check that never left the
+    # probes called them linear
+    out = tmp_path / "linear.json"
+    assert main(["axioms", "--suite", "linear", "--order", "1", "--samples", samples,
+                 "--json", str(out)]) == 0
+
+
 def test_cli_corpus_for_a_suite_that_reads_none_is_a_usage_error(tmp_path, capsys):
     corpus = tmp_path / "one.txt"
     corpus.write_text("fn(x) -> (x)\n")
@@ -460,6 +470,20 @@ def test_cli_rejects_malformed_jets_payload(payload, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["faa-r", "comonad"])
+def test_reports_are_byte_identical_without_the_composite_table(suite, tmp_path,
+                                                                monkeypatch, capsys):
+    class NeverStores(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    paths = [tmp_path / "table.json", tmp_path / "no-table.json"]
+    for path in paths:
+        assert main(["axioms", "--suite", suite, "--order", "3", "--json", str(path)]) == 0
+        monkeypatch.setattr(jets, "_COMPOSITES", NeverStores())
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys):
     """A long-lived process that runs the same suites again keeps no more
     expression nodes alive after each round, and its caches keep the same
@@ -476,6 +500,6 @@ def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys
             assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "20"]) == 0
         capsys.readouterr()
         gc.collect()
-        rounds.append((len(expr._NODES),
+        rounds.append((len(expr._NODES), len(jets._COMPOSITES),
                        {name: c.cache_info().currsize for name, c in caches.items()}))
     assert rounds[1] == rounds[0] and rounds[2] == rounds[0]

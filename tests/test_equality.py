@@ -9,6 +9,7 @@ from faadibruno.config import RunConfig
 from faadibruno.expr import GuardAtom, const, make_guard, parse_expression
 from faadibruno.smooth import (
     BATCH_SIZE,
+    PointStream,
     SmoothMap,
     SpaceObject,
     TERMINAL,
@@ -147,3 +148,43 @@ def test_a_mismatch_first_met_after_the_first_batch_matches_the_reference():
     # the probes, then a full batch, pass before the mismatch
     assert want.status == "fail" and want.samples > len(probe_points(2)) + BATCH_SIZE
     assert_matches_reference(f, g, cfg, "late-2")
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 5])
+def test_a_check_the_probes_could_meet_passes_only_past_them(samples):
+    # every probe off the diagonal has a zero coordinate, so x1*x2 reads 0
+    # there; the diagonal probe (1, 1) decides the check
+    f, g = gmap(["x1*x2"]), gmap([const(0)])
+    cfg = RunConfig(samples=samples)
+    out = maps_equal(f, g, cfg, "probes-only")
+    assert (out.status, out.witness, out.note) == ("fail", (1.0, 1.0), "value mismatch")
+    assert_matches_reference(f, g, cfg, "probes-only")
+    same = maps_equal(f, f, cfg, "probes-only")
+    assert same.status == "pass" and same.samples == len(probe_points(2)) + 1
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_a_guard_rejecting_half_the_points_takes_its_samples_in_few_batches(
+        twin, monkeypatch):
+    taken = []
+    take = PointStream.take
+
+    def counting(stream, k):
+        n, cols = take(stream, k)
+        taken.append(n)
+        return n, cols
+
+    monkeypatch.setattr(PointStream, "take", counting)
+    # x1 > 0 rejects about half the points; 2a and a + a are equal in floats
+    f = gmap(["2*x1*x2"], ATOMS[:1])
+    g = gmap(["x1*x2 + x1*x2"], ATOMS[:1]) if twin else f
+    cfg = RunConfig(samples=200)
+    out = maps_equal(f, g, cfg, "half")
+    assert out.status == "pass" and out.samples == 200
+    # differing sides run the probes alone first; identical sides run them
+    # in the first batch.  A loop taking only the points still needed runs
+    # 10 batches here on identical sides and 11 on differing ones.
+    after_probes = taken[1:] if twin else taken
+    assert twin == (taken[0] == len(probe_points(2)))
+    assert len(after_probes) <= 3
+    assert key(out) == key(reference_maps_equal(f, g, cfg, "half"))

@@ -401,14 +401,8 @@ def test_delta_is_built_once_per_jet():
     assert delta(F).src.monoid is delta(F).dst.monoid
 
 
-class _WeakJet(J.JetMorphism):
-    """A jet that can be the target of a weakref."""
-    __slots__ = ("__weakref__",)
-
-
 def test_delta_memo_lives_exactly_as_long_as_its_jet():
-    G = jet("fn(x) -> (log(x))", 3)
-    F = _WeakJet(G.base, G.src, G.dst, G.star, G.derivs)
+    F = jet("fn(x) -> (log(x))", 3)
     dF = delta(F)
     assert F._delta is dF and dF.star is F
     ref = weakref.ref(F)
@@ -421,6 +415,31 @@ def test_delta_memo_lives_exactly_as_long_as_its_jet():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_equal_factors_share_one_composite_while_it_lives():
+    F, G = jet("fn(x) -> (log(x))", 3), jet("fn(y) -> (y^2 + y)", 3)
+    F2, G2 = jet("fn(x) -> (log(x))", 3), jet("fn(y) -> (y^2 + y)", 3)
+    assert (F2, G2) == (F, G) and F2 is not F and G2 is not G
+    H = compose_jets(F, G)
+    assert compose_jets(F2, G2) is H
+    assert compose_jets(G, G) is not H
+
+
+def test_the_composite_table_keeps_neither_factor_alive():
+    gc.collect()
+    size = len(J._COMPOSITES)
+    F, G = jet("fn(x) -> (log(x))", 3), jet("fn(y) -> (y^2 + y)", 3)
+    H = compose_jets(F, G)
+    assert len(J._COMPOSITES) == size + 1
+    factors = [weakref.ref(F), weakref.ref(G)]
+    del F, G
+    gc.collect()
+    assert all(r() is None for r in factors)
+    composite = weakref.ref(H)
+    del H
+    gc.collect()
+    assert composite() is None and len(J._COMPOSITES) == size
 
 
 @pytest.mark.parametrize("level", [0, 1])
