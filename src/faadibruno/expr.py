@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 
@@ -508,12 +508,11 @@ _NONZERO = (0.0).__ne__
 
 
 def _map_steps(steps, v: list) -> None:
-    """Append each (op, a, b) step's values at every row to v, a list of
-    columns.  A fault raises OutOfDomainError."""
-    append = v.append
+    """Store each (op, a, b, out) step's values at every row in v[out], v a
+    list of columns.  A fault raises OutOfDomainError."""
     try:
-        for op, a, b in steps:
-            append(list(map(op, v[a])) if b is None else list(map(op, v[a], v[b])))
+        for op, a, b, out in steps:
+            v[out] = list(map(op, v[a])) if b is None else list(map(op, v[a], v[b]))
     except (ZeroDivisionError, OverflowError, ValueError) as err:
         message = _FAULTS.get((op, type(err)))
         if message is None:
@@ -523,15 +522,18 @@ def _map_steps(steps, v: list) -> None:
 
 class Tape:
     """A guard and coordinate expressions compiled into straight-line steps
-    over one list of slots: the inputs, then the constants, then one slot per
-    step, each slot a column with a value per point.  Built by compile_tape;
+    over one list of slots: the inputs, then the constants, then the
+    registers, each slot a column with a value per point.  A step stores its
+    column in a slot whose value has been read for the last time, so a run
+    holds only the columns still to be read.  Built by compile_tape;
     run_columns is the one evaluator and run_point its view at one point."""
 
-    __slots__ = ("arity", "consts", "atoms", "steps", "roots")
+    __slots__ = ("arity", "consts", "registers", "atoms", "steps", "roots")
 
-    def __init__(self, arity, consts, atoms, steps, roots):
+    def __init__(self, arity, consts, registers, atoms, steps, roots):
         self.arity = arity    # number of input slots
         self.consts = consts  # constant slot values, as floats (pow exponents as ints)
+        self.registers = registers  # number of register slots
         self.atoms = atoms    # per guard atom: (steps, root slot, True for "> 0")
         self.steps = steps    # coordinate steps, run after the guard's
         self.roots = roots    # coordinate slots
@@ -555,7 +557,7 @@ class Tape:
         atom holds, and one column per coordinate with its values at those
         rows.  Raises what the first failing column op raises, except that
         for a single point a faulting guard atom is false."""
-        v = [*cols, *([c] * n for c in self.consts)]
+        v = [*cols, *([c] * n for c in self.consts), *repeat((), self.registers)]
         rows = list(range(n))  # the points whose guard atoms have held so far
         for steps, root, positive in self.atoms:
             try:
@@ -580,13 +582,14 @@ def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
     before its numerator is evaluated; the first fault met is the one
     raised, and a guard atom whose expression faults is false."""
     # Refs below arity are inputs.  Until all constants are known, constant
-    # c is ref ~c and step k is ref arity + k; place() gives the final slots.
+    # c is ref ~c and step k is ref arity + k; `where` gives the final slots.
     inputs = {var_name(i): i for i in range(arity)}
     memo: dict = {}      # id(node) -> ref
     numbered: dict = {}  # (op, a, b) -> ref
     consts: dict = {}    # (type, value) -> ref; a float 2.0 and an exponent 2 differ
     const_values: list = []
     steps: list = []
+    last: dict = {}      # ref -> the last step that reads it
 
     def constant(value) -> int:
         key = (type(value), value)
@@ -598,6 +601,7 @@ def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
     def emit(step) -> int:
         ref = numbered.get(step)
         if ref is None:
+            last[step[1]] = last[step[2]] = len(steps)
             ref = numbered[step] = arity + len(steps)
             steps.append(step)
         return ref
@@ -645,22 +649,43 @@ def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
     # cells frees the compile tables now, not at the next cycle collection
     visit = may_fault = None
 
-    n_consts = len(const_values)
-
-    def place(ref):
-        if ref is None or 0 <= ref < arity:
-            return ref
-        return arity + ~ref if ref < 0 else ref + n_consts
-
-    placed = [(op, place(a), place(b)) for op, a, b in steps]
     ends = [start for start, _, _ in atoms[1:]] + [guard_end]
+    # an atom's test reads its root before the next step runs, and the
+    # coordinates are read after the last step
+    for (_, root, _), end in zip(atoms, ends):
+        last[root] = max(last.get(root, end), end)
+    last.update((r, len(steps)) for r in coord_refs)
+    # Each step stores its value in a slot whose value was read for the last
+    # time at or before it (the slot of an input or constant included), or
+    # else in a new register; a value nothing reads frees its slot at once.
+    base = arity + len(const_values)
+    where = [*range(arity), *repeat(None, len(steps)), *range(base - 1, arity - 1, -1)]
+    free: list = []
+    placed = []
+    top = base
+    for k, (op, a, b) in enumerate(steps):
+        pa = where[a]
+        pb = None if b is None else where[b]
+        if last[a] == k:
+            free.append(pa)
+        if b is not None and b != a and last[b] == k:
+            free.append(pb)
+        if free:
+            out = free.pop()
+        else:
+            out, top = top, top + 1
+        where[arity + k] = out
+        placed.append((op, pa, pb, out))
+        if arity + k not in last:
+            free.append(out)
     return Tape(
         arity,
         tuple(const_values),
-        tuple((tuple(placed[start:end]), place(root), positive)
+        top - base,
+        tuple((tuple(placed[start:end]), where[root], positive)
               for (start, root, positive), end in zip(atoms, ends)),
         tuple(placed[guard_end:]),
-        tuple(place(r) for r in coord_refs))
+        tuple(where[r] for r in coord_refs))
 
 
 # --- parsing ----------------------------------------------------------------

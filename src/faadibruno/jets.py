@@ -79,7 +79,7 @@ class FaaObject:
         return f"({self.monoid.carrier}, {self.point})"
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@dataclass(frozen=True)  # unslotted, so weakly referable on 3.10 too (the composite table)
 class JetMorphism:
     base: object  # category adapter of the components
     src: FaaObject

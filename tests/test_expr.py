@@ -618,6 +618,19 @@ def test_tape_first_fault_follows_eval_expr(text, point, message):
         tape.run_columns([[point[0]] * 2], 2)
 
 
+def test_a_tape_holds_only_the_columns_still_to_be_read():
+    # Horner's scheme: each step is read once, by the next, and the guard
+    # atom's value only by its test, so two registers carry all 401 steps
+    e = X
+    for _ in range(200):
+        e = E.add(E.mul(e, X), const(1))
+    tape = compile_tape((e,), Guard((GuardAtom(">0", E.add(X, const(1))),)), 1)
+    assert (len(tape.steps), len(tape.atoms[0][0]), tape.registers) == (400, 1, 2)
+    assert tape.run_point((0.5,)) == (eval_expr(e, {"x1": 0.5}),)
+    rows, cols = tape.run_columns([[-2.0, 0.5, 0.25]], 3)
+    assert rows == [1, 2] and cols == [[eval_expr(e, {"x1": x}) for x in (0.5, 0.25)]]
+
+
 def test_tape_short_point_names_the_missing_input_and_extra_coordinates_are_ignored():
     tape = compile_tape((E.add(X, Y),), Guard((GuardAtom("!=0", X),)), 2)
     short = tape.run_point((1.0,))
