@@ -317,6 +317,44 @@ def _subst(e: Expr, mapping: Mapping[str, Expr], memo: dict) -> Expr:
     return out
 
 
+def vanishing_groups(e: Expr, groups: Mapping[str, int]) -> int:
+    """The groups of variables whose replacement by ZERO makes e ZERO, as a
+    bit mask.  groups gives a variable the bit of its group (a variable it
+    does not name is in none); bit j of the result is set only if subst(e, m)
+    is ZERO for every mapping m that sends each variable of group j to ZERO,
+    whatever normal expressions it sends the others to.  One walk over e's
+    DAG follows the constructors' zero rules: a product vanishes with either
+    factor, a sum or difference with both terms, neg, sin, sqrt and a
+    positive power with their argument, and a quotient with its numerator.
+    ZERO vanishes with every group, and has every bit (-1)."""
+    return _vanishing(e, groups, {})
+
+
+# the one-argument kinds whose constructor takes ZERO to ZERO
+_ZERO_AT_ZERO = frozenset(("neg", "sin", "sqrt"))
+
+
+def _vanishing(e: Expr, groups: Mapping[str, int], memo: dict) -> int:
+    """vanishing_groups, with memo holding each node already walked."""
+    k = e.kind
+    if k == "var":
+        return groups.get(e.name, 0)
+    if k == "const":
+        return -1 if e is ZERO else 0
+    out = memo.get(e)
+    if out is None:
+        if k == "mul":
+            out = _vanishing(e.args[0], groups, memo) | _vanishing(e.args[1], groups, memo)
+        elif k == "add" or k == "sub":
+            out = _vanishing(e.args[0], groups, memo) & _vanishing(e.args[1], groups, memo)
+        elif k == "div" or k in _ZERO_AT_ZERO or (k == "pow" and e.exponent > 0):
+            out = _vanishing(e.args[0], groups, memo)
+        else:
+            out = 0
+        memo[e] = out
+    return out
+
+
 def diff(e: Expr, v: str) -> Expr:
     """Exact symbolic partial derivative with respect to variable v."""
     diffs = e._diffs

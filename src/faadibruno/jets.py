@@ -6,12 +6,12 @@ tower, each f_n: A^n x X -> B defined exactly where f_* is.  Composition sums
 over set partitions of the direction slots (the classical higher-order chain
 rule); restriction, products, the additive-map embedding, the counit/
 comultiplication pair and the derivative operator are all computed against a
-small protocol of nine methods (product, then, tuple_map, select, restriction,
-restricted_then, add, order_of, equal), so the construction applies verbatim
-to its own output: jets of jets are jets whose base is the jet category one
-level down.  The bang into the terminal object is the empty select,
-select([o], []), and a sum of parallel maps is the base's add: over jets, the
-componentwise sum of the base.
+small protocol of ten methods (product, then, tuple_map, select, restriction,
+restricted_then, add, singletons_suffice, order_of, equal), so the
+construction applies verbatim to its own output: jets of jets are jets whose
+base is the jet category one level down.  The bang into the terminal object
+is the empty select, select([o], []), and a sum of parallel maps is the
+base's add: over jets, the componentwise sum of the base.
 """
 
 from __future__ import annotations
@@ -262,23 +262,35 @@ def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     """Diagrammatic composite f then g.  Each component is the partition sum:
     (fg)_n = sum over partitions {B_1..B_k} of {1..n} of
     g_k(f_|B_1|(v_B1; x), ..., f_|B_k|(v_Bk; x); f_*(x)).  Orders are
-    truncated to the shorter operand (the usable-order pyramid).  Equal
-    factors give the same composite object while it lives."""
+    truncated to the shorter operand (the usable-order pyramid).  When the
+    base proves every term but the singletons' to be the zero map with the
+    singleton term's guard (singletons_suffice: over the smooth base, f's
+    tail is zero, g vanishes on a zero direction block, and every guard is
+    its star's on the point block), only the singleton term is built, and it
+    is the literal sum node for node; otherwise the literal sum is built.
+    Equal factors give the same composite object while it lives."""
     key = (weakref.ref(f), weakref.ref(g))
     out = _COMPOSITES.get(key)
     if out is None:
-        out = _COMPOSITES[key] = _partition_sum(f, g, enumerate_partitions)
+        _check_composable(f, g)
+        order = min(f.order, g.order)
+        proved = f.base.singletons_suffice(f.star, f.derivs[:order],
+                                           g.star, g.derivs[:order])
+        out = _COMPOSITES[key] = _partition_sum(
+            f, g, _singletons if proved else enumerate_partitions)
     return out
 
 
 def _linear_then(l: JetMorphism, g: JetMorphism) -> JetMorphism:
-    """compose_jets(l, g) when every component of l past the first is zero and
-    every component of g is multilinear: a term with a block of two or more
-    slots then has a zero argument, so only the partition into singletons
-    contributes and component n is g_n(l_1(v_1; x), .., l_1(v_n; x); l_*(x)).
-    Neither condition is checked.  The jets the construction builds meet them
-    (restriction idempotents, zero-insertions, towers); a jet supplied by a
-    user need not, so law checks compose with compose_jets."""
+    """compose_jets(l, g) by the singleton terms, asking the base for no
+    proof: when every component of l past the first is zero and every
+    component of g is multilinear, a term with a block of two or more slots
+    has a zero argument, so only the partition into singletons contributes
+    and component n is g_n(l_1(v_1; x), .., l_1(v_n; x); l_*(x)).  Neither
+    condition is checked.  The constructions that call it build jets that
+    meet them: restriction jets over a jet base, where the base proves
+    nothing, and delta's zero-insertions into towers."""
+    _check_composable(l, g)
     return _partition_sum(l, g, _singletons)
 
 
@@ -287,8 +299,8 @@ def _singletons(n: int) -> tuple[Partition]:
 
 
 def _partition_sum(f: JetMorphism, g: JetMorphism, partitions) -> JetMorphism:
-    """f then g, each component summed over the partitions(n) of {1..n}."""
-    _check_composable(f, g)
+    """f then g, each component summed over the partitions(n) of {1..n}; the
+    caller has checked that they compose."""
     cat = f.base
     order = min(f.order, g.order)
     star = cat.then(f.star, g.star)
@@ -473,6 +485,10 @@ class FaaCategory:
         base = self.base
         return JetMorphism(base, f.src, f.dst, base.add(f.star, g.star),
                            tuple(map(base.add, f.derivs, g.derivs)))
+
+    def singletons_suffice(self, f_star, f_derivs, g_star, g_derivs) -> bool:
+        """No proof over jets: jets of jets compose by the literal sum."""
+        return False
 
     def order_of(self, f: JetMorphism) -> int:
         return f.order

@@ -35,6 +35,7 @@ from .expr import (
     pretty_map,
     shift_vars,
     subst,
+    vanishing_groups,
     var,
     var_name,
     var_span,
@@ -529,6 +530,14 @@ def maps_compatible(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> E
 
 # --- category adapter -------------------------------------------------------------
 
+def _point_guarded(star: SmoothMap, comps: Sequence[SmoothMap]) -> bool:
+    """Whether each component's guard is the star's guard moved onto the
+    component's point block, its last star.dom.dim coordinates."""
+    d = star.dom.dim
+    return all(m.guard == guard_subst(star.guard, shift_vars(d, m.dom.dim - d))
+               for m in comps)
+
+
 @dataclass(frozen=True, slots=True)
 class SmoothCategory:
     """The smooth base presented through the small category protocol the jet
@@ -555,6 +564,34 @@ class SmoothCategory:
 
     def add(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
         return add_maps(f, g)
+
+    def singletons_suffice(self, f_star: SmoothMap, f_derivs: Sequence[SmoothMap],
+                           g_star: SmoothMap, g_derivs: Sequence[SmoothMap]) -> bool:
+        """Whether, composing the jet (f_star, f_derivs) with the jet (g_star,
+        g_derivs) up to the order N of both component lists, each
+        partition-sum term but the singletons' is provably the zero map with
+        the singleton term's guard, so that the singleton term is the sum,
+        node for node.  The proof is structural and has three conditions:
+        (a) f's components past the first have only ZERO coordinates, so a
+            term with a block of two or more slots has a ZERO direction
+            argument;
+        (b) each g_k with k < N vanishes when any one of its direction blocks
+            is ZERO (vanishing_groups), so such a term's coordinates are ZERO;
+        (c) every component's guard is its star's guard on its point block,
+            atom for atom, so every term has the singleton term's guard.
+        A component's sum then adds only ZERO coordinates and atoms it has."""
+        if any(e is not ZERO for m in f_derivs[1:] for e in m.coords):
+            return False
+        if not (_point_guarded(f_star, f_derivs) and _point_guarded(g_star, g_derivs)):
+            return False
+        d = g_star.dom.dim
+        for k, m in enumerate(g_derivs[:-1], start=1):
+            l = (m.dom.dim - d) // k  # the dimension of a direction block
+            groups = {var_name(j * l + i): 1 << j for j in range(k) for i in range(l)}
+            every = (1 << k) - 1
+            if any(vanishing_groups(e, groups) & every != every for e in m.coords):
+                return False
+        return True
 
     def order_of(self, f: SmoothMap) -> int | None:
         return None

@@ -33,7 +33,14 @@ from faadibruno.jets import (
     truncate_jet,
     tuple_jets,
 )
-from faadibruno.corpus import COMONAD_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
+from faadibruno.corpus import (
+    COMONAD_TEXT,
+    DEFAULT_PAIRS_TEXT,
+    GUARDED_PAIRS_TEXT,
+    corpus_maps,
+    corpus_pairs,
+    parse_corpus,
+)
 from faadibruno.smooth import (
     CLASSICAL,
     D,
@@ -568,7 +575,7 @@ def test_componentwise_product_is_componentwise():
 
 def test_category_adapters_define_one_protocol():
     protocol = {"product", "then", "tuple_map", "select", "restriction",
-                "restricted_then", "add", "order_of", "equal"}
+                "restricted_then", "add", "singletons_suffice", "order_of", "equal"}
     for adapter in (S.SmoothCategory, J.FaaCategory):
         assert {name for name, v in vars(adapter).items()
                 if callable(v) and not name.startswith("_")} == protocol
@@ -886,3 +893,102 @@ def test_linear_then_needs_a_multilinear_outer_jet():
     assert literal.derivs[:2] == shortcut.derivs[:2]
     assert literal.derivs[2] != shortcut.derivs[2]
     assert not maps_equal(literal.derivs[2], shortcut.derivs[2], CFG, "shortcut").ok
+
+
+# --- the singleton partition when the other terms vanish ---------------------------
+
+PAIRS = [pair for text in (DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT)
+         for pair in corpus_pairs(parse_corpus(text))]
+
+
+@pytest.fixture
+def partitions_used(monkeypatch):
+    """The partitions argument of each partition sum compose_jets builds,
+    with a composite table of its own, so no earlier composite is reused."""
+    used = []
+    literal = J._partition_sum
+
+    def recording(f, g, partitions):
+        used.append(partitions)
+        return literal(f, g, partitions)
+
+    monkeypatch.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
+    monkeypatch.setattr(J, "_partition_sum", recording)
+    return used
+
+
+def _same_components(got, want):
+    """The same coordinate nodes and equal guards, star and components."""
+    assert len(got.derivs) == len(want.derivs)
+    for a, b in zip((got.star, *got.derivs), (want.star, *want.derivs)):
+        assert len(a.coords) == len(b.coords)
+        assert all(x is y for x, y in zip(a.coords, b.coords))
+        assert a.guard == b.guard
+
+
+def _linear_first_factors(f, g, order):
+    """(first, second) factors: restriction, select and identity jets, each
+    then a tower, a composite of towers or another restriction jet."""
+    F, G = cofree_jet(f, CLASSICAL, order), cofree_jet(g, CLASSICAL, order)
+    H = compose_jets(F, G)
+    rF, rG, rH = restriction_jet(F), restriction_jet(G), restriction_jet(H)
+    return [(rF, F), (rF, H), (rG, G), (rH, F), (rH, H), (rF, rH), (rH, rF),
+            (identity_jet(F.src, order, SMOOTH), F),
+            (identity_jet(G.src, order, SMOOTH), G),
+            (select_jet([F.src, G.src], [0], order, SMOOTH), H),
+            (select_jet([F.src, F.dst], [1], order, SMOOTH), G)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pair", range(len(PAIRS)))
+def test_a_linear_first_factor_composes_by_the_singletons_alone(pair, order,
+                                                                 partitions_used):
+    """Over the smooth base, composing with a restriction, select or identity
+    jet builds only the singleton terms, and gives the nodes and guards of the
+    literal sum over every partition."""
+    for f, g in _linear_first_factors(*PAIRS[pair], order):
+        # equal factors recur (a total map's restriction is the identity)
+        J._COMPOSITES.clear()
+        partitions_used.clear()
+        got = compose_jets(f, g)
+        assert partitions_used == [J._singletons]
+        _same_components(got, J._partition_sum(f, g, enumerate_partitions))
+
+
+def _one_dim_jet(star, derivs):
+    one = {"carrier_dim": 1, "point_dim": 1}
+    return jet_from_dict({"src": one, "dst": one, "order": len(derivs),
+                          "star": star, "derivs": derivs})
+
+
+@pytest.mark.parametrize("f, g", [
+    # g_2 does not vanish when a direction block is zero
+    pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + 1)",
+                                             "fn(a, b, c, x) -> (0)"]), id="g-adds-a-constant"),
+    pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*cos(b))",
+                                             "fn(a, b, c, x) -> (0)"]), id="g-has-cos-of-a-direction"),
+    # g_1's guard x != 0 is not its star's (true) on the point block
+    pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a/x)", "fn(a, b, x) -> (a*b)",
+                                             "fn(a, b, c, x) -> (0)"]), id="g-guard-not-the-star's"),
+    # f's tail is not zero
+    pytest.param("tower", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (0)",
+                                            "fn(a, b, c, x) -> (0)"]), id="f-is-a-tower"),
+])
+def test_the_literal_sum_runs_unless_the_other_terms_provably_vanish(f, g, partitions_used):
+    G = _one_dim_jet(*g)
+    F = (select_jet([G.src], [0], 3, SMOOTH) if f == "select"
+         else jet("fn(x) -> (sin(x) + x^2)", 3))
+    got = compose_jets(F, G)
+    assert partitions_used == [enumerate_partitions]
+    _same_components(got, J._partition_sum(F, G, enumerate_partitions))
+    # the singleton terms alone would give another composite
+    assert J._partition_sum(F, G, J._singletons) != got
+
+
+def test_jets_over_jets_compose_by_the_literal_sum(partitions_used):
+    dF = delta(jet("fn(x) -> (x^3)", 3))
+    rdF = restriction_jet(dF)
+    partitions_used.clear()
+    compose_jets(rdF, dF)
+    # the sum over jets comes first, then those of its components
+    assert partitions_used[0] is enumerate_partitions
