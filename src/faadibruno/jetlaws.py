@@ -123,7 +123,7 @@ def _validate_jet(r: Rows, f: JetMorphism):
     r.add("jet.multilinear", check_multilinearity(f, r.cfg, r.label("well")))
     for n, out in enumerate(check_guard_side_condition(f, r.cfg, r.label("side")), start=1):
         r.add("jet.side-condition", out, component=n)
-    r.eq("jet.R.1", compose_jets(restriction_jet(f), f), f, "r1", equal=jet_equal)
+    r.eq("jet.R.1", compose_jets(restriction_jet(f), f), f, "r1")
 
 
 # --- restriction suite (jets of the guarded corpus) ------------------------------
@@ -145,9 +145,9 @@ def faa_r_rows(r: Rows, item, L: LAssignment):
     rf_h = compose_jets(rf, h)
     rf_rh = compose_jets(rf, rh)
     rs_rf_h = restriction_jet(rf_h)
-    r.eq("jet.R.2", rf_rh, compose_jets(rh, rf), equal=jet_equal)
-    r.eq("jet.R.3", rs_rf_h, rf_rh, equal=jet_equal)
-    r.eq("jet.R.4", compose_jets(f, restriction_jet(g)), compose_jets(rh, f), equal=jet_equal)
+    r.eq("jet.R.2", rf_rh, compose_jets(rh, rf))
+    r.eq("jet.R.3", rs_rf_h, rf_rh)
+    r.eq("jet.R.4", compose_jets(f, restriction_jet(g)), compose_jets(rh, f))
 
     # (rs f) h componentwise: each component of the composite is h's component
     # restricted by f's domain over the point block
@@ -160,7 +160,7 @@ def faa_r_rows(r: Rows, item, L: LAssignment):
 
     # restriction products
     paired = tuple_jets([f, h])
-    r.eq("jet.product-restriction", restriction_jet(paired), rf_rh, equal=jet_equal)
+    r.eq("jet.product-restriction", restriction_jet(paired), rf_rh)
     pi0 = select_jet([f.dst, h.dst], [0], f.order, SMOOTH)
     lax_ok = leq(compose_jets(paired, pi0), f, cfg, label("lax"))
     r.holds("jet.product-lax", lax_ok,
@@ -208,19 +208,17 @@ def comonad_rows(r: Rows, f: SmoothMap, L: LAssignment):
     # coassociativity, compared on the first COASSOCIATIVITY_DEPTH components
     # (the truncation is degree-local, so both routes see the same prefix)
     dT = truncate_jet(dF, COASSOCIATIVITY_DEPTH)
-    r.eq("comonad.coassociativity", delta(dT), faa_delta_jet(dT), "coassoc", equal=jet_equal)
+    r.eq("comonad.coassociativity", delta(dT), faa_delta_jet(dT), "coassoc")
 
     # the coalgebra square: components of delta on a tower are towers
     for n in range(1, min(2, cfg.order) + 1):
         tower = cofree_jet(F.derivs[n - 1], L, cfg.order - n)
-        r.eq("comonad.coalgebra-square", dF.derivs[n - 1], tower, f"square:{n}",
-             equal=jet_equal, component=n)
+        r.eq("comonad.coalgebra-square", dF.derivs[n - 1], tower, f"square:{n}", component=n)
 
     # restriction variants
     rF = restriction_jet(F)
     r.eq("comonad.eps-restriction", rF.star, restriction_of(F.star), "eps-rs")
-    r.eq("comonad.delta-restriction", delta(rF), restriction_jet(dF), "delta-rs",
-         equal=jet_equal)
+    r.eq("comonad.delta-restriction", delta(rF), restriction_jet(dF), "delta-rs")
 
 
 # --- linearity suite ------------------------------------------------------------------

@@ -281,19 +281,6 @@ def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     return out
 
 
-def _linear_then(l: JetMorphism, g: JetMorphism) -> JetMorphism:
-    """compose_jets(l, g) by the singleton terms, asking the base for no
-    proof: when every component of l past the first is zero and every
-    component of g is multilinear, a term with a block of two or more slots
-    has a zero argument, so only the partition into singletons contributes
-    and component n is g_n(l_1(v_1; x), .., l_1(v_n; x); l_*(x)).  Neither
-    condition is checked.  The constructions that call it build jets that
-    meet them: restriction jets over a jet base, where the base proves
-    nothing, and delta's zero-insertions into towers."""
-    _check_composable(l, g)
-    return _partition_sum(l, g, _singletons)
-
-
 def _singletons(n: int) -> tuple[Partition]:
     return (tuple((i,) for i in range(1, n + 1)),)
 
@@ -344,9 +331,6 @@ def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
     """The restriction idempotent of any jet with this source, star and
     order: it reads no other component."""
     hint = cat.order_of(star)
-    # over a jet base each component is a restriction idempotent, which is
-    # linear, composed with a select or zero jet, which is multilinear
-    then = _linear_then if isinstance(cat, FaaCategory) else cat.then
     derivs = []
     for n in range(1, order + 1):
         blocks = _vector_blocks(src, n)
@@ -355,7 +339,7 @@ def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
             body = cat.select(blocks, [0], hint)
         else:
             body = monoid_zero_arrow(cat, cat.product(blocks), src.monoid, hint)
-        derivs.append(then(idem, body))
+        derivs.append(cat.then(idem, body))
     return JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
 
 
@@ -536,9 +520,7 @@ def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
         else:
             pick = slot[1] - 1 if slot[0] == "v" else n
             entries.append(fb.select(src_blocks, [pick], inner))
-    # ins is a tuple of select and zero jets, so linear; dnf differentiates a
-    # jet the construction built, so its components are multilinear
-    return _linear_then(fb.tuple_map(entries), dnf)
+    return fb.then(fb.tuple_map(entries), dnf)
 
 
 def delta(f: JetMorphism) -> JetMorphism:

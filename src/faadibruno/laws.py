@@ -9,6 +9,7 @@ from functools import lru_cache
 
 from .config import RunConfig, derive_seed
 from .expr import Guard, GuardAtom, guard_subst, shift_vars, var, var_name
+from .jets import JetMorphism, jet_equal
 from .report import CheckResult
 from .smooth import (
     STRUCTURE_CACHE_SIZE,
@@ -53,10 +54,13 @@ class Rows:
             note=outcome.note))
 
     def eq(self, axiom: str, lhs, rhs, tag: str | None = None, gating: bool = True,
-           equal=None, component: int | None = None):
-        """A row deciding lhs = rhs by equal, else by maps_equal, looked up per
-        call so that perfbench's span tracer sees it; labelled tag or axiom."""
-        outcome = (equal or maps_equal)(lhs, rhs, self.cfg, self.label(tag or axiom))
+           component: int | None = None):
+        """A row deciding lhs = rhs by jet_equal for two jets, else by
+        maps_equal, both looked up per call so that perfbench's span tracer
+        sees them; labelled tag or axiom."""
+        equal = (jet_equal if isinstance(lhs, JetMorphism) and isinstance(rhs, JetMorphism)
+                 else maps_equal)
+        outcome = equal(lhs, rhs, self.cfg, self.label(tag or axiom))
         self.add(axiom, outcome, component, gating)
 
     def holds(self, axiom: str, ok: bool, note: str = ""):

@@ -533,6 +533,8 @@ def maps_compatible(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> E
 def _point_guarded(star: SmoothMap, comps: Sequence[SmoothMap]) -> bool:
     """Whether each component's guard is the star's guard moved onto the
     component's point block, its last star.dom.dim coordinates."""
+    if star.guard.is_true():
+        return all(m.guard.is_true() for m in comps)
     d = star.dom.dim
     return all(m.guard == guard_subst(star.guard, shift_vars(d, m.dom.dim - d))
                for m in comps)

@@ -811,57 +811,33 @@ def _comonad_jets(order, level):
     return out
 
 
-def _literal_restriction(f):
-    """restriction_jet(f), each component composed by cat.then."""
-    cat, src, star = f.base, f.src, f.star
-    hint = cat.order_of(star)
-    derivs = []
-    for n in range(1, f.order + 1):
-        blocks = [src.monoid.carrier] * n + [src.point]
-        idem = cat.restricted_then(cat.select(blocks, [n], hint), star)
-        if n == 1:
-            body = cat.select(blocks, [0], hint)
-        else:
-            body = cat.then(cat.select(blocks, [], hint), src.monoid.zero)
-        derivs.append(cat.then(idem, body))
-    return J.JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
-
-
-def _literal_d_n(f, dnf, n):
-    """faa_d_n(f, dnf, n) as faa_over(base).then(ins, dnf): the zero-insertion
-    composed by the whole partition sum."""
-    cat = f.base
-    fb = J.faa_over(cat)
-    inner = f.order - n
-    src_blocks = [J.jet_l0(f.src)] * n + [f.src]
-    src_obj = J.product_objects(cat, src_blocks)
-    entries = []
-    for block, slot in zip(S.dn_blocks(f.src, n, J.jet_l0), S.insertion_slots(n)):
-        if slot[0] == "zero":
-            entries.append(J.zero_jet(src_obj, block.monoid, inner, cat))
-        else:
-            pick = slot[1] - 1 if slot[0] == "v" else n
-            entries.append(fb.select(src_blocks, [pick], inner))
-    return fb.then(fb.tuple_map(entries), dnf)
+def _unproven(monkeypatch, build, *args):
+    """build(*args) over a smooth base that proves nothing, so that every
+    composite is the literal partition sum, with a composite table of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(S.SmoothCategory, "singletons_suffice", lambda *_: False)
+        m.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
+        return build(*args)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_restriction_jet_over_jets_equals_the_literal_partition_sums(order, level):
+def test_restriction_jet_over_jets_equals_the_literal_partition_sums(order, level,
+                                                                      monkeypatch):
     for F in _comonad_jets(order, level):
         dF = delta(F)
-        assert restriction_jet(dF) == _literal_restriction(dF)
+        assert restriction_jet(dF) == _unproven(monkeypatch, restriction_jet, dF)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_zero_insertion_equals_the_literal_partition_sum(order, level):
+def test_zero_insertion_equals_the_literal_partition_sum(order, level, monkeypatch):
     for F in _comonad_jets(order, level):
         dnf = F
         for n in range(1, F.order + 1):
             dnf = derivative_jet(dnf)
             got = J.faa_d_n(F, dnf, n)
-            assert got == _literal_d_n(F, dnf, n)
+            assert got == _unproven(monkeypatch, J.faa_d_n, F, dnf, n)
             assert got == delta(F).derivs[n - 1]
 
 
@@ -877,22 +853,6 @@ def test_monoid_zero_arrow_is_built_once_per_arguments(level):
     got = J.monoid_zero_arrow(cat, dom, monoid, order)
     assert J.monoid_zero_arrow(cat, dom, monoid, order) is got
     assert got == cat.then(cat.select([dom], [], order), monoid.zero)
-
-
-def test_linear_then_needs_a_multilinear_outer_jet():
-    # f_2 has a b^2 term: at order 3 the partition {1,2},{3} contributes
-    # g_2(0, v_3; x) = v_3^2, which the singleton term alone leaves out
-    g = jet_from_dict({
-        "src": {"carrier_dim": 1, "point_dim": 1},
-        "dst": {"carrier_dim": 1, "point_dim": 1},
-        "order": 3, "star": "fn(x) -> (x)",
-        "derivs": ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + b^2)",
-                   "fn(a, b, c, x) -> (0)"]})
-    ident = select_jet([g.src], [0], 3, SMOOTH)
-    literal, shortcut = compose_jets(ident, g), J._linear_then(ident, g)
-    assert literal.derivs[:2] == shortcut.derivs[:2]
-    assert literal.derivs[2] != shortcut.derivs[2]
-    assert not maps_equal(literal.derivs[2], shortcut.derivs[2], CFG, "shortcut").ok
 
 
 # --- the singleton partition when the other terms vanish ---------------------------
@@ -967,6 +927,9 @@ def _one_dim_jet(star, derivs):
                                              "fn(a, b, c, x) -> (0)"]), id="g-adds-a-constant"),
     pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*cos(b))",
                                              "fn(a, b, c, x) -> (0)"]), id="g-has-cos-of-a-direction"),
+    # g_2 has a b^2 term: the partition {1,2},{3} adds g_2(0, v_3; x) = v_3^2
+    pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + b^2)",
+                                             "fn(a, b, c, x) -> (0)"]), id="g-is-not-multilinear"),
     # g_1's guard x != 0 is not its star's (true) on the point block
     pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a/x)", "fn(a, b, x) -> (a*b)",
                                              "fn(a, b, c, x) -> (0)"]), id="g-guard-not-the-star's"),
@@ -992,3 +955,24 @@ def test_jets_over_jets_compose_by_the_literal_sum(partitions_used):
     compose_jets(rdF, dF)
     # the sum over jets comes first, then those of its components
     assert partitions_used[0] is enumerate_partitions
+
+
+def _delta_and_its_restriction(text):
+    dF = delta(jet(text, 3))
+    return dF, restriction_jet(dF)
+
+
+def test_delta_and_its_restriction_compose_through_compose_jets(monkeypatch,
+                                                                partitions_used):
+    """delta's zero-insertions and the components of a restriction jet over
+    jets are composites like any other: when the base proves nothing they are
+    the literal sums, with the nodes of the proven singleton terms."""
+    text = "fn(x, y) -> (x*sin(y), x/y)"
+    proven = _delta_and_its_restriction(text)
+    partitions_used.clear()
+    literal = _unproven(monkeypatch, _delta_and_its_restriction, text)
+    assert partitions_used
+    assert all(p is enumerate_partitions for p in partitions_used)
+    for got, want in zip(literal, proven):
+        for a, b in zip((got.star, *got.derivs), (want.star, *want.derivs)):
+            _same_components(a, b)
