@@ -7,11 +7,12 @@ over set partitions of the direction slots (the classical higher-order chain
 rule); restriction, products, the additive-map embedding, the counit/
 comultiplication pair and the derivative operator are all computed against a
 small protocol of ten methods (product, then, tuple_map, select, restriction,
-restricted_then, add, singletons_suffice, order_of, equal), so the
-construction applies verbatim to its own output: jets of jets are jets whose
-base is the jet category one level down.  The bang into the terminal object
-is the empty select, select([o], []), and a sum of parallel maps is the
-base's add: over jets, the componentwise sum of the base.
+restricted_then, add, vanishing_terms, order_of, equal), so the construction
+applies verbatim to its own output: jets of jets are jets whose base is the
+jet category one level down.  Composition builds the partition terms that
+vanishing_terms does not prove zero.  The bang into the terminal object is
+the empty select, select([o], []), and a sum of parallel maps is the base's
+add: over jets, the componentwise sum of the base.
 """
 
 from __future__ import annotations
@@ -262,44 +263,44 @@ def compose_jets(f: JetMorphism, g: JetMorphism) -> JetMorphism:
     """Diagrammatic composite f then g.  Each component is the partition sum:
     (fg)_n = sum over partitions {B_1..B_k} of {1..n} of
     g_k(f_|B_1|(v_B1; x), ..., f_|B_k|(v_Bk; x); f_*(x)).  Orders are
-    truncated to the shorter operand (the usable-order pyramid).  When the
-    base proves every term but the singletons' to be the zero map with the
-    singleton term's guard (singletons_suffice: over the smooth base, f's
-    tail is zero, g vanishes on a zero direction block, and every guard is
-    its star's on the point block), only the singleton term is built, and it
-    is the literal sum node for node; otherwise the literal sum is built.
-    Equal factors give the same composite object while it lives."""
+    truncated to the shorter operand (the usable-order pyramid).  Terms the
+    base proves to be the zero map with the others' guard (vanishing_terms)
+    are not built, so the sum is the literal one, node for node.  Equal
+    factors give the same composite object while it lives."""
     key = (weakref.ref(f), weakref.ref(g))
     out = _COMPOSITES.get(key)
     if out is None:
         _check_composable(f, g)
         order = min(f.order, g.order)
-        proved = f.base.singletons_suffice(f.star, f.derivs[:order],
-                                           g.star, g.derivs[:order])
-        out = _COMPOSITES[key] = _partition_sum(
-            f, g, _singletons if proved else enumerate_partitions)
+        vanishes = f.base.vanishing_terms(f.star, f.derivs[:order],
+                                          g.star, g.derivs[:order])
+        out = _COMPOSITES[key] = _partition_sum(f, g, vanishes)
     return out
 
 
-def _singletons(n: int) -> tuple[Partition]:
-    return (tuple((i,) for i in range(1, n + 1)),)
-
-
-def _partition_sum(f: JetMorphism, g: JetMorphism, partitions) -> JetMorphism:
-    """f then g, each component summed over the partitions(n) of {1..n}; the
-    caller has checked that they compose."""
+def _partition_sum(f: JetMorphism, g: JetMorphism, vanishes) -> JetMorphism:
+    """f then g, summing at each order the terms that vanishes, the base's
+    answer, does not prove zero, or one term if it proves all; the caller
+    has checked that the jets compose."""
     cat = f.base
     order = min(f.order, g.order)
     star = cat.then(f.star, g.star)
     derivs = []
     for n in range(1, order + 1):
+        partitions = enumerate_partitions(n)
+        if vanishes is not None:
+            zero, masks = vanishes
+            partitions = [p for p in partitions if not (
+                masks[len(p) - 1] == -1
+                or any(masks[len(p) - 1] >> j & 1 and zero[len(block) - 1]
+                       for j, block in enumerate(p)))] or partitions[:1]
         blocks = _vector_blocks(f.src, n)
         point = cat.then(cat.select(blocks, [n], cat.order_of(f.star)), f.star)
         # f_|B|(v_B; x) for each block B of {1..n}: blocks recur across the
         # partitions, so each is built once for this order
         block_args = {}
         terms = []
-        for partition in partitions(n):
+        for partition in partitions:
             for block in partition:
                 if block not in block_args:
                     comp = f.derivs[len(block) - 1]
@@ -470,9 +471,9 @@ class FaaCategory:
         return JetMorphism(base, f.src, f.dst, base.add(f.star, g.star),
                            tuple(map(base.add, f.derivs, g.derivs)))
 
-    def singletons_suffice(self, f_star, f_derivs, g_star, g_derivs) -> bool:
+    def vanishing_terms(self, f_star, f_derivs, g_star, g_derivs):
         """No proof over jets: jets of jets compose by the literal sum."""
-        return False
+        return None
 
     def order_of(self, f: JetMorphism) -> int:
         return f.order

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
@@ -567,33 +567,32 @@ class SmoothCategory:
     def add(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
         return add_maps(f, g)
 
-    def singletons_suffice(self, f_star: SmoothMap, f_derivs: Sequence[SmoothMap],
-                           g_star: SmoothMap, g_derivs: Sequence[SmoothMap]) -> bool:
-        """Whether, composing the jet (f_star, f_derivs) with the jet (g_star,
-        g_derivs) up to the order N of both component lists, each
-        partition-sum term but the singletons' is provably the zero map with
-        the singleton term's guard, so that the singleton term is the sum,
-        node for node.  The proof is structural and has three conditions:
-        (a) f's components past the first have only ZERO coordinates, so a
-            term with a block of two or more slots has a ZERO direction
-            argument;
-        (b) each g_k with k < N vanishes when any one of its direction blocks
-            is ZERO (vanishing_groups), so such a term's coordinates are ZERO;
-        (c) every component's guard is its star's guard on its point block,
-            atom for atom, so every term has the singleton term's guard.
-        A component's sum then adds only ZERO coordinates and atoms it has."""
-        if any(e is not ZERO for m in f_derivs[1:] for e in m.coords):
-            return False
+    def vanishing_terms(self, f_star: SmoothMap, f_derivs: Sequence[SmoothMap],
+                        g_star: SmoothMap, g_derivs: Sequence[SmoothMap]):
+        """Which partition-sum terms of the jet (f_star, f_derivs) then the
+        jet (g_star, g_derivs), both of order n, are provably the zero map
+        with the others' guard: None unless every component's guard is its
+        star's on its point block, atom for atom, else (zero, masks).
+        zero[j-1] says that f_j has only ZERO coordinates.  masks[k-1] is -1
+        when g_k is the zero map; its bit i says that g_k is ZERO when its
+        direction block i is (vanishing_groups), walked only if some f_j with
+        j <= n - k + 1, the most slots of a block of k, is ZERO.  The term of
+        {B_1..B_k} is ZERO when masks[k-1] is -1, or when some f_|B_i| is
+        ZERO and bit i of masks[k-1] is set."""
         if not (_point_guarded(f_star, f_derivs) and _point_guarded(g_star, g_derivs)):
-            return False
-        d = g_star.dom.dim
-        for k, m in enumerate(g_derivs[:-1], start=1):
+            return None
+        zero = [all(e is ZERO for e in m.coords) for m in f_derivs]
+        d, n = g_star.dom.dim, len(g_derivs)
+        masks = []
+        for k, m in enumerate(g_derivs, start=1):
+            if not any(zero[:n - k + 1]):  # no bit is read, only a zero map's -1
+                masks.append(-1 if all(e is ZERO for e in m.coords) else 0)
+                continue
             l = (m.dom.dim - d) // k  # the dimension of a direction block
             groups = {var_name(j * l + i): 1 << j for j in range(k) for i in range(l)}
-            every = (1 << k) - 1
-            if any(vanishing_groups(e, groups) & every != every for e in m.coords):
-                return False
-        return True
+            walks = (vanishing_groups(e, groups) for e in m.coords)
+            masks.append(reduce(int.__and__, walks, -1))
+        return zero, masks
 
     def order_of(self, f: SmoothMap) -> int | None:
         return None

@@ -2,12 +2,14 @@
 pass/fail line per criterion.  Run with `pytest tests/test_acceptance.py -v`
 (add -s to see the lines on success)."""
 
+import json
 import time
+import weakref
 
 from faadibruno import jets as jets_module
 from faadibruno import smooth as smooth_module
 from faadibruno.laws import object_sides
-from faadibruno.cli import run_suite
+from faadibruno.cli import main as cli_main, run_suite
 from faadibruno.config import RunConfig
 from faadibruno.corpus import (
     COMONAD_TEXT,
@@ -207,4 +209,22 @@ def test_acceptance_8c_dropped_guard_conjunct_detected(monkeypatch):
     failures = [r for r in dr_rows + faa_rows if r.gating and r.status == "fail"]
     caught = failures != [] and any(r.witness_point is not None for r in failures)
     report(8, "mutation: dropped guard conjunct in composition is detected "
+              "with a witness", caught)
+
+
+def test_acceptance_8j_proof_that_every_term_vanishes_detected(monkeypatch, capsys,
+                                                               tmp_path):
+    def everything_vanishes(self, f_star, f_derivs, g_star, g_derivs):
+        return [True] * len(f_derivs), [-1] * len(g_derivs)
+
+    monkeypatch.setattr(smooth_module.SmoothCategory, "vanishing_terms", everything_vanishes)
+    monkeypatch.setattr(jets_module, "_COMPOSITES", weakref.WeakValueDictionary())
+    path = tmp_path / "faa-r.json"
+    code = cli_main(["axioms", "--suite", "faa-r", "--order", "3", "--json", str(path)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    failures = [r for r in json.loads(path.read_text())["results"]
+                if r.get("gating", True) and r["status"] == "fail"]
+    caught = code == 1 and any(r["witness_point"] is not None for r in failures)
+    report(8, "mutation: a proof that every partition term vanishes is detected "
               "with a witness", caught)

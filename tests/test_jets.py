@@ -2,11 +2,13 @@ import gc
 import math
 import random
 import weakref
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faadibruno.cli import SUITES, main as cli_main
 from faadibruno.config import RunConfig
 from faadibruno import jets as J
 from faadibruno import smooth as S
@@ -575,7 +577,7 @@ def test_componentwise_product_is_componentwise():
 
 def test_category_adapters_define_one_protocol():
     protocol = {"product", "then", "tuple_map", "select", "restriction",
-                "restricted_then", "add", "singletons_suffice", "order_of", "equal"}
+                "restricted_then", "add", "vanishing_terms", "order_of", "equal"}
     for adapter in (S.SmoothCategory, J.FaaCategory):
         assert {name for name, v in vars(adapter).items()
                 if callable(v) and not name.startswith("_")} == protocol
@@ -780,26 +782,31 @@ class CountingSmooth:
         return SMOOTH.select(blocks, picks, order)
 
 
-def test_compose_jets_builds_each_block_argument_once_per_order():
-    order = 5
+def test_compose_jets_builds_each_block_argument_once_per_order(partition_sums):
+    """1/x then y^2 + y: g_k is the zero map for k >= 3, so only the
+    partitions into at most two blocks survive, 2^(n-1) of them at order n.
+    They still use every block, and each block argument is built once."""
+    order = 7
     cat = CountingSmooth()
-    F, G = jet("fn(x) -> (1/x)", order), jet("fn(y) -> (y^2 + y)", order)
-    got = compose_jets(J.JetMorphism(cat, F.src, F.dst, F.star, F.derivs),
-                       J.JetMorphism(cat, G.src, G.dst, G.star, G.derivs))
-    assert got.derivs == compose_jets(F, G).derivs
-    bells = [len(enumerate_partitions(n)) for n in range(1, order + 1)]
+    F, G = (J.JetMorphism(cat, j.src, j.dst, j.star, j.derivs)
+            for j in (jet("fn(x) -> (1/x)", order), jet("fn(y) -> (y^2 + y)", order)))
+    got = compose_jets(F, G)
+    kept = [2 ** (n - 1) for n in range(1, order + 1)]
+    assert sum(kept) == 127
+    assert [terms for _, terms in partition_sums] == [kept]
     for n in range(1, order + 1):
         at_n = [picks for width, picks in cat.selects if width == n + 1]
         blocks = [picks for picks in at_n if len(picks) > 1]
         assert at_n.count((n,)) == 1  # the point argument
         assert len(blocks) == len(set(blocks)) == 2 ** n - 1
-    # the star, then per order the point, each block and each partition term;
-    # the sums over the componentwise monoid substitute nothing
-    assert cat.thens == 1 + sum(1 + (2 ** n - 1) + bells[n - 1]
+    # the star, then per order the point, each block and each surviving
+    # term; the sums over the componentwise monoid substitute nothing
+    assert cat.thens == 1 + sum(1 + (2 ** n - 1) + kept[n - 1]
                                 for n in range(1, order + 1))
+    _same_components(got, J._partition_sum(F, G, None))
 
 
-# --- the singleton-partition shortcut ---------------------------------------------------------
+# --- the terms the base proves zero ----------------------------------------------------------
 
 def _comonad_jets(order, level):
     """The jets delta is taken of: at level 1 the cofree jet of each map of
@@ -811,34 +818,72 @@ def _comonad_jets(order, level):
     return out
 
 
-def _unproven(monkeypatch, build, *args):
-    """build(*args) over a smooth base that proves nothing, so that every
-    composite is the literal partition sum, with a composite table of its own."""
-    with monkeypatch.context() as m:
-        m.setattr(S.SmoothCategory, "singletons_suffice", lambda *_: False)
+# the structural caches whose values may be built by compose_jets
+_COMPOSING_CACHES = (J._select_jet, J._interchange_product, J.monoid_zero_arrow, J.jet_L)
+
+
+@contextmanager
+def literal_routes():
+    """Inside, every composite is the literal partition sum: the smooth base
+    proves no term zero, and the composite table and the structural caches
+    start empty, so they hold nothing built outside, and are emptied again
+    on the way out."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S.SmoothCategory, "vanishing_terms", lambda *_: None)
         m.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
-        return build(*args)
+        for cache in _COMPOSING_CACHES:
+            cache.cache_clear()
+        try:
+            yield
+        finally:
+            for cache in _COMPOSING_CACHES:
+                cache.cache_clear()
+
+
+def _built_by_both_routes(partition_sums, build, *args):
+    """build(*args) by the proven route and by the literal one, and the
+    term counts of the partition sums each route built."""
+    partition_sums.clear()
+    proven = build(*args)
+    proven_sums = list(partition_sums)
+    partition_sums.clear()
+    with literal_routes():
+        literal = build(*args)
+    assert all(vanishes is None for vanishes, _ in partition_sums)
+    return proven, literal, proven_sums, list(partition_sums)
+
+
+def _one_term_per_order(sums):
+    """Each sum the base proved anything about kept one term per order (the
+    singletons', or one ZERO term when that vanishes too); the rest kept every
+    partition."""
+    return all(terms == ([1] * len(terms) if vanishes is not None
+                         else [len(enumerate_partitions(n)) for n in range(1, len(terms) + 1)])
+               for vanishes, terms in sums)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_restriction_jet_over_jets_equals_the_literal_partition_sums(order, level,
-                                                                      monkeypatch):
+                                                                      partition_sums):
     for F in _comonad_jets(order, level):
-        dF = delta(F)
-        assert restriction_jet(dF) == _unproven(monkeypatch, restriction_jet, dF)
+        proven, literal, proven_sums, _ = _built_by_both_routes(
+            partition_sums, restriction_jet, delta(F))
+        assert proven == literal
+        assert _one_term_per_order(proven_sums)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_zero_insertion_equals_the_literal_partition_sum(order, level, monkeypatch):
+def test_zero_insertion_equals_the_literal_partition_sum(order, level, partition_sums):
     for F in _comonad_jets(order, level):
         dnf = F
         for n in range(1, F.order + 1):
             dnf = derivative_jet(dnf)
-            got = J.faa_d_n(F, dnf, n)
-            assert got == _unproven(monkeypatch, J.faa_d_n, F, dnf, n)
-            assert got == delta(F).derivs[n - 1]
+            proven, literal, proven_sums, _ = _built_by_both_routes(
+                partition_sums, J.faa_d_n, F, dnf, n)
+            assert proven == literal == delta(F).derivs[n - 1]
+            assert _one_term_per_order(proven_sums)
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -855,26 +900,37 @@ def test_monoid_zero_arrow_is_built_once_per_arguments(level):
     assert got == cat.then(cat.select([dom], [], order), monoid.zero)
 
 
-# --- the singleton partition when the other terms vanish ---------------------------
+# --- pruned sums against the literal sum ----------------------------------------------------
 
 PAIRS = [pair for text in (DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT)
          for pair in corpus_pairs(parse_corpus(text))]
 
 
 @pytest.fixture
-def partitions_used(monkeypatch):
-    """The partitions argument of each partition sum compose_jets builds,
-    with a composite table of its own, so no earlier composite is reused."""
-    used = []
-    literal = J._partition_sum
+def partition_sums(monkeypatch):
+    """(vanishes, terms) for each partition sum, in the order the sums start:
+    the base's answer, and the number of terms summed at each order.  The
+    composite table is one of its own, so no earlier composite is reused."""
+    sums, open_sums = [], []
+    literal, fold = J._partition_sum, J.mon_sum
 
-    def recording(f, g, partitions):
-        used.append(partitions)
-        return literal(f, g, partitions)
+    def recording(f, g, vanishes):
+        sums.append((vanishes, []))
+        open_sums.append(sums[-1][1])
+        try:
+            return literal(f, g, vanishes)
+        finally:
+            open_sums.pop()
+
+    def counting(cat, terms):
+        if open_sums:
+            open_sums[-1].append(len(terms))
+        return fold(cat, terms)
 
     monkeypatch.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
     monkeypatch.setattr(J, "_partition_sum", recording)
-    return used
+    monkeypatch.setattr(J, "mon_sum", counting)
+    return sums
 
 
 def _same_components(got, want):
@@ -902,17 +958,18 @@ def _linear_first_factors(f, g, order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("pair", range(len(PAIRS)))
 def test_a_linear_first_factor_composes_by_the_singletons_alone(pair, order,
-                                                                 partitions_used):
+                                                                 partition_sums):
     """Over the smooth base, composing with a restriction, select or identity
-    jet builds only the singleton terms, and gives the nodes and guards of the
-    literal sum over every partition."""
+    jet keeps one term per order, the singletons' (or one ZERO term when
+    that vanishes too), and gives the nodes and guards of the literal sum
+    over every partition."""
     for f, g in _linear_first_factors(*PAIRS[pair], order):
         # equal factors recur (a total map's restriction is the identity)
         J._COMPOSITES.clear()
-        partitions_used.clear()
+        partition_sums.clear()
         got = compose_jets(f, g)
-        assert partitions_used == [J._singletons]
-        _same_components(got, J._partition_sum(f, g, enumerate_partitions))
+        assert [terms for _, terms in partition_sums] == [[1] * order]
+        _same_components(got, J._partition_sum(f, g, None))
 
 
 def _one_dim_jet(star, derivs):
@@ -921,40 +978,60 @@ def _one_dim_jet(star, derivs):
                           "star": star, "derivs": derivs})
 
 
-@pytest.mark.parametrize("f, g", [
+def _singletons_only(order):
+    """An answer that drops every term but the singletons': f's components
+    past the first are zero, and each g_k vanishes with any direction block."""
+    return [False] + [True] * (order - 1), [(1 << k) - 1 for k in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("f, g, kept", [
     # g_2 does not vanish when a direction block is zero
     pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + 1)",
-                                             "fn(a, b, c, x) -> (0)"]), id="g-adds-a-constant"),
+                                             "fn(a, b, c, x) -> (0)"]), [1, 1, 3],
+                 id="g-adds-a-constant"),
     pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*cos(b))",
-                                             "fn(a, b, c, x) -> (0)"]), id="g-has-cos-of-a-direction"),
+                                             "fn(a, b, c, x) -> (0)"]), [1, 1, 1],
+                 id="g-has-cos-of-a-direction"),
     # g_2 has a b^2 term: the partition {1,2},{3} adds g_2(0, v_3; x) = v_3^2
     pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + b^2)",
-                                             "fn(a, b, c, x) -> (0)"]), id="g-is-not-multilinear"),
+                                             "fn(a, b, c, x) -> (0)"]), [1, 1, 2],
+                 id="g-is-not-multilinear"),
     # g_1's guard x != 0 is not its star's (true) on the point block
     pytest.param("select", ("fn(x) -> (x)", ["fn(a, x) -> (a/x)", "fn(a, b, x) -> (a*b)",
-                                             "fn(a, b, c, x) -> (0)"]), id="g-guard-not-the-star's"),
+                                             "fn(a, b, c, x) -> (0)"]), [1, 2, 5],
+                 id="g-guard-not-the-star's"),
     # f's tail is not zero
     pytest.param("tower", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (0)",
-                                            "fn(a, b, c, x) -> (0)"]), id="f-is-a-tower"),
+                                            "fn(a, b, c, x) -> (0)"]), [1, 1, 1],
+                 id="f-is-a-tower"),
+    # only g_3 is the zero map: the one 3-block partition goes
+    pytest.param("tower", ("fn(x) -> (x)", ["fn(a, x) -> (a)", "fn(a, b, x) -> (a*b + 1)",
+                                            "fn(a, b, c, x) -> (0)"]), [1, 2, 4],
+                 id="g3-is-zero-under-a-tower"),
 ])
-def test_the_literal_sum_runs_unless_the_other_terms_provably_vanish(f, g, partitions_used):
+def test_the_literal_sum_runs_unless_the_other_terms_provably_vanish(f, g, kept,
+                                                                     partition_sums):
     G = _one_dim_jet(*g)
     F = (select_jet([G.src], [0], 3, SMOOTH) if f == "select"
          else jet("fn(x) -> (sin(x) + x^2)", 3))
     got = compose_jets(F, G)
-    assert partitions_used == [enumerate_partitions]
-    _same_components(got, J._partition_sum(F, G, enumerate_partitions))
+    assert [terms for _, terms in partition_sums] == [kept]
+    _same_components(got, J._partition_sum(F, G, None))
     # the singleton terms alone would give another composite
-    assert J._partition_sum(F, G, J._singletons) != got
+    assert J._partition_sum(F, G, _singletons_only(3)) != got
 
 
-def test_jets_over_jets_compose_by_the_literal_sum(partitions_used):
+def test_jets_over_jets_compose_by_the_literal_sum(partition_sums):
     dF = delta(jet("fn(x) -> (x^3)", 3))
     rdF = restriction_jet(dF)
-    partitions_used.clear()
-    compose_jets(rdF, dF)
-    # the sum over jets comes first, then those of its components
-    assert partitions_used[0] is enumerate_partitions
+    partition_sums.clear()
+    got = compose_jets(rdF, dF)
+    # the sum over jets starts first and keeps every partition; the sums of
+    # its components follow
+    assert partition_sums[0] == (None, [1, 2, 5])
+    want = J._partition_sum(rdF, dF, None)
+    for a, b in zip((got.star, *got.derivs), (want.star, *want.derivs)):
+        _same_components(a, b)
 
 
 def _delta_and_its_restriction(text):
@@ -962,17 +1039,37 @@ def _delta_and_its_restriction(text):
     return dF, restriction_jet(dF)
 
 
-def test_delta_and_its_restriction_compose_through_compose_jets(monkeypatch,
-                                                                partitions_used):
+def test_delta_and_its_restriction_compose_through_compose_jets(partition_sums):
     """delta's zero-insertions and the components of a restriction jet over
-    jets are composites like any other: when the base proves nothing they are
-    the literal sums, with the nodes of the proven singleton terms."""
-    text = "fn(x, y) -> (x*sin(y), x/y)"
-    proven = _delta_and_its_restriction(text)
-    partitions_used.clear()
-    literal = _unproven(monkeypatch, _delta_and_its_restriction, text)
-    assert partitions_used
-    assert all(p is enumerate_partitions for p in partitions_used)
+    jets are composites like any other: the proven route keeps one term per
+    order of each sum over the smooth base, and gives the nodes of the
+    literal sums."""
+    proven, literal, proven_sums, literal_sums = _built_by_both_routes(
+        partition_sums, _delta_and_its_restriction, "fn(x, y) -> (x*sin(y), x/y)")
+    assert proven_sums and _one_term_per_order(proven_sums)
+    assert sum(map(sum, (t for _, t in proven_sums))) < sum(map(sum, (t for _, t in literal_sums)))
     for got, want in zip(literal, proven):
         for a, b in zip((got.star, *got.derivs), (want.star, *want.derivs)):
             _same_components(a, b)
+
+
+def _cli_outputs(capsys, tmp_path):
+    """The exit code, stdout and JSON report of every suite at orders 3 and 4
+    (50 samples, seed 42), then the stdout of composing 1/x with y^2 + y at
+    order 7."""
+    outputs = []
+    for order in ("3", "4"):
+        for suite in SUITES:
+            report = tmp_path / f"{suite}-{order}.json"
+            code = cli_main(["axioms", "--suite", suite, "--order", order,
+                             "--samples", "50", "--json", str(report)])
+            outputs.append((code, capsys.readouterr().out, report.read_text()))
+    cli_main(["compose", "fn(x) -> (1/x)", "fn(y) -> (y^2 + y)", "--order", "7"])
+    outputs.append(capsys.readouterr().out)
+    return outputs
+
+
+def test_the_cli_writes_the_same_reports_by_the_literal_partition_sums(capsys, tmp_path):
+    proven = _cli_outputs(capsys, tmp_path)
+    with literal_routes():
+        assert _cli_outputs(capsys, tmp_path) == proven
