@@ -14,7 +14,6 @@ import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import compress, repeat
 from typing import Mapping, Sequence
 
@@ -39,13 +38,22 @@ class OutOfDomainError(ExprError):
     """Evaluation hit a point outside a primitive's mathematical domain."""
 
 
-# The intern table: every live node, keyed by its structure with the
-# arguments given by id (a live node keeps its arguments alive, so their ids
-# are not reused while its entry stands).  It holds each node by a weak
-# reference whose callback drops the entry and holds no node strongly, so a
+# The intern table: every live node, keyed by the flat tuple (kind, name,
+# value, exponent, *ids of its arguments) (a live node keeps its arguments
+# alive, so their ids are not reused while its entry stands).  An entry is a
+# weak reference that holds its key, removed by the one callback _drop, so a
 # node and the results cached on it go when nothing else refers to it.
 _NODES: dict = {}
 _set_slot = object.__setattr__  # writes a node slot past Expr.__setattr__
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
 
 
 class Expr:
@@ -55,16 +63,16 @@ class Expr:
     one object and == is identity.  Expr(...) does not rewrite: nodes are
     built by the constructors below, which return normal forms, so every live
     node is normal.  Since == is identity, the identity hash object.__hash__
-    agrees with it.  The private slots cache the node's free_vars, var_span
-    and diff results.  Construction is not thread-safe: two threads could
-    each build a node of the same structure."""
+    agrees with it.  The private slots cache the node's free_vars, var_span,
+    and partials and tower steps (node_cache).  Construction is not
+    thread-safe: two threads could each build a node of the same structure."""
 
     __slots__ = ("kind", "args", "name", "value", "exponent",
-                 "_free_vars", "_var_span", "_diffs", "__weakref__")
+                 "_free_vars", "_var_span", "_cache", "__weakref__")
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), name: str = "",
                 value: Fraction | None = None, exponent: int = 0):
-        key = (kind, tuple(map(id, args)), name, value, exponent)
+        key = (kind, name, value, exponent, *map(id, args))
         ref = _NODES.get(key)
         node = ref() if ref is not None else None
         if node is None:
@@ -76,8 +84,9 @@ class Expr:
             _set_slot(node, "exponent", exponent)
             _set_slot(node, "_free_vars", None)
             _set_slot(node, "_var_span", None)
-            _set_slot(node, "_diffs", None)
-            _NODES[key] = weakref.ref(node, partial(_NODES.pop, key))
+            _set_slot(node, "_cache", None)
+            entry = _NODES[key] = _Entry(node, _drop)
+            entry.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -355,15 +364,22 @@ def _vanishing(e: Expr, groups: Mapping[str, int], memo: dict) -> int:
     return out
 
 
+def node_cache(e: Expr) -> dict:
+    """The results kept on e and freed with it: diff's partials by variable
+    name, and smooth's derivative tower steps by (dim, vector dim)."""
+    cache = e._cache
+    if cache is None:
+        cache = {}
+        _set_slot(e, "_cache", cache)
+    return cache
+
+
 def diff(e: Expr, v: str) -> Expr:
     """Exact symbolic partial derivative with respect to variable v."""
-    diffs = e._diffs
-    if diffs is None:
-        diffs = {}
-        _set_slot(e, "_diffs", diffs)
-    out = diffs.get(v)
+    cache = node_cache(e)
+    out = cache.get(v)
     if out is None:
-        out = diffs[v] = _diff(e, v, {})
+        out = cache[v] = _diff(e, v, {})
     return out
 
 

@@ -90,6 +90,14 @@ class JetMorphism:
     # delta(self), built on first use and kept with the jet
     _delta: JetMorphism | None = field(default=None, init=False, repr=False,
                                        compare=False, hash=False)
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False, hash=False)
+
+    def __hash__(self):  # the dataclass hash, computed once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.base, self.src, self.dst, self.star, self.derivs)))
+        return self._hash
 
     @property
     def order(self) -> int:

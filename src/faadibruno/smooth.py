@@ -32,6 +32,7 @@ from .expr import (
     guard_subst,
     guard_vars,
     mul,
+    node_cache,
     pretty_map,
     shift_vars,
     subst,
@@ -75,6 +76,8 @@ class SmoothMap:
     guard: Guard = TRUE_GUARD
     _tape: Tape | None = field(default=None, init=False, repr=False,
                                compare=False, hash=False)
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.coords) != self.cod.dim:
@@ -89,6 +92,11 @@ class SmoothMap:
 
     def __str__(self):
         return pretty_map(self.dom.dim, self.coords, self.guard)
+
+    def __hash__(self):  # the dataclass hash, computed once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.coords, self.guard)))
+        return self._hash
 
     def tape(self) -> Tape:
         """The guard and coordinates compiled on first evaluation and kept
@@ -117,11 +125,16 @@ def identity(obj: SpaceObject) -> SmoothMap:
     return select([obj.dim], [0])
 
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _names(n: int) -> tuple[str, ...]:
+    return tuple(map(var_name, range(n)))
+
+
 def then(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """Diagrammatic composite: first f, then g."""
     if f.cod != g.dom:
         raise SmoothMapError(f"cannot compose {f.cod} into {g.dom}")
-    mapping = {var_name(i): f.coords[i] for i in range(f.cod.dim)}
+    mapping = dict(zip(_names(f.cod.dim), f.coords))
     coords = tuple(subst(e, mapping) for e in g.coords)
     guard = guard_and(f.guard, guard_subst(g.guard, mapping))
     return SmoothMap(f.dom, g.cod, coords, guard)
@@ -237,37 +250,40 @@ TRIVIAL = LAssignment(lambda obj: TERMINAL)
 def derivative_tower(f: SmoothMap, n: int, L: LAssignment = CLASSICAL) -> list[SmoothMap]:
     """The symmetric derivatives d_1 f, ..., d_n f; d_k f takes direction
     blocks v_1 .. v_k, then the point, and its guard is f's guard on the
-    point block.  Step k contracts the partials of step k-1 with direction
-    block k, all in f's own variables (the point x1..xd first, then the
-    direction blocks), so step 1 differentiates f's own nodes and each step
-    reuses the last; each component is then renamed once into the layout
-    v_1 .. v_k, x."""
+    point block.  Component k of each coordinate is step k of the
+    coordinate's _tower_steps, read from its node where built before."""
     if n < 0:
         raise ValueError("order must be non-negative")
     d = f.dom.dim
     l = L.l0(f.dom).dim
     cod = L.l0(f.cod)
-    tower = []
-    exprs = f.coords[:cod.dim]
-    for k in range(1, n + 1):
-        point_rename = shift_vars(d, k * l)
+    chains = [_tower_steps(e, d, l, n) for e in f.coords[:cod.dim]]
+    return [SmoothMap(SpaceObject(k * l + d), cod, tuple(c[k - 1][1] for c in chains),
+                      guard_subst(f.guard, shift_vars(d, k * l)))
+            for k in range(1, n + 1)]
+
+
+def _tower_steps(e: Expr, d: int, l: int, n: int) -> list[tuple[Expr, Expr]]:
+    """The first n tower steps of a coordinate e over R^d with vector block
+    R^l, kept on e under (d, l), so a later tower builds only the steps past
+    those.  Step k contracts the partials of step k-1 with direction block
+    k, in e's own variables (the point x1..xd, then the direction blocks),
+    so each step reuses the last; it holds that contraction and its
+    renaming into the layout v_1 .. v_k, x."""
+    chain = node_cache(e).setdefault((d, l), [])
+    for k in range(len(chain) + 1, n + 1):
+        last = chain[-1][0] if chain else e
         base = d + (k - 1) * l
-        new_exprs = []
-        for e in exprs:
-            total = ZERO
-            for j in range(l):
-                total = add(total, mul(var(var_name(base + j)), diff(e, var_name(j))))
-            new_exprs.append(total)
-        exprs = tuple(new_exprs)
+        total = ZERO
+        for j in range(l):
+            total = add(total, mul(var(var_name(base + j)), diff(last, var_name(j))))
         # renaming is injective, so it commutes with the constructors' rules
-        # and with diff: the renamed components are the ones built in the
+        # and with diff: the renamed component is the one built in the
         # layout directly
-        layout = {**point_rename,
+        layout = {**shift_vars(d, k * l),
                   **{var_name(d + i): var(var_name(i)) for i in range(k * l)}}
-        coords = tuple(subst(e, layout) for e in exprs)
-        tower.append(SmoothMap(SpaceObject(k * l + d), cod, coords,
-                               guard_subst(f.guard, point_rename)))
-    return tower
+        chain.append((total, subst(total, layout)))
+    return chain
 
 
 def D(f: SmoothMap, L: LAssignment = CLASSICAL) -> SmoothMap:

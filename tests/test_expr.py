@@ -402,6 +402,28 @@ def test_intern_table_frees_dropped_nodes():
     assert len(E._NODES) <= before
 
 
+def test_tower_steps_go_with_their_node(monkeypatch):
+    from faadibruno import smooth as S
+
+    text = "fn(x, y) -> (sin(x*y)/(1 + x^2), exp(y)*log(x)) where x > 0"
+    # the first tower fills the structure caches it reads
+    S.derivative_tower(S.parse_smooth_map("fn(x, y) -> (x*y) where x > 0"), 4)
+    gc.collect()
+    before = len(E._NODES)
+    partials = []
+    diff = S.diff
+    monkeypatch.setattr(S, "diff", lambda e, v: partials.append(v) or diff(e, v))
+    f = S.parse_smooth_map(text)
+    tower = S.derivative_tower(f, 4)
+    assert len(partials) == 4 * 2 * 2 and len(E._NODES) > before + 100
+    del f, tower
+    gc.collect()
+    assert len(E._NODES) == before
+    # an equal map parsed again meets new nodes, which carry no steps
+    S.derivative_tower(S.parse_smooth_map(text), 4)
+    assert len(partials) == 2 * 4 * 2 * 2
+
+
 @pytest.mark.parametrize("k", [-17, -16, -3, 0, 1, 2, 16, 17])
 def test_small_integer_constants_are_the_interned_nodes(k):
     # inside -16..16 from the table built at import, outside it from the
@@ -589,6 +611,26 @@ def shared_exprs(draw):
         assert E.Expr(node.kind, node.args, node.name, node.value, node.exponent) is node
         pool.append(node)
     return pool
+
+
+def _intern_key(node):
+    return (node.kind, node.name, node.value, node.exponent, *map(id, node.args))
+
+
+@given(shared_exprs())
+def test_the_intern_table_holds_each_live_node_once_under_its_structure(pool):
+    assert all(E.Expr(n.kind, n.args, n.name, n.value, n.exponent) is n for n in pool)
+    # nodes of one structure are one object, of different structures two
+    assert len({_intern_key(n) for n in pool}) == len({id(n) for n in pool})
+    a = pool[-1]
+    for p, q in [(const(1), X),
+                 (E.Expr("pow", (X,), exponent=2), E.Expr("pow", (X,), exponent=-2)),
+                 (E.Expr("neg", (a,)), E.Expr("sub", (E.ZERO, a)))]:
+        assert p is not q and _intern_key(p) != _intern_key(q)
+    gc.collect()
+    live = [o for o in gc.get_objects() if type(o) is E.Expr]
+    assert len(E._NODES) == len(live)
+    assert all(E._NODES[_intern_key(n)]() is n for n in live)
 
 
 POINT_COORDS = st.one_of(

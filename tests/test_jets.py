@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 import weakref
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faadibruno import cli, jetlaws
 from faadibruno.cli import SUITES, main as cli_main
 from faadibruno.config import RunConfig
 from faadibruno import jets as J
@@ -433,6 +435,18 @@ def test_equal_factors_share_one_composite_while_it_lives():
     H = compose_jets(F, G)
     assert compose_jets(F2, G2) is H
     assert compose_jets(G, G) is not H
+
+
+def test_equal_maps_and_jets_built_apart_hash_equal():
+    text = "fn(x, y) -> (x*sin(y), x/y) where y > 0"
+    f, g = pm(text), pm(text)
+    f.tape()  # what a map keeps besides its fields enters neither eq nor hash
+    F, G = cofree_jet(f, CLASSICAL, 3), cofree_jet(g, CLASSICAL, 3)
+    dF, dG = delta(F), delta(G)  # jets of jets
+    for a, b in ((f, g), (F, G), (dF, dG)):
+        assert a is not b and a == b and hash(a) == hash(b) == hash(a)
+    assert hash(f) == hash((f.dom, f.cod, f.coords, f.guard))
+    assert hash(dF) == hash((dF.base, dF.src, dF.dst, dF.star, dF.derivs))
 
 
 def test_the_composite_table_keeps_neither_factor_alive():
@@ -1073,3 +1087,59 @@ def test_the_cli_writes_the_same_reports_by_the_literal_partition_sums(capsys, t
     proven = _cli_outputs(capsys, tmp_path)
     with literal_routes():
         assert _cli_outputs(capsys, tmp_path) == proven
+
+
+def _jets_the_proof_reads_closely(path):
+    """A --jets file of two towers of x^2.  The first holds on x > 0 and
+    guards its components by 2*x > 0, 3*x > 0 and 4*x > 0, the star's guard
+    in meaning but not in structure.  The second writes its second
+    component 2ab as 2*(b*(a + b) - b^2), which vanishing_groups proves zero
+    with b but not with a, and which is a node other than ZERO at a = 0."""
+    one = {"carrier_dim": 1, "point_dim": 1}
+    guarded = ["fn(a, x) -> (2*x*a) where 2*x > 0", "fn(a, b, x) -> (2*a*b) where 3*x > 0",
+               "fn(a, b, c, x) -> (0) where 4*x > 0"]
+    written = ["fn(a, x) -> (2*x*a)", "fn(a, b, x) -> (2*(b*(a + b) - b^2))",
+               "fn(a, b, c, x) -> (0)"]
+    path.write_text(json.dumps([
+        {"src": one, "dst": one, "order": 3, "star": star, "derivs": derivs}
+        for star, derivs in (("fn(x) -> (x^2) where x > 0", guarded),
+                             ("fn(x) -> (x^2)", written))]))
+    return str(path)
+
+
+def _same_nodes(got, want):
+    """_same_components, through jets of jets."""
+    if want.base is SMOOTH:
+        _same_components(got, want)
+        return
+    assert len(got.derivs) == len(want.derivs)
+    for a, b in zip((got.star, *got.derivs), (want.star, *want.derivs)):
+        _same_nodes(a, b)
+
+
+def test_every_composite_of_the_suites_has_the_nodes_of_the_literal_partition_sums(
+        capsys, tmp_path, monkeypatch):
+    """Each compose_jets call of the six suites at order 3 (faa-r also on
+    the jets of _jets_the_proof_reads_closely) returns the nodes that the
+    literal partition sums build for its factors."""
+    calls = {}
+    compose = J.compose_jets
+
+    def recording(f, g):
+        out = compose(f, g)
+        calls[id(f), id(g), id(out)] = (f, g, out)  # each call's objects stay alive
+        return out
+
+    for module in (J, jetlaws, cli):
+        monkeypatch.setattr(module, "compose_jets", recording)
+    jets_file = _jets_the_proof_reads_closely(tmp_path / "jets.json")
+    for suite in SUITES:
+        extra = ["--jets", jets_file] if suite == "faa-r" else []
+        assert cli_main(["axioms", "--suite", suite, "--order", "3", "--samples", "50",
+                         *extra]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(calls) > 100
+    with literal_routes():
+        for f, g, out in calls.values():
+            _same_nodes(compose_jets(f, g), out)

@@ -1,11 +1,15 @@
+import gc
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig, derive_seed
+from faadibruno.corpus import DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
 from faadibruno.expr import (
     Guard, GuardAtom, OutOfDomainError, UnboundVariableError, add, guard_subst,
     parse_expression, shift_vars, var,
@@ -358,6 +362,64 @@ def test_order_seven_tower_of_reciprocal_is_finite_near_zero():
     (value,) = apply_map(d7, [1.0] * 7 + [1e-3])
     assert math.isfinite(value)
     assert value == pytest.approx(-math.factorial(7) * 1e24, rel=1e-12)
+
+
+# --- tower steps kept on the nodes -------------------------------------------------------
+
+def test_a_tower_reuses_the_steps_its_coordinates_carry(monkeypatch):
+    gc.collect()  # no node of an earlier tower waits in a reference cycle
+    text = "fn(x, y) -> (x*exp(y)/(3 + x^2), cos(x - y^3)) where x + y > 0"
+    partials = []  # one entry per partial derivative smooth takes
+    diff = S.diff
+    monkeypatch.setattr(S, "diff", lambda e, v: partials.append(v) or diff(e, v))
+    f = pm(text)
+    tower = S.derivative_tower(f, 3)
+    assert len(partials) == 3 * 2 * 2
+    # an equal map, another object over the same nodes, takes no partial
+    again = pm(text)
+    assert again is not f and again.coords == f.coords
+    assert S.derivative_tower(again, 3) == tower and len(partials) == 12
+    # a higher order takes only its new steps' partials
+    longer = S.derivative_tower(again, 5)
+    assert longer[:3] == tower and len(partials) == 5 * 2 * 2
+    assert d_n(f, 4) == longer[3] and D(f) == tower[0] and len(partials) == 20
+
+
+def _generated_corpus(pairs):
+    """The benchmark's seeded corpus of composable pairs, as text."""
+    spec = importlib.util.spec_from_file_location(
+        "generated_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.generated_corpus(1, pairs)
+
+
+# L(R^d) = R^1 for d >= 1: towers over R^1 and R^2 read vector blocks of one
+# width, so only d tells their steps apart
+FIRST = S.LAssignment(lambda obj: SpaceObject(min(obj.dim, 1)))
+
+
+def test_tower_steps_kept_on_the_nodes_are_the_steps_built_afresh():
+    maps = list(dict.fromkeys(
+        f for text in (DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT, _generated_corpus(300))
+        for f in corpus_maps(parse_corpus(text))))
+    # each map also over one more variable than it reads: its coordinate
+    # nodes then meet towers over R^d and R^(d+1)
+    maps += [SmoothMap(SpaceObject(f.dom.dim + 1), f.cod, f.coords, f.guard) for f in maps]
+    kept = []
+    for n in range(1, 6):
+        # forwards at odd orders and backwards at even ones, so a node's
+        # steps are extended by other maps than the one that began them
+        for f in (maps if n % 2 else maps[::-1]):
+            for L in (CLASSICAL, TRIVIAL, FIRST):
+                kept.append((f, n, L, S.derivative_tower(f, n, L)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(S, "node_cache", lambda e: {})  # every step is built afresh
+        for f, n, L, tower in kept:
+            fresh = S.derivative_tower(f, n, L)
+            assert [t.guard for t in tower] == [t.guard for t in fresh]
+            assert all(a is b for t, u in zip(tower, fresh, strict=True)
+                       for a, b in zip(t.coords, u.coords, strict=True))
 
 
 def test_dn_insertion_trivial_assignment_degenerates():
