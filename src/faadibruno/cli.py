@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .corpus import (
     COMONAD_TEXT,
     DEFAULT_PAIRS_TEXT,
@@ -23,16 +23,12 @@ from .corpus import (
     corpus_maps,
     corpus_pairs,
     corpus_split_entries,
+    jet_from_dict,
     parse_corpus,
 )
 from .expr import ExprError
-from .jets import (
-    JetError,
-    cofree_jet,
-    compose_jets,
-    jet_from_dict,
-)
-from .jetlaws import comonad_rows, faa_r_rows, linear_items, linear_rows
+from .jets import JetError, compose_jets
+from .jetlaws import cofree_jet, comonad_rows, faa_r_rows, linear_items, linear_rows
 from .laws import Rows, cd_rows, dr_rows
 from .report import CheckResult, overall_status, sort_results, write_report
 from .smooth import CLASSICAL, LAssignment, apply_map, d_n, parse_smooth_map
@@ -256,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ExprError, JetError, SplitError, CorpusError, OSError,
+    except (ConfigError, ExprError, JetError, SplitError, CorpusError, OSError,
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

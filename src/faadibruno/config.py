@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, replace
+
+
+class ConfigError(ValueError):
+    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,9 +23,13 @@ class RunConfig:
 
     def __post_init__(self):
         if self.samples <= 0 or self.retry_cap <= 0 or self.order < 0:
-            raise ValueError("counts must be positive")
+            raise ConfigError("counts must be positive")
         if self.tol_rel <= 0 or self.tol_abs <= 0 or self.radius <= 0:
-            raise ValueError("tolerances and radius must be positive")
+            raise ConfigError("tolerances and radius must be positive")
+        # an infinite floor would make every residual 0.0, so every value check pass
+        if not math.isfinite(self.abs_floor):
+            raise ConfigError(f"tol_abs / tol_rel must be finite, got "
+                              f"{self.tol_abs!r} / {self.tol_rel!r}")
 
     @property
     def abs_floor(self) -> float:

@@ -1,4 +1,5 @@
-"""Corpus files: one map per line in the expression grammar, '#' comments.
+"""Corpus files: one map per line in the expression grammar, '#' comments;
+and jets over the smooth base read from their JSON form (--jets).
 
 Consecutive lines form the composable pairs the pair-based suites consume
 (line 2k is f, line 2k+1 is g).  A line of the form
@@ -13,7 +14,15 @@ from __future__ import annotations
 import re
 
 from .expr import ExprError, ParseError, TRUE_GUARD, parse_map, var_name
-from .smooth import SmoothMap, from_parsed, parse_smooth_map
+from .jets import FaaObject, JetError, JetMorphism
+from .smooth import (
+    SMOOTH,
+    SmoothMap,
+    SpaceObject,
+    componentwise_monoid,
+    from_parsed,
+    parse_smooth_map,
+)
 from .splitting import SplitMap, SplitObject, split_object
 
 _OBJ_RE = re.compile(r"^obj\s*\(\s*(\d+)\s*\)\s*(?:where\s+(.*))?$")
@@ -103,6 +112,40 @@ def corpus_split_entries(entries) -> list[tuple[SplitMap, SplitMap]]:
             raise CorpusError("annotated map does not compose with the total target")
         out.append((SplitMap(m, obj, split_object(m.cod.dim)), target))
     return out
+
+
+def jet_from_dict(data) -> JetMorphism:
+    """A jet over the smooth base from its JSON form: the carrier_dim and
+    point_dim of src and dst, the order, and the texts of the star and of
+    each component.  A payload of any other shape, or whose maps disagree
+    with its dimensions, raises JetError before any monoid is built."""
+    if not isinstance(data, dict):
+        raise JetError("a serialized jet must be a JSON object")
+    (a, x), (b, y) = (_dims_from_dict(data.get(key), key) for key in ("src", "dst"))
+    texts = data.get("derivs")
+    if not (isinstance(data.get("star"), str) and isinstance(texts, list)
+            and all(isinstance(t, str) for t in texts)):
+        raise JetError("star must be a string and derivs a list of strings")
+    if type(data.get("order")) is not int or data["order"] != len(texts):
+        raise JetError(f"order must be the integer number of derivs, {len(texts)}")
+    star = parse_smooth_map(data["star"])
+    derivs = tuple(parse_smooth_map(t) for t in texts)
+    if star.dom.dim != x or star.cod.dim != y:
+        raise JetError("star dimensions disagree with the declared objects")
+    for n, d in enumerate(derivs, start=1):
+        if d.dom.dim != n * a + x or d.cod.dim != b:
+            raise JetError(f"component {n} has wrong dimensions")
+    src = FaaObject(componentwise_monoid(a), SpaceObject(x))
+    dst = FaaObject(componentwise_monoid(b), SpaceObject(y))
+    return JetMorphism(SMOOTH, src, dst, star, derivs)
+
+
+def _dims_from_dict(data, key: str) -> tuple[int, int]:
+    dims = [data.get(k) if isinstance(data, dict) else None
+            for k in ("carrier_dim", "point_dim")]
+    if not all(type(d) is int and d >= 0 for d in dims):
+        raise JetError(f"{key} must hold non-negative integer carrier_dim and point_dim")
+    return dims[0], dims[1]
 
 
 # The fixed corpus of twelve composable pairs: polynomials up to degree four,

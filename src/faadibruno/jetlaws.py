@@ -1,6 +1,7 @@
-"""Law suites for the jet category: restriction structure, products, the
-comonad equations, the cofree-coalgebra square, and the characterization of
-linear maps as embedded additive maps."""
+"""Law suites for the jet category over the smooth base: the cofree jet of
+a map and the componentwise order relations, then restriction structure,
+products, the comonad equations, the cofree-coalgebra square, and the
+characterization of linear maps as embedded additive maps."""
 
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ from fractions import Fraction
 from .config import RunConfig, derive_seed
 from .expr import const, guard_subst, mul, shift_vars
 from .jets import (
+    FaaObject,
     JetError,
     JetMorphism,
     _combine,
-    cofree_jet,
-    compatible,
+    _componentwise,
     compose_jets,
     delta,
     faa_delta_jet,
@@ -23,7 +24,6 @@ from .jets import (
     is_total,
     jet_equal,
     lambda_embed,
-    leq,
     restriction_jet,
     select_jet,
     truncate_jet,
@@ -37,8 +37,11 @@ from .smooth import (
     SmoothMap,
     add_maps,
     componentwise_monoid,
+    derivative_tower,
     guard_within,
+    map_leq,
     map_total,
+    maps_compatible,
     maps_equal,
     parse_smooth_map,
     restrict_map,
@@ -48,6 +51,26 @@ from .smooth import (
     tuple_map,
     zero_map,
 )
+
+
+# --- jets over the smooth base ------------------------------------------------
+
+def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
+    """The coalgebra image of a base map: its full symmetric derivative tower
+    (f, D f, D_2 f, ..., D_N f), from one derivative_tower."""
+    src = FaaObject(L.monoid(f.dom), f.dom)
+    dst = FaaObject(L.monoid(f.cod), f.cod)
+    return JetMorphism(SMOOTH, src, dst, f, tuple(derivative_tower(f, order, L)))
+
+
+def leq(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "leq") -> bool:
+    """f <= g decided componentwise (restriction of f then g agrees with f)."""
+    return _componentwise(map_leq, f, g, cfg, label).ok
+
+
+def compatible(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "cmp") -> bool:
+    """f and g agree wherever both are defined, componentwise."""
+    return _componentwise(maps_compatible, f, g, cfg, label).ok
 
 
 # --- well-formedness of a jet ---------------------------------------------------

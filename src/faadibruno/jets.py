@@ -9,7 +9,10 @@ comultiplication pair and the derivative operator are all computed against a
 small protocol of ten methods (product, then, tuple_map, select, restriction,
 restricted_then, add, vanishing_terms, order_of, equal), so the construction
 applies verbatim to its own output: jets of jets are jets whose base is the
-jet category one level down.  Composition builds the partition terms that
+jet category one level down.  The construction names no base: every base
+map, object and monoid it touches goes through the protocol, and towers of
+base maps, their serial form and the base's own order relations live with
+the base's callers.  Composition builds the partition terms that
 vanishing_terms does not prove zero.  The bang into the terminal object is
 the empty select, select([o], []), and a sum of parallel maps is the base's
 add: over jets, the componentwise sum of the base.
@@ -24,20 +27,10 @@ from functools import lru_cache, reduce
 from .config import RunConfig
 from .smooth import (
     EqOutcome,
-    LAssignment,
     MonoidStructure,
-    SMOOTH,
     STRUCTURE_CACHE_SIZE,
-    SmoothMap,
-    SpaceObject,
-    componentwise_monoid,
-    derivative_tower,
     dn_blocks,
     insertion_slots,
-    is_componentwise_monoid,
-    map_leq,
-    maps_compatible,
-    parse_smooth_map,
 )
 
 
@@ -99,6 +92,9 @@ class JetMorphism:
                 (self.base, self.src, self.dst, self.star, self.derivs)))
         return self._hash
 
+    def __reduce__(self):  # rebuilt from its fields: the cached hash is per process
+        return (JetMorphism, (self.base, self.src, self.dst, self.star, self.derivs))
+
     @property
     def order(self) -> int:
         return len(self.derivs)
@@ -120,18 +116,17 @@ def jet_l0(obj: FaaObject) -> FaaObject:
 
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
-def _interchange_product(cat, m1: MonoidStructure, m2: MonoidStructure) -> MonoidStructure:
-    """Product monoid: paired carriers, addition through the middle-interchange."""
-    c1, c2 = m1.carrier, m2.carrier
-    carrier = cat.product([c1, c2])
-    order = cat.order_of(m1.add)
-    blocks = [c1, c2, c1, c2]
-    add = cat.tuple_map([
-        cat.then(cat.select(blocks, [0, 2], order), m1.add),
-        cat.then(cat.select(blocks, [1, 3], order), m2.add),
-    ])
-    zero = cat.tuple_map([m1.zero, m2.zero])
-    return MonoidStructure(carrier, add, zero)
+def _product_monoid(cat, monoids: tuple[MonoidStructure, ...]) -> MonoidStructure:
+    """Product monoid: the carriers side by side, each summed by its own
+    addition on its two copies (the middle-interchange), the zeros side by
+    side."""
+    carriers = [m.carrier for m in monoids]
+    k = len(carriers)
+    order = cat.order_of(monoids[0].add)
+    add = cat.tuple_map([cat.then(cat.select(carriers * 2, [i, k + i], order), m.add)
+                         for i, m in enumerate(monoids)])
+    zero = cat.tuple_map([m.zero for m in monoids])
+    return MonoidStructure(cat.product(carriers), add, zero)
 
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
@@ -142,21 +137,12 @@ def trivial_monoid(cat) -> MonoidStructure:
 
 
 def product_objects(cat, objs) -> FaaObject:
-    """The product of jet objects: paired points, the product monoid."""
+    """The product of jet objects: the product monoid, at the product of the
+    points."""
     if not objs:
         return FaaObject(trivial_monoid(cat), cat.product([]))
-    if len(objs) > 1 and all(is_componentwise_monoid(o.monoid) for o in objs):
-        # what the fold of _interchange_product gives, without the fold
-        point = objs[0].point
-        for o in objs[1:]:
-            point = cat.product([point, o.point])
-        dim = sum(o.monoid.carrier.dim for o in objs)
-        return FaaObject(componentwise_monoid(dim), point)
-    out = objs[0]
-    for o in objs[1:]:
-        out = FaaObject(_interchange_product(cat, out.monoid, o.monoid),
-                        cat.product([out.point, o.point]))
-    return out
+    return FaaObject(_product_monoid(cat, tuple(o.monoid for o in objs)),
+                     cat.product([o.point for o in objs]))
 
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
@@ -367,9 +353,9 @@ def _combine(outcomes) -> EqOutcome:
 
 def _componentwise(relation, f: JetMorphism, g: JetMorphism, cfg: RunConfig,
                    label: str) -> EqOutcome:
-    """Decide a relation on component maps (the base's equal, or map_leq or
-    maps_compatible over the smooth base) on each pair of components up to
-    the common usable order."""
+    """Decide a relation on component maps (the base's equal, or an order
+    relation of the base) on each pair of components up to the common usable
+    order."""
     order = min(f.order, g.order)
     outcomes = [relation(f.star, g.star, cfg, f"{label}:*")]
     for n in range(1, order + 1):
@@ -386,18 +372,6 @@ def is_total(f: JetMorphism, cfg: RunConfig, label: str = "total") -> bool:
     """Total iff the jet's restriction is the identity jet."""
     rid = identity_jet(f.src, f.order, f.base)
     return jet_equal(restriction_jet(f), rid, cfg, label).ok
-
-
-def leq(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "leq") -> bool:
-    """f <= g decided componentwise (restriction of f then g agrees with f),
-    for jets over the smooth base."""
-    return _componentwise(map_leq, f, g, cfg, label).ok
-
-
-def compatible(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "cmp") -> bool:
-    """f and g agree wherever both are defined, componentwise, for jets over
-    the smooth base."""
-    return _componentwise(maps_compatible, f, g, cfg, label).ok
 
 
 # --- the derivative on jets ----------------------------------------------------------
@@ -581,16 +555,6 @@ def faa_delta_jet(f: JetMorphism) -> JetMorphism:
     return map_jet(f, delta, obj_fn, faa_over(inner))
 
 
-# --- the cofree coalgebra over the smooth model ------------------------------------------
-
-def cofree_jet(f: SmoothMap, L: LAssignment, order: int) -> JetMorphism:
-    """The coalgebra image of a base map: its full symmetric derivative tower
-    (f, D f, D_2 f, ..., D_N f), from one derivative_tower."""
-    src = FaaObject(L.monoid(f.dom), f.dom)
-    dst = FaaObject(L.monoid(f.cod), f.cod)
-    return JetMorphism(SMOOTH, src, dst, f, tuple(derivative_tower(f, order, L)))
-
-
 # --- linearity ----------------------------------------------------------------------------
 
 def is_linear(f: JetMorphism, cfg: RunConfig, label: str = "linear") -> bool:
@@ -605,54 +569,3 @@ def is_linear(f: JetMorphism, cfg: RunConfig, label: str = "linear") -> bool:
     pi0 = fb.select([lambda_object(f.src.monoid), f.src], [0], f.order - 1)
     rhs = fb.then(pi0, truncate_jet(f, f.order - 1))
     return jet_equal(lhs, rhs, cfg, label).ok
-
-
-# --- serialization (smooth-based jets) ------------------------------------------------------
-
-def jet_to_dict(f: JetMorphism) -> dict:
-    if f.base != SMOOTH:
-        raise JetError("only jets over the smooth base serialize")
-    return {
-        "src": {"carrier_dim": f.src.monoid.carrier.dim, "point_dim": f.src.point.dim},
-        "dst": {"carrier_dim": f.dst.monoid.carrier.dim, "point_dim": f.dst.point.dim},
-        "order": f.order,
-        "star": str(f.star),
-        "derivs": [str(d) for d in f.derivs],
-    }
-
-
-def jet_from_dict(data) -> JetMorphism:
-    """The inverse of jet_to_dict; a payload of any other shape raises JetError."""
-    if not isinstance(data, dict):
-        raise JetError("a serialized jet must be a JSON object")
-    src, dst = (_object_from_dict(data.get(key), key) for key in ("src", "dst"))
-    texts = data.get("derivs")
-    if not (isinstance(data.get("star"), str) and isinstance(texts, list)
-            and all(isinstance(t, str) for t in texts)):
-        raise JetError("star must be a string and derivs a list of strings")
-    if type(data.get("order")) is not int or data["order"] != len(texts):
-        raise JetError(f"order must be the integer number of derivs, {len(texts)}")
-    star = parse_smooth_map(data["star"])
-    derivs = tuple(parse_smooth_map(t) for t in texts)
-    jet = JetMorphism(SMOOTH, src, dst, star, derivs)
-    _validate_jet_dims(jet)
-    return jet
-
-
-def _object_from_dict(data, key: str) -> FaaObject:
-    dims = [data.get(k) if isinstance(data, dict) else None
-            for k in ("carrier_dim", "point_dim")]
-    if not all(type(d) is int and d >= 0 for d in dims):
-        raise JetError(f"{key} must hold non-negative integer carrier_dim and point_dim")
-    return FaaObject(componentwise_monoid(dims[0]), SpaceObject(dims[1]))
-
-
-def _validate_jet_dims(f: JetMorphism):
-    a = f.src.monoid.carrier.dim
-    x = f.src.point.dim
-    b = f.dst.monoid.carrier.dim
-    if f.star.dom.dim != x or f.star.cod.dim != f.dst.point.dim:
-        raise JetError("star dimensions disagree with the declared objects")
-    for n, d in enumerate(f.derivs, start=1):
-        if d.dom.dim != n * a + x or d.cod.dim != b:
-            raise JetError(f"component {n} has wrong dimensions")

@@ -98,6 +98,9 @@ class SmoothMap:
             object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.coords, self.guard)))
         return self._hash
 
+    def __reduce__(self):  # rebuilt from its fields: the cached hash is per process
+        return (SmoothMap, (self.dom, self.cod, self.coords, self.guard))
+
     def tape(self) -> Tape:
         """The guard and coordinates compiled on first evaluation and kept
         with the map."""
@@ -219,10 +222,6 @@ def componentwise_monoid(dim: int) -> MonoidStructure:
     plus = SmoothMap(SpaceObject(2 * dim), carrier, coords)
     zero = zero_map(TERMINAL, carrier)
     return MonoidStructure(carrier, plus, zero)
-
-
-def is_componentwise_monoid(m: MonoidStructure) -> bool:
-    return isinstance(m.carrier, SpaceObject) and m == componentwise_monoid(m.carrier.dim)
 
 
 @dataclass(frozen=True, slots=True)

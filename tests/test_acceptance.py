@@ -23,12 +23,11 @@ from faadibruno.corpus import (
 )
 from faadibruno.expr import neg
 from faadibruno.jets import (
-    cofree_jet,
     compose_jets,
     enumerate_partitions,
     jet_equal,
 )
-from faadibruno.jetlaws import linear_items
+from faadibruno.jetlaws import cofree_jet, linear_items
 from faadibruno.smooth import (
     CLASSICAL,
     TRIVIAL,

@@ -19,8 +19,10 @@ from faadibruno.corpus import (
     corpus_split_entries,
     parse_corpus,
 )
-from faadibruno.jets import cofree_jet, jet_to_dict
+from faadibruno.jetlaws import cofree_jet
 from faadibruno.smooth import CLASSICAL, STRUCTURE_CACHE_SIZE, parse_smooth_map
+
+from jet_payloads import jet_to_dict
 
 
 def test_corpus_default_pairs_parse():
@@ -386,6 +388,26 @@ def test_cli_rejects_invalid_numeric_flags(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerances", [["--tol-rel", "1e-320"],
+                                        ["--tol-abs", "1e308", "--tol-rel", "1e-9"]])
+def test_cli_rejects_tolerances_whose_absolute_floor_overflows(tolerances, tmp_path, capsys):
+    """Each flag is a positive finite number, but tol_abs / tol_rel is not
+    finite, and that floor would pass every value check: a jet whose second
+    component is wrong fails by default."""
+    jets_file = tmp_path / "jets.json"
+    jets_file.write_text(json.dumps({
+        "src": {"carrier_dim": 1, "point_dim": 1}, "dst": {"carrier_dim": 1, "point_dim": 1},
+        "order": 2, "star": "fn(x) -> (x^2)",
+        "derivs": ["fn(a, x) -> (2*x*a)", "fn(a, b, x) -> (3*a*b + a)"]}))
+    argv = ["axioms", "--suite", "faa-r", "--order", "2", "--jets", str(jets_file)]
+    assert main(argv) == 1
+    assert "suite faa-r: fail" in capsys.readouterr().out
+    assert main(argv + tolerances) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: tol_abs / tol_rel must be finite")
     assert "Traceback" not in err
 
 

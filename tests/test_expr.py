@@ -385,7 +385,7 @@ def test_shared_dag_is_walked_once_per_node():
 
 
 def test_intern_table_frees_dropped_nodes():
-    from faadibruno.jets import cofree_jet
+    from faadibruno.jetlaws import cofree_jet
     from faadibruno.smooth import CLASSICAL, parse_smooth_map
 
     # the first tower of a map of two variables fills the structure caches

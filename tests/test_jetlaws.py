@@ -1,11 +1,13 @@
 from faadibruno import jetlaws
 from faadibruno.config import RunConfig
-from faadibruno.corpus import GUARDED_PAIRS_TEXT, corpus_pairs, parse_corpus
-from faadibruno.jets import cofree_jet, compose_jets, jet_from_dict, jet_to_dict
+from faadibruno.corpus import GUARDED_PAIRS_TEXT, corpus_pairs, jet_from_dict, parse_corpus
+from faadibruno.jets import compose_jets
 from faadibruno.cli import run_suite
-from faadibruno.jetlaws import check_multilinearity, linear_items
+from faadibruno.jetlaws import check_multilinearity, cofree_jet, linear_items
 from faadibruno.report import overall_status
 from faadibruno.smooth import CLASSICAL, apply_map, parse_smooth_map
+
+from jet_payloads import jet_to_dict
 
 CFG = RunConfig(samples=60, order=3)
 

@@ -1,6 +1,9 @@
+import ast
 import gc
+import inspect
 import json
 import math
+import pickle
 import random
 import weakref
 from contextlib import contextmanager
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faadibruno import cli, jetlaws
+from faadibruno import cli, corpus, jetlaws
 from faadibruno.cli import SUITES, main as cli_main
 from faadibruno.config import RunConfig
 from faadibruno import jets as J
@@ -18,7 +21,6 @@ from faadibruno.jets import (
     FaaObject,
     JetError,
     NonAdditiveMapError,
-    cofree_jet,
     compose_jets,
     delta,
     derivative_jet,
@@ -27,8 +29,6 @@ from faadibruno.jets import (
     identity_jet,
     is_linear,
     jet_equal,
-    jet_from_dict,
-    jet_to_dict,
     lambda_embed,
     lambda_object,
     restriction_jet,
@@ -43,8 +43,10 @@ from faadibruno.corpus import (
     GUARDED_PAIRS_TEXT,
     corpus_maps,
     corpus_pairs,
+    jet_from_dict,
     parse_corpus,
 )
+from faadibruno.jetlaws import cofree_jet
 from faadibruno.smooth import (
     CLASSICAL,
     D,
@@ -54,7 +56,6 @@ from faadibruno.smooth import (
     SpaceObject,
     apply_map,
     componentwise_monoid,
-    is_componentwise_monoid,
     maps_equal,
     zero_map,
     parse_smooth_map,
@@ -62,6 +63,8 @@ from faadibruno.smooth import (
     then,
     tuple_map,
 )
+
+from jet_payloads import jet_to_dict
 
 CFG = RunConfig(samples=60)
 
@@ -568,6 +571,61 @@ def test_jet_from_dict_rejects_bad_dims():
         jet_from_dict(data)
 
 
+@pytest.mark.parametrize("carrier, star, derivs, message", [
+    (10**6, "fn(x) -> (x)", ["fn(a, x) -> (a)"], "component 1 has wrong dimensions"),
+    (1, "fn(x) -> (x)", ["fn(a, x) -> (a, a)"], "component 1 has wrong dimensions"),
+    (1, "fn(x, y) -> (x)", ["fn(a, x) -> (a)"], "star dimensions disagree"),
+])
+def test_jet_from_dict_checks_the_maps_before_it_builds_a_monoid(carrier, star, derivs,
+                                                                  message, monkeypatch):
+    built = []
+
+    def counting(dim):
+        built.append(dim)
+        assert dim < 10, f"componentwise_monoid({dim}) was built"
+        return componentwise_monoid(dim)
+
+    monkeypatch.setattr(corpus, "componentwise_monoid", counting)
+    payload = {"src": {"carrier_dim": carrier, "point_dim": 1},
+               "dst": {"carrier_dim": 1, "point_dim": 1},
+               "order": len(derivs), "star": star, "derivs": derivs}
+    with pytest.raises(JetError, match=message):
+        jet_from_dict(payload)
+    assert built == []
+    jet_from_dict({**payload, "src": {"carrier_dim": 1, "point_dim": 1},
+                   "star": "fn(x) -> (x)", "derivs": ["fn(a, x) -> (a)"]})
+    assert built == [1, 1]
+
+
+def test_maps_and_jets_loaded_from_a_pickle_hash_as_fresh_equal_ones():
+    """A cached hash is not carried over: a pickle taken in another process
+    holds that process's hash, which is planted here."""
+    text = "fn(x, y) -> (x*sin(y), x/y) where y > 0"
+    f = pm(text)
+    F = cofree_jet(f, CLASSICAL, 2)
+    for planted, fresh in ((f, pm(text)), (F, jet(text, 2)), (delta(F), delta(jet(text, 2)))):
+        hash(planted)
+        object.__setattr__(planted, "_hash", hash(planted) + 1)
+        loaded = pickle.loads(pickle.dumps(planted))
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert len({loaded, fresh}) == 1
+
+
+# the names of the smooth base that the construction must not know
+SMOOTH_ONLY = {"SMOOTH", "SmoothMap", "SpaceObject", "LAssignment", "derivative_tower",
+               "parse_smooth_map", "componentwise_monoid", "is_componentwise_monoid",
+               "map_leq", "maps_compatible"}
+
+
+def test_the_jet_construction_names_no_base():
+    assert not SMOOTH_ONLY & set(vars(J))
+    imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(J)))
+                if isinstance(node, ast.ImportFrom) and node.module == "smooth"
+                for alias in node.names}
+    assert imported == {"EqOutcome", "MonoidStructure", "STRUCTURE_CACHE_SIZE",
+                        "dn_blocks", "insertion_slots"}
+
+
 # --- structural caches ------------------------------------------------------------------------------
 
 def _obj(carrier, point):
@@ -585,7 +643,7 @@ def test_select_jet_returns_one_object_per_layout():
 def test_componentwise_product_is_componentwise():
     assert J.product_objects(SMOOTH, [_obj(1, 0), _obj(2, 0)]).monoid \
         == componentwise_monoid(3)
-    assert J._interchange_product(SMOOTH, componentwise_monoid(1), componentwise_monoid(2)) \
+    assert _faa_product_fold(SMOOTH, [_obj(1, 0), _obj(2, 0)]).monoid \
         == componentwise_monoid(3)
 
 
@@ -645,7 +703,7 @@ def test_the_sum_of_jets_is_the_monoid_addition_after_the_pair(order):
     fb = J.faa_over(SMOOTH)
     o = _obj(1, 1)
     vectors = J.jet_L(o, SMOOTH, order)
-    pair = J._interchange_product(fb, vectors, vectors)
+    pair = J._product_monoid(fb, (vectors, vectors))
     unit = trivial_monoid(fb).carrier
 
     def cofree(*coords):
@@ -672,9 +730,9 @@ def test_the_sum_of_jets_wants_parallel_jets():
 
 @pytest.mark.parametrize("factors", range(4))
 def test_trivial_monoid_over_the_smooth_base_is_componentwise(factors):
-    # so the componentwise shortcut fires for terminal factors
+    # so a product of terminal factors is the terminal monoid
     m = trivial_monoid(SMOOTH)
-    assert m == componentwise_monoid(0) and is_componentwise_monoid(m)
+    assert m == componentwise_monoid(0)
     product = J.product_objects(SMOOTH, [FaaObject(m, SpaceObject(1))] * factors)
     assert product.monoid == m
 
@@ -690,8 +748,8 @@ def test_jet_structure_caches_stay_bounded():
     zero = zero_map(SpaceObject(0), SpaceObject(1))
     for k in range(bound + 20):
         m = MonoidStructure(SpaceObject(1), pm(f"fn(a,b) -> (a + b + {k})"), zero)
-        J._interchange_product(SMOOTH, m, m)
-    assert J._interchange_product.cache_info().currsize <= bound
+        J._product_monoid(SMOOTH, (m, m))
+    assert J._product_monoid.cache_info().currsize <= bound
     for point in range(bound + 20):
         J.jet_L(_obj(1, point), SMOOTH, 1)
     assert J.jet_L.cache_info().currsize <= bound
@@ -720,12 +778,26 @@ def test_cofree_jet_differentiates_each_component_once_per_order(monkeypatch):
     assert F.order == 6 and len(calls) == 6 * 2 * 2
 
 
-# --- shortcuts in the partition sum ----------------------------------------------------------
+# --- the product of monoids against the pairwise fold ----------------------------------------
+
+def _interchange_product(cat, m1, m2):
+    """The reference product of two monoids: paired carriers, addition
+    through the middle-interchange at the order of m1's addition."""
+    c1, c2 = m1.carrier, m2.carrier
+    order = cat.order_of(m1.add)
+    blocks = [c1, c2, c1, c2]
+    add = cat.tuple_map([
+        cat.then(cat.select(blocks, [0, 2], order), m1.add),
+        cat.then(cat.select(blocks, [1, 3], order), m2.add),
+    ])
+    return MonoidStructure(cat.product([c1, c2]), add, cat.tuple_map([m1.zero, m2.zero]))
+
 
 def _faa_product_fold(cat, objs):
+    """The product of jet objects folded left, two at a time."""
     out = objs[0]
     for o in objs[1:]:
-        out = FaaObject(J._interchange_product(cat, out.monoid, o.monoid),
+        out = FaaObject(_interchange_product(cat, out.monoid, o.monoid),
                         cat.product([out.point, o.point]))
     return out
 
@@ -734,24 +806,55 @@ def _faa_product_fold(cat, objs):
     [(1, 1), (0, 2)],
     [(0, 0), (2, 1), (3, 0)],
     [(2, 2), (1, 1), (0, 0), (4, 3), (1, 2)],
+    [(2, 1)],
+    [(0, 1)],
+    [(1, 2), (0, 0), (2, 2), (1, 0)],
 ])
 def test_componentwise_product_objects_equal_the_faa_product_fold(dims):
     objs = [_obj(c, p) for c, p in dims]
-    assert J.product_objects(SMOOTH, objs) == _faa_product_fold(SMOOTH, objs)
+    product = J.product_objects(SMOOTH, objs)
+    assert product == _faa_product_fold(SMOOTH, objs)
+    assert product.monoid == componentwise_monoid(sum(c for c, _ in dims))
+
+
+# b + a is a commutative monoid on R^1, but not the componentwise one
+SWAPPED = MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"),
+                          zero_map(SpaceObject(0), SpaceObject(1)))
 
 
 def test_product_objects_folds_when_a_monoid_is_not_componentwise():
-    # b + a is a commutative monoid, but not the componentwise one
-    swapped = MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"),
-                              zero_map(SpaceObject(0), SpaceObject(1)))
-    objs = [_obj(2, 1), FaaObject(swapped, SpaceObject(1)), _obj(1, 0)]
+    objs = [_obj(2, 1), FaaObject(SWAPPED, SpaceObject(1)), _obj(1, 0)]
     product = J.product_objects(SMOOTH, objs)
     assert product == _faa_product_fold(SMOOTH, objs)
-    assert not is_componentwise_monoid(product.monoid)
+    assert product.monoid != componentwise_monoid(4)
     F = J.faa_over(SMOOTH)
     level2 = [J.delta_object(_obj(1, 1), SMOOTH, 2),
               FaaObject(trivial_monoid(F), _obj(0, 1))]
     assert J.product_objects(F, level2) == _faa_product_fold(F, level2)
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3, 4, 5])
+def test_products_with_a_swapped_monoid_equal_the_faa_product_fold(factors):
+    objs = [FaaObject(SWAPPED, SpaceObject(1)), _obj(2, 1), _obj(0, 0),
+            FaaObject(SWAPPED, SpaceObject(0)), _obj(1, 2)][:factors]
+    assert J.product_objects(SMOOTH, objs) == _faa_product_fold(SMOOTH, objs)
+    assert J.product_objects(SMOOTH, objs[::-1]) == _faa_product_fold(SMOOTH, objs[::-1])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_products_over_jets_equal_the_faa_product_fold(order):
+    """delta_objects at one order, the terminal object of jets (its monoid
+    at order 0), and one over the swapped monoid, 1 to 4 at a time."""
+    F = J.faa_over(SMOOTH)
+    objs = [J.delta_object(_obj(1, 1), SMOOTH, order),
+            J.delta_object(_obj(2, 0), SMOOTH, order),
+            FaaObject(trivial_monoid(F), _obj(0, 1)),
+            J.delta_object(FaaObject(SWAPPED, SpaceObject(1)), SMOOTH, order)]
+    for k in range(1, len(objs) + 1):
+        assert J.product_objects(F, objs[:k]) == _faa_product_fold(F, objs[:k])
+
+
+# --- shortcuts in the partition sum ----------------------------------------------------------
 
 
 def _guarded_terms():
@@ -833,7 +936,7 @@ def _comonad_jets(order, level):
 
 
 # the structural caches whose values may be built by compose_jets
-_COMPOSING_CACHES = (J._select_jet, J._interchange_product, J.monoid_zero_arrow, J.jet_L)
+_COMPOSING_CACHES = (J._select_jet, J._product_monoid, J.monoid_zero_arrow, J.jet_L)
 
 
 @contextmanager
@@ -1068,11 +1171,11 @@ def test_delta_and_its_restriction_compose_through_compose_jets(partition_sums):
 
 
 def _cli_outputs(capsys, tmp_path):
-    """The exit code, stdout and JSON report of every suite at orders 3 and 4
+    """The exit code, stdout and JSON report of every suite at orders 3 to 5
     (50 samples, seed 42), then the stdout of composing 1/x with y^2 + y at
     order 7."""
     outputs = []
-    for order in ("3", "4"):
+    for order in ("3", "4", "5"):
         for suite in SUITES:
             report = tmp_path / f"{suite}-{order}.json"
             code = cli_main(["axioms", "--suite", suite, "--order", order,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from faadibruno.config import RunConfig, derive_seed
 from faadibruno.corpus import DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
 from faadibruno.expr import (
-    Guard, GuardAtom, OutOfDomainError, UnboundVariableError, add, guard_subst,
+    Guard, GuardAtom, OutOfDomainError, UnboundVariableError, guard_subst,
     parse_expression, shift_vars, var,
 )
 from faadibruno import smooth as S
@@ -21,7 +21,6 @@ from faadibruno.smooth import (
     CLASSICAL,
     SMOOTH,
     STRUCTURE_CACHE_SIZE,
-    MonoidStructure,
     PointStream,
     SmoothMap,
     SmoothMapError,
@@ -34,7 +33,6 @@ from faadibruno.smooth import (
     d_n_insertion,
     finite_diff,
     identity,
-    is_componentwise_monoid,
     iterate_D,
     map_leq,
     map_total,
@@ -131,23 +129,6 @@ def test_structural_caches_stay_bounded():
     sides = object_sides(SpaceObject(1), SpaceObject(2), CLASSICAL)
     again = object_sides(SpaceObject(1), SpaceObject(2), CLASSICAL)
     assert all(a is b for tag in sides for a, b in zip(sides[tag], again[tag]))
-
-
-def test_componentwise_recognized_as_its_constructors_output():
-    zero1 = S.zero_map(S.TERMINAL, SpaceObject(1))
-    others = [
-        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (b + a)"), zero1),
-        MonoidStructure(SpaceObject(1), SmoothMap(SpaceObject(2), SpaceObject(1),
-                                                  (add(var("x1"), var("x1")),)), zero1),
-        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (a + b + 1)"), zero1),
-        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (a + b)"),
-                        SmoothMap(S.TERMINAL, SpaceObject(1), (parse_expression("1"),))),
-        MonoidStructure(SpaceObject(1), pm("fn(a,b) -> (a + b) where a > 0"), zero1),
-        MonoidStructure(SpaceObject(1), pm("fn(a,b,c) -> (a + b)"), zero1),
-    ]
-    for m in [componentwise_monoid(d) for d in range(5)] + others:
-        assert is_componentwise_monoid(m) == (m == componentwise_monoid(m.carrier.dim))
-    assert not any(is_componentwise_monoid(m) for m in others)
 
 
 # --- products ----------------------------------------------------------------------
@@ -557,6 +538,15 @@ def test_equal_values_are_zero_apart_under_an_underflowing_floor():
     f, g = pm("fn(x, y) -> (x*y)"), pm("fn(x, y) -> (x*y) where x + 10 > 0")
     out = maps_equal(f, g, cfg, "zero-floor")
     assert out.status == "pass" and out.worst_residual == 0.0
+
+
+@pytest.mark.parametrize("tol_rel, tol_abs", [(1e-320, 1e-8), (1e-9, 1e308)])
+def test_a_config_whose_absolute_floor_overflows_is_rejected(tol_rel, tol_abs):
+    # an infinite floor puts every finite pair 0.0 apart: x^2 would equal x^2 + 1
+    with pytest.raises(ValueError, match="must be finite"):
+        RunConfig(tol_rel=tol_rel, tol_abs=tol_abs)
+    with pytest.raises(ValueError, match="must be finite"):
+        FAST.with_(tol_rel=tol_rel, tol_abs=tol_abs)
 
 
 def test_maps_equal_detects_value_mismatch():
