@@ -26,7 +26,7 @@ from .corpus import (
     jet_from_dict,
     parse_corpus,
 )
-from .expr import ExprError
+from .expr import ExprError, OutOfDomainError
 from .jets import JetError, compose_jets
 from .jetlaws import cofree_jet, comonad_rows, faa_r_rows, linear_items, linear_rows
 from .laws import Rows, cd_rows, dr_rows
@@ -137,13 +137,15 @@ def cmd_jet(args) -> int:
         print(f"D_{n}:  {comp}")
     if args.point is not None:
         point = args.point
-        directions = args.directions or [tuple(1.0 for _ in range(f.dom.dim))]
-        while len(directions) < args.order:
-            directions.append(directions[-1])
-        tower = [apply_map(jet.star, point)]
-        for n, comp in enumerate(jet.derivs, start=1):
+        directions = args.directions or [(1.0,) * f.dom.dim]
+        directions += [directions[-1]] * (args.order - len(directions))
+        tower = []
+        for n, comp in enumerate((jet.star, *jet.derivs)):
             flat = tuple(v for d in directions[:n] for v in d) + point
             tower.append(apply_map(comp, flat))
+            if not all(map(math.isfinite, tower[-1])):  # float overflow in * or +
+                entry = f"D_{n}" if n else "star"
+                raise OutOfDomainError(f"overflow in {entry} at {list(point)}")
         rendered = [list(v) if len(v) != 1 else v[0] for v in tower]
         print(f"tower at {list(point)}: {rendered}")
     return 0

@@ -14,15 +14,16 @@ map, object and monoid it touches goes through the protocol, and towers of
 base maps, their serial form and the base's own order relations live with
 the base's callers.  Composition builds the partition terms that
 vanishing_terms does not prove zero.  The bang into the terminal object is
-the empty select, select([o], []), and a sum of parallel maps is the base's
-add: over jets, the componentwise sum of the base.
+the empty select, select([o], []).  A sum of parallel maps is one call of
+the base's add on all its terms, so partition terms are summed, not folded;
+over jets it is the base's add on each component, the pointwise rule of tuple_jets.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .config import RunConfig
 from .smooth import (
@@ -152,11 +153,6 @@ def monoid_zero_arrow(cat, dom_obj, monoid: MonoidStructure, order):
     is the bang, the empty select, at the given order."""
     bang = cat.select([dom_obj], [], order)
     return bang if monoid.carrier == cat.product([]) else cat.then(bang, monoid.zero)
-
-
-def mon_sum(cat, terms):
-    """The sum of parallel maps, folded left by the category's add."""
-    return reduce(cat.add, terms)
 
 
 def _vector_blocks(obj: FaaObject, n: int) -> list:
@@ -303,17 +299,20 @@ def _partition_sum(f: JetMorphism, g: JetMorphism, vanishes) -> JetMorphism:
                     block_args[block] = cat.then(sel, comp)
             args = [block_args[block] for block in partition] + [point]
             terms.append(cat.then(cat.tuple_map(args), g.derivs[len(partition) - 1]))
-        derivs.append(mon_sum(cat, terms))
+        derivs.append(cat.add(terms))
     return JetMorphism(cat, f.src, g.dst, star, tuple(derivs))
+
+
+def _pointwise(combine, jets, dst: FaaObject) -> JetMorphism:
+    """combine of the jets' stars and of their components, to the shortest order."""
+    order = min(j.order for j in jets)
+    return JetMorphism(jets[0].base, jets[0].src, dst, combine([j.star for j in jets]),
+                       tuple(combine([j.derivs[n] for j in jets]) for n in range(order)))
 
 
 def tuple_jets(jets) -> JetMorphism:
     cat = jets[0].base
-    order = min(j.order for j in jets)
-    star = cat.tuple_map([j.star for j in jets])
-    derivs = tuple(cat.tuple_map([j.derivs[n] for j in jets]) for n in range(order))
-    dst = product_objects(cat, [j.dst for j in jets])
-    return JetMorphism(cat, jets[0].src, dst, star, derivs)
+    return _pointwise(cat.tuple_map, jets, product_objects(cat, [j.dst for j in jets]))
 
 
 def restriction_jet(f: JetMorphism) -> JetMorphism:
@@ -411,7 +410,7 @@ def derivative_jet(f: JetMorphism) -> JetMorphism:
             sel = cat.select(blocks, picks, cat.order_of(comp))
             terms.append(cat.then(sel, comp))
         terms.append(_derivative_tail_term(cat, f, n, blocks))
-        derivs.append(mon_sum(cat, terms))
+        derivs.append(cat.add(terms))
     return JetMorphism(cat, src, dst, star, tuple(derivs))
 
 
@@ -444,14 +443,12 @@ class FaaCategory:
         return _restriction_jet(base, f.src, base.then(f.star, g.star),
                                 min(f.order, g.order))
 
-    def add(self, f: JetMorphism, g: JetMorphism):
-        """The sum of parallel jets: the base's add on the stars and on each
-        component, to the shorter order."""
-        if f.src != g.src or f.dst != g.dst:
+    def add(self, jets):
+        """The base's add on the stars and on each component, to the shortest order."""
+        f = jets[0]
+        if any(j.src != f.src or j.dst != f.dst for j in jets):
             raise JetError("sum wants parallel jets")
-        base = self.base
-        return JetMorphism(base, f.src, f.dst, base.add(f.star, g.star),
-                           tuple(map(base.add, f.derivs, g.derivs)))
+        return f if len(jets) == 1 else _pointwise(self.base.add, jets, f.dst)
 
     def vanishing_terms(self, f_star, f_derivs, g_star, g_derivs):
         """No proof over jets: jets of jets compose by the literal sum."""

@@ -197,11 +197,15 @@ def guard_within(guard: Guard, offset: int, dim: int) -> bool:
     return guard_vars(guard) <= {var_name(offset + k) for k in range(dim)}
 
 
-def add_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    if f.dom != g.dom or f.cod != g.cod:
+def add_maps(*maps: SmoothMap) -> SmoothMap:
+    """The sum of parallel maps, coordinates and guard folded left; one map is itself."""
+    f = maps[0]
+    if any(m.dom != f.dom or m.cod != f.cod for m in maps):
         raise SmoothMapError("sum wants parallel maps")
-    coords = tuple(add(a, b) for a, b in zip(f.coords, g.coords))
-    return SmoothMap(f.dom, f.cod, coords, guard_and(f.guard, g.guard))
+    if len(maps) == 1:
+        return f
+    coords = tuple(reduce(add, column) for column in zip(*(m.coords for m in maps)))
+    return SmoothMap(f.dom, f.cod, coords, reduce(guard_and, (m.guard for m in maps)))
 
 
 # --- monoids and the vector-object assignment ----------------------------------
@@ -218,10 +222,8 @@ class MonoidStructure:
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def componentwise_monoid(dim: int) -> MonoidStructure:
     carrier = SpaceObject(dim)
-    coords = tuple(add(var(var_name(i)), var(var_name(dim + i))) for i in range(dim))
-    plus = SmoothMap(SpaceObject(2 * dim), carrier, coords)
-    zero = zero_map(TERMINAL, carrier)
-    return MonoidStructure(carrier, plus, zero)
+    plus = add_maps(select([dim, dim], [0]), select([dim, dim], [1]))
+    return MonoidStructure(carrier, plus, zero_map(TERMINAL, carrier))
 
 
 @dataclass(frozen=True, slots=True)
@@ -579,8 +581,8 @@ class SmoothCategory:
     def restricted_then(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
         return restriction_of(then(f, g))
 
-    def add(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
-        return add_maps(f, g)
+    def add(self, maps: Sequence[SmoothMap]) -> SmoothMap:
+        return add_maps(*maps)
 
     def vanishing_terms(self, f_star: SmoothMap, f_derivs: Sequence[SmoothMap],
                         g_star: SmoothMap, g_derivs: Sequence[SmoothMap]):

@@ -1,12 +1,15 @@
 import functools
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from faadibruno import expr, jets, laws, smooth
-from faadibruno.cli import main
+from faadibruno.cli import SUITES, main
 from faadibruno.config import derive_seed
 from faadibruno.corpus import (
     COMONAD_TEXT,
@@ -73,6 +76,24 @@ def test_cli_jet_pow_overflow_is_a_domain_fault(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow in pow" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("coords, point, directions, entry", [
+    ("x*x*x*x", "1e100", [], "star"),  # an infinity
+    ("x*x*x*x - x*x*x*x*x", "1e100", [], "star"),  # inf - inf, a nan
+    # the star is 1e20, its derivative along 1e300 is 2e310
+    ("x*x", "1e10", ["--directions", "1e300"], "D_1"),
+])
+def test_cli_jet_float_overflow_in_a_product_is_reported_like_exp(coords, point, directions,
+                                                                   entry, capsys):
+    """Float overflow in * gives a non-finite value where ^ and exp raise: the
+    lines already printed stay, and one error line names the entry and the
+    point."""
+    assert main(["jet", f"fn(x) -> ({coords})", "--order", "1", "--point", point,
+                 *directions]) == 2
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["star", "D_1"]
+    assert captured.err == f"error: overflow in {entry} at [{float(point)!r}]\n"
 
 
 def test_cli_jet_sin_of_infinity_is_a_domain_fault(capsys):
@@ -525,3 +546,37 @@ def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys
         rounds.append((len(expr._NODES), len(jets._COMPOSITES),
                        {name: c.cache_info().currsize for name, c in caches.items()}))
     assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
+
+
+# Loads the package in a fresh interpreter, runs the CLI on the argument lists
+# of argv[1], and writes the exit codes and the modules loaded since before
+# the import to argv[2].  The snapshot comes first: site's .pth hooks may load
+# third-party modules at start-up.
+FRESH_RUN = """
+import json, sys
+before = set(sys.modules)
+import faadibruno
+from faadibruno.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+json.dump({"codes": codes, "loaded": sorted(set(sys.modules) - before)}, open(sys.argv[2], "w"))
+"""
+
+
+def test_the_cli_runs_on_the_standard_library_alone(tmp_path):
+    """Every suite, jet --point, compose and diff load no module but the
+    package's and the standard library's, though others are installed."""
+    runs = [["axioms", "--suite", suite, "--order", "2", "--samples", "20",
+             "--json", str(tmp_path / f"{suite}.json")] for suite in SUITES]
+    runs += [["jet", "fn(x, y) -> (x/y, log(x))", "--order", "2", "--point", "1,2"],
+             ["compose", "fn(x) -> (1/x)", "fn(y) -> (y^2 + y)", "--order", "3"],
+             ["diff", "fn(x) -> (sin(x))", "--order", "2"]]
+    out = tmp_path / "loaded.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(runs), str(out)],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                   stdout=subprocess.DEVNULL)
+    result = json.loads(out.read_text())
+    assert result["codes"] == [0] * len(runs)
+    assert any(name.startswith("faadibruno.") for name in result["loaded"])
+    assert [name for name in result["loaded"] if name.partition(".")[0] != "faadibruno"
+            and name.partition(".")[0] not in sys.stdlib_module_names] == []

@@ -7,6 +7,7 @@ import pickle
 import random
 import weakref
 from contextlib import contextmanager
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from faadibruno import cli, corpus, jetlaws
 from faadibruno.cli import SUITES, main as cli_main
 from faadibruno.config import RunConfig
+from faadibruno import expr as E
 from faadibruno import jets as J
 from faadibruno import smooth as S
 from faadibruno.jets import (
@@ -53,6 +55,7 @@ from faadibruno.smooth import (
     SMOOTH,
     STRUCTURE_CACHE_SIZE,
     MonoidStructure,
+    SmoothMapError,
     SpaceObject,
     apply_map,
     componentwise_monoid,
@@ -682,12 +685,12 @@ def test_a_sum_in_the_terminal_monoid_of_jets_keeps_its_terms_order_and_restrict
     G = J.faa_over(F)
     unit = G.product([])  # its monoid is built at order 0
     a = G.select([unit], [], 2).star
-    assert a.order == 2 and J.mon_sum(F, [a, a]).order == 2
+    assert a.order == 2 and F.add([a, a]).order == 2
     # partial terms: the sum is the bang after both terms' restrictions
     b1, b2 = (compose_jets(cofree_jet(pm(text), CLASSICAL, 2),
                            F.select([_obj(1, 1)], [], 2))
               for text in ("fn(x) -> (log(x))", "fn(x) -> (1/(x - 1))"))
-    got = J.mon_sum(F, [b1, b2])
+    got = F.add([b1, b2])
     want = compose_jets(compose_jets(restriction_jet(b1), restriction_jet(b2)),
                         F.select([_obj(1, 1)], [], 2))
     assert got.order == 2
@@ -696,7 +699,7 @@ def test_a_sum_in_the_terminal_monoid_of_jets_keeps_its_terms_order_and_restrict
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_the_sum_of_jets_is_the_monoid_addition_after_the_pair(order):
-    """add(f, g) is <f, g> then the addition of the target monoid: the vector
+    """add([f, g]) is <f, g> then the addition of the target monoid: the vector
     monoid jet_L, the interchange product of two of them, and the terminal
     monoid.  trivial_monoid builds its addition at order 0, since an object
     carries no order; at the jets' order that addition is the bang."""
@@ -717,7 +720,7 @@ def test_the_sum_of_jets_is_the_monoid_addition_after_the_pair(order):
              (fb.select([unit, unit], [], order), to_unit("log(x)"), to_unit("sqrt(x)"))]
     for add, f, g in cases:
         assert f.dst == g.dst == add.dst
-        got = fb.add(f, g)
+        got = fb.add([f, g])
         assert got.order == order
         assert got == compose_jets(tuple_jets([f, g]), add)
 
@@ -725,7 +728,69 @@ def test_the_sum_of_jets_is_the_monoid_addition_after_the_pair(order):
 def test_the_sum_of_jets_wants_parallel_jets():
     fb = J.faa_over(SMOOTH)
     with pytest.raises(JetError):
-        fb.add(jet("fn(x) -> (x)"), jet("fn(x) -> (x, x)"))
+        fb.add([jet("fn(x) -> (x)"), jet("fn(x) -> (x, x)")])
+
+
+# guarded maps R^1 -> R^1 whose guards overlap and list their atoms in
+# different orders, with the jet orders they are summed at
+SUM_TEXTS = [("fn(x) -> (log(x) + 1/x)", 3), ("fn(x) -> (1/(x - 1) * log(x))", 2),
+             ("fn(x) -> (sqrt(x) * sin(x)) where x > 0", 4), ("fn(x) -> (1/x + log(x))", 1),
+             ("fn(x) -> (exp(x) / (x - 1))", 5)]
+
+
+def _two_term_sum(cat, f, g):
+    """The sum of two parallel maps built field by field, to the shorter
+    order: coordinate sums and the conjoined guard over the smooth base."""
+    if cat is SMOOTH:
+        coords = tuple(E.add(a, b) for a, b in zip(f.coords, g.coords, strict=True))
+        return S.SmoothMap(f.dom, f.cod, coords, E.guard_and(f.guard, g.guard))
+    base = cat.base
+    return J.JetMorphism(base, f.src, f.dst, _two_term_sum(base, f.star, g.star),
+                         tuple(map(partial(_two_term_sum, base), f.derivs, g.derivs)))
+
+
+def _sum_terms(level, k):
+    """k parallel terms of the category at level: guarded maps, their jets at
+    different orders, and the comultiplications of their order-2 jets."""
+    cat = SMOOTH
+    for _ in range(level):
+        cat = J.faa_over(cat)
+    texts = SUM_TEXTS[:k]
+    if level == 0:
+        return cat, [pm(text) for text, _ in texts]
+    if level == 1:
+        return cat, [jet(text, order) for text, order in texts]
+    return cat, [delta(jet(text, 2)) for text, _ in texts]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_sum_is_the_left_fold_of_two_term_sums(level, k):
+    """add on all the terms builds the nodes and guards of the two-term sums
+    folded left, to the shortest order, and a one-term sum is its term."""
+    cat, terms = _sum_terms(level, k)
+    got = cat.add(terms)
+    if k == 1:
+        assert got is terms[0]
+    want = reduce(partial(_two_term_sum, cat), terms)
+    assert got == want
+    if level == 0:
+        assert not got.guard.is_true()
+        assert all(a is b for a, b in zip(got.coords, want.coords, strict=True))
+    else:
+        assert got.order == min(t.order for t in terms)
+        _same_nodes(got, want)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_sum_wants_parallel_terms_wherever_they_stand(level):
+    cat, terms = _sum_terms(level, 2)
+    error = JetError if level else SmoothMapError
+    for text in ("fn(x) -> (x, x)", "fn(x, y) -> (x)"):  # another codomain, another domain
+        odd = (pm(text), jet(text, 2), delta(jet(text, 2)))[level]
+        for at in range(3):
+            with pytest.raises(error):
+                cat.add(terms[:at] + [odd] + terms[at:])
 
 
 @pytest.mark.parametrize("factors", range(4))
@@ -877,7 +942,7 @@ def test_componentwise_mon_sum_equals_the_substituted_fold(width):
     want = terms[0]
     for t in terms[1:]:
         want = then(tuple_map([want, t]), monoid.add)
-    assert J.mon_sum(SMOOTH, terms) == want
+    assert SMOOTH.add(terms) == want
 
 
 class CountingSmooth:
@@ -1026,10 +1091,12 @@ PAIRS = [pair for text in (DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT)
 @pytest.fixture
 def partition_sums(monkeypatch):
     """(vanishes, terms) for each partition sum, in the order the sums start:
-    the base's answer, and the number of terms summed at each order.  The
-    composite table is one of its own, so no earlier composite is reused."""
-    sums, open_sums = [], []
-    literal, fold = J._partition_sum, J.mon_sum
+    the base's answer, and the number of terms summed at each order, counted
+    at the categories' add, where not called by another add (a sum of jets
+    adds in its base too).  The composite table is one of its own, so no
+    earlier composite is reused."""
+    sums, open_sums, adding = [], [], []
+    literal = J._partition_sum
 
     def recording(f, g, vanishes):
         sums.append((vanishes, []))
@@ -1039,14 +1106,19 @@ def partition_sums(monkeypatch):
         finally:
             open_sums.pop()
 
-    def counting(cat, terms):
-        if open_sums:
-            open_sums[-1].append(len(terms))
-        return fold(cat, terms)
+    for adapter in (S.SmoothCategory, J.FaaCategory):
+        def counting(cat, terms, add=adapter.add):
+            if open_sums and not adding:
+                open_sums[-1].append(len(terms))
+            adding.append(cat)
+            try:
+                return add(cat, terms)
+            finally:
+                adding.pop()
 
+        monkeypatch.setattr(adapter, "add", counting)
     monkeypatch.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
     monkeypatch.setattr(J, "_partition_sum", recording)
-    monkeypatch.setattr(J, "mon_sum", counting)
     return sums
 
 

@@ -14,6 +14,7 @@ from faadibruno.expr import (
     Guard, GuardAtom, OutOfDomainError, UnboundVariableError, guard_subst,
     parse_expression, shift_vars, var,
 )
+from faadibruno import expr as E
 from faadibruno import smooth as S
 from faadibruno.laws import object_sides
 from faadibruno.smooth import (
@@ -703,6 +704,20 @@ def test_componentwise_monoid_laws(dim, raw):
     assert all(math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12) for x, y in zip(lhs, rhs))
     zero = apply_map(mon.zero, ())
     assert plus(a, zero) == a
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_componentwise_monoid_is_the_literal_construction(dim):
+    """The addition is the sum of the two selects of R^d x R^d: coordinate i
+    is x_i + x_(d+i), node for node, with no guard."""
+    carrier = SpaceObject(dim)
+    coords = tuple(E.add(var(f"x{i + 1}"), var(f"x{dim + i + 1}")) for i in range(dim))
+    want = S.MonoidStructure(carrier, SmoothMap(SpaceObject(2 * dim), carrier, coords),
+                             SmoothMap(S.TERMINAL, carrier, (E.ZERO,) * dim))
+    got = componentwise_monoid(dim)
+    assert got == want
+    assert all(a is b for a, b in zip(got.add.coords, coords, strict=True))
+    assert got.add.guard.is_true()
 
 
 @pytest.mark.parametrize("dim", range(7))
