@@ -214,8 +214,10 @@ def faa_r_rows(r: Rows, item, L: LAssignment):
 
 def comonad_rows(r: Rows, f: SmoothMap, L: LAssignment):
     """Counit laws (the right one exact by construction, the left one sampled
-    at a tight tolerance), coassociativity on comparable components, the coalgebra square
-    delta(Df)_n = tower(D_n f), and the restriction variants."""
+    at a tight tolerance; its sides are one object per component, since the
+    stars of delta's components are F's own components), coassociativity on
+    comparable components, the coalgebra square delta(Df)_n = tower(D_n f)
+    for every n up to the order, and the restriction variants."""
     cfg = r.cfg
     F = cofree_jet(f, L, cfg.order)
     dF = delta(F)
@@ -234,7 +236,7 @@ def comonad_rows(r: Rows, f: SmoothMap, L: LAssignment):
     r.eq("comonad.coassociativity", delta(dT), faa_delta_jet(dT), "coassoc")
 
     # the coalgebra square: components of delta on a tower are towers
-    for n in range(1, min(2, cfg.order) + 1):
+    for n in range(1, cfg.order + 1):
         tower = cofree_jet(F.derivs[n - 1], L, cfg.order - n)
         r.eq("comonad.coalgebra-square", dF.derivs[n - 1], tower, f"square:{n}", component=n)
 

@@ -17,6 +17,9 @@ vanishing_terms does not prove zero.  The bang into the terminal object is
 the empty select, select([o], []).  A sum of parallel maps is one call of
 the base's add on all its terms, so partition terms are summed, not folded;
 over jets it is the base's add on each component, the pointwise rule of tuple_jets.
+The comultiplication delta(f) = (f, D_1 f, .., D_N f) is built from f's own
+components, each D_n f in closed form (d_n_jet); faa_d_n, the paper's literal
+zero-insertion into the n-fold derivative, is kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, permutations
 
 from .config import RunConfig
 from .smooth import (
@@ -375,43 +379,62 @@ def is_total(f: JetMorphism, cfg: RunConfig, label: str = "total") -> bool:
 
 # --- the derivative on jets ----------------------------------------------------------
 
-def _derivative_tail_term(cat, f: JetMorphism, n: int, blocks):
-    """The f_{n+1}(c, b_1..b_n; x) term of the derivative's n-th component."""
-    comp = f.derivs[n]
-    picks = [2 * n] + [2 * j + 1 for j in range(n)] + [2 * n + 1]
-    sel = cat.select(blocks, picks, cat.order_of(comp))
-    return cat.then(sel, comp)
+def d_n_jet(f: JetMorphism, n: int) -> JetMorphism:
+    """The symmetric n-th derivative D_n f in closed form, n >= 1: source
+    L0(S)^n x S, target L0(T), n orders consumed, star f_n.
+
+    Component k at directions (w^j_1..w^j_n, y^j), j = 1..k, and point
+    (v_1..v_n, x) is the sum over s = min(k, n) down to 0, over the subsets S
+    of {1..k} of size s and over the injections sigma: S -> {1..n}, of
+        f_{n+k-s}(u_1..u_n, y^j for j not in S; x),
+    where u_i = w^j_i if sigma(j) = i and u_i = v_i otherwise.  The sum is
+    nested by s, then S, then sigma, so it stays shallow.  It equals the
+    literal zero-insertion faa_d_n(f, D^n f, n) (tested), without the 2^n
+    blocks of D^n f."""
+    if n < 1:
+        raise JetError("the symmetric derivative wants n >= 1")
+    if n > f.order:
+        raise JetError("derivative consumed the whole jet order")
+    cat = f.base
+    car = f.src.monoid.carrier
+    src = product_objects(cat, [lambda_object(f.src.monoid)] * n + [f.src])
+    derivs = []
+    for k in range(1, f.order - n + 1):
+        # fine-grained block layout: each direction w^j_1..w^j_n, y^j, then
+        # the point v_1..v_n, x
+        blocks = [car] * ((n + 1) * (k + 1) - 1) + [f.src.point]
+        derivs.append(cat.add([
+            cat.add([cat.add(_injection_terms(cat, f, n, k, subset, blocks))
+                     for subset in combinations(range(k), s)])
+            for s in range(min(k, n), -1, -1)]))
+    return JetMorphism(cat, src, lambda_object(f.dst.monoid), f.derivs[n - 1], tuple(derivs))
+
+
+def _injection_terms(cat, f: JetMorphism, n: int, k: int, subset, blocks) -> list:
+    """The terms of D_n f's component k for one subset S of the directions
+    (0-based), one per injection sigma: S -> {1..n} in lexicographic order."""
+    comp = f.derivs[n + k - len(subset) - 1]
+    hint = cat.order_of(comp)
+    point = k * (n + 1)
+    rest = [j * (n + 1) + n for j in range(k) if j not in subset] + [point + n]
+    terms = []
+    for sigma in permutations(range(n), len(subset)):
+        u = list(range(point, point + n))
+        for j, i in zip(subset, sigma):
+            u[i] = j * (n + 1) + i
+        terms.append(cat.then(cat.select(blocks, u + rest, hint), comp))
+    return terms
 
 
 def derivative_jet(f: JetMorphism) -> JetMorphism:
-    """D on jets: source L0(S) x S, target L0(T), one order consumed.
-
-    Component n at directions (a_1,b_1)..(a_n,b_n) and point (c,x):
+    """D on jets, the case n = 1 of d_n_jet: source L0(S) x S, target L0(T),
+    one order consumed.  Component n at directions (a_1,b_1)..(a_n,b_n) and
+    point (c,x) is
         sum_i f_n(a_i, b_1,..,^b_i,..,b_n; x)  +  f_{n+1}(c, b_1,..,b_n; x).
     The order-1 case is the two-term formula forced by linearity of the
     comultiplication's first component; higher orders extend it so that the
     tower of a coalgebra image is the coalgebra image of the tower."""
-    if f.order < 1:
-        raise JetError("derivative consumed the whole jet order")
-    cat = f.base
-    src = product_objects(cat, [lambda_object(f.src.monoid), f.src])
-    dst = lambda_object(f.dst.monoid)
-    order = f.order - 1
-    star = f.derivs[0]
-    car = f.src.monoid.carrier
-    derivs = []
-    for n in range(1, order + 1):
-        # fine-grained block layout of (AxA)^n x (AxX)
-        blocks = [car, car] * n + [car, f.src.point]
-        terms = []
-        for i in range(n):
-            picks = [2 * i] + [2 * j + 1 for j in range(n) if j != i] + [2 * n + 1]
-            comp = f.derivs[n - 1]
-            sel = cat.select(blocks, picks, cat.order_of(comp))
-            terms.append(cat.then(sel, comp))
-        terms.append(_derivative_tail_term(cat, f, n, blocks))
-        derivs.append(cat.add(terms))
-    return JetMorphism(cat, src, dst, star, tuple(derivs))
+    return d_n_jet(f, 1)
 
 
 # --- the category adapter: jets over a base are themselves a base ---------------------
@@ -486,8 +509,9 @@ def delta_object(obj: FaaObject, cat, order: int) -> FaaObject:
 
 
 def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
-    """Symmetric n-th derivative of a jet from its n-fold derivative dnf:
-    zero-insertion into dnf, exactly as in the base model."""
+    """Symmetric n-th derivative of a jet from its n-fold derivative dnf: the
+    paper's literal zero-insertion into dnf, exactly as in the base model.
+    delta builds d_n_jet instead; this route is kept as its test oracle."""
     cat = f.base
     fb = faa_over(cat)
     inner = f.order - n
@@ -504,21 +528,17 @@ def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
 
 
 def delta(f: JetMorphism) -> JetMorphism:
-    """Comultiplication: the jet of jets (f, D f, D_2 f, ...), a morphism one
-    level up whose star is f itself.  Component n has usable order N - n; an
-    order-0 jet yields the star-only double jet.  The n-fold derivatives come
-    from one chain D f, D^2 f, ..., and the result is kept on f."""
+    """Comultiplication: the jet of jets (f, D_1 f, D_2 f, ...), a morphism
+    one level up whose star is f itself.  Component n is d_n_jet(f, n), read
+    off f's own components, with usable order N - n; an order-0 jet yields
+    the star-only double jet.  The result is kept on f."""
     if f._delta is not None:
         return f._delta
     cat = f.base
-    derivs = []
-    dnf = f
-    for n in range(1, f.order + 1):
-        dnf = derivative_jet(dnf)
-        derivs.append(faa_d_n(f, dnf, n))
+    derivs = tuple(d_n_jet(f, n) for n in range(1, f.order + 1))
     src2 = delta_object(f.src, cat, f.order)
     dst2 = delta_object(f.dst, cat, f.order)
-    out = JetMorphism(faa_over(cat), src2, dst2, f, tuple(derivs))
+    out = JetMorphism(faa_over(cat), src2, dst2, f, derivs)
     object.__setattr__(f, "_delta", out)
     return out
 

@@ -104,9 +104,9 @@ def test_acceptance_4_comonad_laws():
         for r in counit_rows[:4])  # the two polynomial corpus entries
     square_rows = [r for r in rows if r.axiom == "comonad.coalgebra-square"]
     ok = (gating_ok(rows) and poly_exact
-          and {r.component for r in square_rows} == {1, 2})
+          and {r.component for r in square_rows} == set(range(1, CFG.order + 1)))
     report(4, "counit laws exact on polynomials; coassociativity and the "
-              "coalgebra square (n <= 2, order 4) at 1e-9; restriction variants", ok)
+              "coalgebra square (n <= order, order 4) at 1e-9; restriction variants", ok)
 
 
 def test_acceptance_5_linearity_characterization():
@@ -174,23 +174,44 @@ def test_acceptance_8a_dropped_partition_term_detected(monkeypatch):
 
 
 def test_acceptance_8b_sign_flip_in_derivative_detected(monkeypatch):
-    original = jets_module._derivative_tail_term
+    original = jets_module._injection_terms
 
-    def flipped(cat, f, n, blocks):
-        term = original(cat, f, n, blocks)
-        # the curated flip lives in the base-level formula
-        if not isinstance(term, smooth_module.SmoothMap):
-            return term
-        return smooth_module.SmoothMap(term.dom, term.cod, tuple(map(neg, term.coords)),
-                                       term.guard)
+    def flipped(cat, f, n, k, subset, blocks):
+        terms = original(cat, f, n, k, subset, blocks)
+        # the curated flip is the tail term (no direction inserted) of the
+        # base-level formula
+        if subset or not isinstance(terms[0], smooth_module.SmoothMap):
+            return terms
+        return [smooth_module.SmoothMap(t.dom, t.cod, tuple(map(neg, t.coords)), t.guard)
+                for t in terms]
 
-    monkeypatch.setattr(jets_module, "_derivative_tail_term", flipped)
+    monkeypatch.setattr(jets_module, "_injection_terms", flipped)
     rows = run_suite("comonad", [parse_smooth_map("fn(x) -> (x^3)")], MUT_CFG)
     monkeypatch.undo()
     failures = [r for r in rows if r.gating and r.status == "fail"]
     caught = failures != [] and any(r.witness_point is not None for r in failures)
     report(8, "mutation: sign flip in the jet-derivative formula is detected "
               "with a witness", caught)
+
+
+def test_acceptance_8k_dropped_injection_term_detected(monkeypatch, capsys, tmp_path):
+    original = jets_module._injection_terms
+
+    def dropping(cat, f, n, k, subset, blocks):
+        terms = original(cat, f, n, k, subset, blocks)
+        return terms[:-1] if n >= 3 and subset else terms
+
+    monkeypatch.setattr(jets_module, "_injection_terms", dropping)
+    path = tmp_path / "comonad.json"
+    code = cli_main(["axioms", "--suite", "comonad", "--order", "4", "--json", str(path)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    failures = [r for r in json.loads(path.read_text())["results"]
+                if r.get("gating", True) and r["status"] == "fail"]
+    caught = code == 1 and any(r["axiom"] == "comonad.coalgebra-square"
+                               and r["witness_point"] is not None for r in failures)
+    report(8, "mutation: a dropped injection term of D_n f (n >= 3) is detected "
+              "by the coalgebra square with a witness", caught)
 
 
 def test_acceptance_8c_dropped_guard_conjunct_detected(monkeypatch):

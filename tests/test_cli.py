@@ -379,10 +379,11 @@ def test_cli_report_matches_golden_file(suite, order, tmp_path, capsys):
     totality checks of the split category.  At order 4, the first order
     where partitions share blocks across several terms, comonad and faa-r
     pin the partition sum; cd, dr and split read no jet order, and their
-    order-4 files pin that too.  At order 5 comonad pins delta's shared
-    derivative chain and its reuse across the rows of one sample.  At order 6
-    it pins the restriction jets and zero-insertions that build only the
-    singleton-partition term of sums over up to B(6) = 203 partitions."""
+    order-4 files pin that too.  At order 5 comonad pins delta's closed-form
+    components and their reuse across the rows of one sample, and the
+    coalgebra square for every n up to the order.  At order 6 it pins the
+    restriction jets that build only the singleton-partition term of sums
+    over up to B(6) = 203 partitions."""
     out = tmp_path / f"{suite}.json"
     assert main(["axioms", "--suite", suite, "--order", str(order), "--samples", "50",
                  "--seed", "0", "--json", str(out)]) == 0

@@ -394,8 +394,8 @@ def test_delta_first_component_is_derivative():
     assert jet_equal(d.derivs[0], derivative_jet(F), CFG, "delta-1").ok
 
 
-def test_delta_builds_one_derivative_chain(monkeypatch):
-    # D f, D^2 f, .., D^N f: each derivative once, not once per component
+def test_delta_builds_no_derivative_chain(monkeypatch):
+    # D_1 f, .., D_N f are read off f's own components: no D f, D^2 f, ..
     calls = []
     build = J.derivative_jet
 
@@ -406,8 +406,95 @@ def test_delta_builds_one_derivative_chain(monkeypatch):
     monkeypatch.setattr(J, "derivative_jet", counting)
     order = 4
     d = delta(jet("fn(x) -> (1/x)", order))
-    assert calls == [4, 3, 2, 1]
+    assert calls == []
     assert [c.order for c in d.derivs] == [3, 2, 1, 0]
+
+
+def _two_term_derivative(f):
+    """D f by the two-term formula, written out as the reference:
+    component n is sum_i f_n(a_i, b_1,..,^b_i,..,b_n; x) + f_{n+1}(c, b_1,..,b_n; x)
+    over the block layout (a_1, b_1), .., (a_n, b_n), (c, x)."""
+    cat = f.base
+    car = f.src.monoid.carrier
+    derivs = []
+    for n in range(1, f.order):
+        blocks = [car, car] * n + [car, f.src.point]
+        picks = [[2 * i] + [2 * j + 1 for j in range(n) if j != i] + [2 * n + 1]
+                 for i in range(n)] + [[2 * n] + [2 * j + 1 for j in range(n)] + [2 * n + 1]]
+        comps = [f.derivs[n - 1]] * n + [f.derivs[n]]
+        derivs.append(cat.add([cat.then(cat.select(blocks, p, cat.order_of(c)), c)
+                               for p, c in zip(picks, comps)]))
+    src = J.product_objects(cat, [lambda_object(f.src.monoid), f.src])
+    return J.JetMorphism(cat, src, lambda_object(f.dst.monoid), f.derivs[0], tuple(derivs))
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_jet_is_the_first_closed_form_node_for_node(order, level):
+    maps = corpus_maps(parse_corpus(COMONAD_TEXT)) + [
+        f for pair in corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT)) for f in pair]
+    for f in maps:
+        F = cofree_jet(f, CLASSICAL, order)
+        if level == 2:
+            F = truncate_jet(delta(F), 2)
+        got, first = derivative_jet(F), J.d_n_jet(F, 1)
+        assert got.star is first.star is F.derivs[0]
+        assert got.src == first.src and got.dst == first.dst
+        assert len(got.derivs) == len(first.derivs) == F.order - 1
+        # the same component objects, node for node: the sums of a jet base
+        # are new jets, compared by their fields, and those of the smooth
+        # base hold the same coordinate nodes
+        assert got.derivs == first.derivs == _two_term_derivative(F).derivs
+        assert delta(F).derivs[0] == got
+
+
+# Jets that are not towers: each component multilinear and symmetric in its
+# directions, but none the derivative of the one before.
+HAND_WRITTEN_JETS = [
+    {"src": {"carrier_dim": 1, "point_dim": 1}, "dst": {"carrier_dim": 1, "point_dim": 1},
+     "order": 5, "star": "fn(x) -> (sin(x))",
+     "derivs": ["fn(v,x) -> (v*exp(x))", "fn(a,b,x) -> (a*b*x^2)",
+                "fn(a,b,c,x) -> (a*b*c*cos(x))", "fn(a,b,c,d,x) -> (a*b*c*d*(x + 1))",
+                "fn(a,b,c,d,e,x) -> (a*b*c*d*e*x^3)"]},
+    {"src": {"carrier_dim": 2, "point_dim": 2}, "dst": {"carrier_dim": 2, "point_dim": 2},
+     "order": 4, "star": "fn(x,y) -> (x*y, sin(y))",
+     "derivs": ["fn(v,w,x,y) -> (v*exp(y) + w*x, 2*w*cos(x))",
+                "fn(a,b,c,d,x,y) -> (a*c*y + b*d*x, a*d + b*c)",
+                "fn(a,b,c,d,e,g,x,y) -> (a*c*e*x, b*d*g*y^2)",
+                "fn(a,b,c,d,e,g,h,i,x,y) -> (a*c*e*h, b*d*g*i*exp(x))"]},
+]
+
+
+def _closed_form_jets(source, order):
+    if source == "hand-written":
+        return [truncate_jet(jet_from_dict(data), order) for data in HAND_WRITTEN_JETS]
+    L = {"classical": CLASSICAL, "trivial": S.TRIVIAL}[source]
+    return [cofree_jet(f, L, order) for f in corpus_maps(parse_corpus(COMONAD_TEXT))]
+
+
+@pytest.mark.parametrize("source", ["classical", "trivial", "hand-written"])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_closed_form_equals_the_zero_insertion_into_the_n_fold_derivative(order, level,
+                                                                          source):
+    for F in _closed_form_jets(source, order):
+        if level == 2:
+            F = truncate_jet(delta(F), 2)
+        dnf = F
+        for n in range(1, F.order + 1):
+            dnf = derivative_jet(dnf)
+            got = J.d_n_jet(F, n)
+            assert got.order == F.order - n and got.star is F.derivs[n - 1]
+            assert jet_equal(got, J.faa_d_n(F, dnf, n), CFG, f"closed:{n}").ok
+            assert delta(F).derivs[n - 1] == got
+
+
+def test_closed_form_wants_n_from_one_to_the_jet_order():
+    F = jet("fn(x) -> (x^3)", 2)
+    assert J.d_n_jet(F, 2).order == 0
+    for n in (0, 3):
+        with pytest.raises(JetError):
+            J.d_n_jet(F, n)
 
 
 def test_delta_is_built_once_per_jet():
@@ -1064,7 +1151,8 @@ def test_zero_insertion_equals_the_literal_partition_sum(order, level, partition
             dnf = derivative_jet(dnf)
             proven, literal, proven_sums, _ = _built_by_both_routes(
                 partition_sums, J.faa_d_n, F, dnf, n)
-            assert proven == literal == delta(F).derivs[n - 1]
+            assert proven == literal
+            assert jet_equal(proven, delta(F).derivs[n - 1], CFG, f"insertion:{n}").ok
             assert _one_term_per_order(proven_sums)
 
 
@@ -1229,10 +1317,9 @@ def _delta_and_its_restriction(text):
 
 
 def test_delta_and_its_restriction_compose_through_compose_jets(partition_sums):
-    """delta's zero-insertions and the components of a restriction jet over
-    jets are composites like any other: the proven route keeps one term per
-    order of each sum over the smooth base, and gives the nodes of the
-    literal sums."""
+    """The components of a restriction jet over jets are composites like any
+    other: the proven route keeps one term per order of each sum over the
+    smooth base, and gives the nodes of the literal sums."""
     proven, literal, proven_sums, literal_sums = _built_by_both_routes(
         partition_sums, _delta_and_its_restriction, "fn(x, y) -> (x*sin(y), x/y)")
     assert proven_sums and _one_term_per_order(proven_sums)
