@@ -20,7 +20,6 @@ from .smooth import (
     SmoothMap,
     SpaceObject,
     componentwise_monoid,
-    from_parsed,
     parse_smooth_map,
 )
 from .splitting import SplitMap, SplitObject, split_object
@@ -52,7 +51,7 @@ def parse_corpus(text: str):
             if m:
                 pending_obj, pending_line = _annotation(m), lineno
                 continue
-            smooth = from_parsed(parse_map(line))
+            smooth = parse_smooth_map(line)
         except ExprError as err:
             raise CorpusError(f"line {lineno}: {err}") from err
         if pending_obj is not None and pending_obj.space != smooth.dom:

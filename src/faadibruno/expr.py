@@ -187,9 +187,9 @@ def div(a: Expr, b: Expr) -> Expr:
 
 def ipow(base: Expr, exponent: int) -> Expr:
     """base^exponent for any integer exponent.  A negative power of a, like a
-    quotient by a, gives the guard atom a != 0 (domain_atoms), so no rule may
-    drop one: 0^-n stays a node, and (a^m)^n is not merged into a^(m*n) when
-    m and n are both negative."""
+    quotient by a, is defined only where a != 0, so no rule may drop one:
+    0^-n stays a node, and (a^m)^n is not merged into a^(m*n) when m and n
+    are both negative."""
     if not isinstance(exponent, int):
         raise ValueError(f"integer power wants an int, got {exponent!r}")
     if exponent == 0:
@@ -501,41 +501,6 @@ def guard_vars(g: Guard) -> frozenset[str]:
     return out
 
 
-def domain_atoms(e: Expr) -> tuple[GuardAtom, ...]:
-    """Guard atoms under which every primitive on the path is defined and
-    smooth: denominators and bases of negative powers != 0, log/sqrt
-    arguments > 0."""
-    out: list[GuardAtom] = []
-    seen: set = set()
-
-    def walk(node: Expr):
-        # a node walked before added its atoms then, so it is skipped
-        if node in seen:
-            return
-        seen.add(node)
-        for a in node.args:
-            walk(a)
-        atom = _own_atom(node.kind, node.args, node.exponent)
-        if atom is not None:
-            out.append(atom)
-
-    walk(e)
-    return tuple(out)
-
-
-def _own_atom(kind: str, args: tuple[Expr, ...], exponent: int = 0) -> GuardAtom | None:
-    """The atom under which the operation kind on args is defined, if it can
-    fault: a quotient's denominator and a negative power's base != 0, a log
-    or sqrt argument > 0."""
-    if kind == "div":
-        return GuardAtom("!=0", args[1])
-    if kind == "pow" and exponent < 0:
-        return GuardAtom("!=0", args[0])
-    if kind in ("log", "sqrt"):
-        return GuardAtom(">0", args[0])
-    return None
-
-
 # --- straight-line evaluation -------------------------------------------------
 
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
@@ -820,8 +785,8 @@ class _Parser:
         self.names: dict[str, Expr] | None = None
         self.scope = ""  # where names are being read: "map body" or "guard"
         # while a map body is read: the domain atom of each operation read,
-        # once each in reading order (see map_literal)
-        self.domain: dict[GuardAtom, None] | None = None
+        # in reading order (see map_literal)
+        self.domain: list[GuardAtom] | None = None
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -848,11 +813,12 @@ class _Parser:
             return True
         return False
 
-    def note(self, kind: str, args: tuple[Expr, ...], exponent: int = 0):
+    def note(self, op: str, e: Expr):
+        """Record the atom under which an operation just read is defined: a
+        quotient's denominator and a negative power's base != 0, a log or
+        sqrt argument > 0."""
         if self.domain is not None:
-            atom = _own_atom(kind, args, exponent)
-            if atom is not None:
-                self.domain[atom] = None
+            self.domain.append(GuardAtom(op, e))
 
     def number(self, t: Token) -> Fraction:
         try:
@@ -889,7 +855,7 @@ class _Parser:
                 if t.text == "*":
                     e = mul(e, rhs)
                 else:
-                    self.note("div", (e, rhs))
+                    self.note("!=0", rhs)
                     e = div(e, rhs)
             else:
                 return e
@@ -905,7 +871,8 @@ class _Parser:
                 self.error("power wants an integer exponent, such as 2 or -1")
             self.next()
             e = ipow(e, sign * int(self.number(t)))
-            self.note(e.kind, e.args, e.exponent)
+            if e.kind == "pow" and e.exponent < 0:
+                self.note("!=0", e.args[0])
         return neg(e) if negated else e
 
     # atom := number | ident | func "(" expr ")" | "(" expr ")"
@@ -921,7 +888,8 @@ class _Parser:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                self.note(t.text, (inner,))
+                if t.text in ("log", "sqrt"):
+                    self.note(">0", inner)
                 return build(inner)
             if self.names is None:
                 return var(t.text)
@@ -968,7 +936,7 @@ class _Parser:
             self.error("duplicate parameter name")
         self.names = {p: var(var_name(i)) for i, p in enumerate(params)}
         self.scope = "map body"
-        self.domain = {}
+        self.domain = []
         self.expect_op("->")
         self.expect_op("(")
         coords = [self.expr()]
@@ -985,14 +953,10 @@ class _Parser:
         end = self.peek()
         if end.kind != "eof":
             self.error(f"unexpected trailing input {end.text!r}")
-        # denominators and log/sqrt arguments contribute guard atoms so the map
-        # is smooth everywhere its guard holds: first those of the normal
-        # coordinates, then those of operations the normal form dropped
-        # (0*(1/x) is 0), so the map keeps the domain it was written with
-        for e in coords:
-            atoms.extend(domain_atoms(e))
-        atoms.extend(read)
-        return ParsedMap(len(params), tuple(coords), make_guard(atoms))
+        # the map is smooth wherever its guard holds: the where atoms, then
+        # the atom of each quotient, negative power, log and sqrt as it was
+        # read, also of those the normal form dropped (0*(1/x) is 0)
+        return ParsedMap(len(params), tuple(coords), make_guard(atoms + read))
 
 
 def var_name(i: int) -> str:

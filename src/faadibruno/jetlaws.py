@@ -80,18 +80,16 @@ def compatible(f: JetMorphism, g: JetMorphism, cfg: RunConfig, label: str = "cmp
 # and additivity together.
 LINEARITY_SCALAR = Fraction(-3, 2)
 
-# The components checked by check_multilinearity, and the components of the
-# comultiplication compared by the coassociativity row.
-MULTILINEAR_ORDER = 4
+# The components of the comultiplication compared by the coassociativity row.
 COASSOCIATIVITY_DEPTH = 2
 
 
 def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str) -> EqOutcome:
-    """Each component f_n(v_1, ..., v_n; x), n <= MULTILINEAR_ORDER, is linear in
-    v_1 and invariant under the swap (v_1 v_2) and the cycle (v_1 ... v_n).
-    The swap and the cycle generate every permutation, so symmetry carries
-    linearity to every block.  A component's identities are paired into one
-    equality of maps over the layout v_1 .. v_n, w, x."""
+    """Each component f_n(v_1, ..., v_n; x) is linear in v_1 and invariant
+    under the swap (v_1 v_2) and the cycle (v_1 ... v_n).  The swap and the
+    cycle generate every permutation, so symmetry carries linearity to every
+    block.  A component's identities are paired into one equality of maps
+    over the layout v_1 .. v_n, w, x."""
     a = f.src.monoid.carrier.dim
     d = f.src.point.dim
     q = const(LINEARITY_SCALAR)
@@ -100,7 +98,7 @@ def check_multilinearity(f: JetMorphism, cfg: RunConfig, label: str) -> EqOutcom
         return SmoothMap(m.dom, m.cod, tuple(mul(q, e) for e in m.coords), m.guard)
 
     outcomes = []
-    for n in range(1, min(f.order, MULTILINEAR_ORDER) + 1):
+    for n in range(1, f.order + 1):
         comp = f.derivs[n - 1]
         blocks = [a] * (n + 1) + [d]
         vs, w, x = list(range(n)), n, n + 1

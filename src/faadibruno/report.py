@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
+
+from .config import RunConfig
 
 SCHEMA_VERSION = 1
 
@@ -70,14 +72,7 @@ def write_report(fh, results: list[CheckResult], cfg, suites: list[str]) -> None
         "schema": SCHEMA_VERSION,
         "suites": sorted(suites),
         "seed": cfg.seed,
-        "config": {
-            "samples": cfg.samples,
-            "tol_rel": cfg.tol_rel,
-            "tol_abs": cfg.tol_abs,
-            "order": cfg.order,
-            "radius": cfg.radius,
-            "retry_cap": cfg.retry_cap,
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if f.name != "seed"},
         "status": overall_status(results),
         "results": map(CheckResult.as_dict, results),
     }

@@ -33,6 +33,7 @@ from .expr import (
     guard_vars,
     mul,
     node_cache,
+    parse_map,
     pretty_map,
     shift_vars,
     subst,
@@ -621,12 +622,8 @@ class SmoothCategory:
 SMOOTH = SmoothCategory()
 
 
-def from_parsed(parsed) -> SmoothMap:
-    """Wrap a ParsedMap literal into a SmoothMap."""
+def parse_smooth_map(text: str) -> SmoothMap:
+    """The SmoothMap of a map literal 'fn(a,b) -> (e1,e2) where g'."""
+    parsed = parse_map(text)
     return SmoothMap(SpaceObject(parsed.arity_in), SpaceObject(parsed.arity_out),
                      parsed.coords, parsed.guard)
-
-
-def parse_smooth_map(text: str) -> SmoothMap:
-    from .expr import parse_map
-    return from_parsed(parse_map(text))

@@ -248,3 +248,29 @@ def test_acceptance_8j_proof_that_every_term_vanishes_detected(monkeypatch, caps
     caught = code == 1 and any(r["witness_point"] is not None for r in failures)
     report(8, "mutation: a proof that every partition term vanishes is detected "
               "with a witness", caught)
+
+
+def test_acceptance_8l_non_symmetric_fifth_component_detected(capsys, tmp_path):
+    """A jet whose f_5 = p1*q2*p3*p4*p5 is linear in each direction block
+    (p_i, q_i) but not symmetric under the swap of v_1 and v_2 fails
+    jet.multilinear through the CLI at order 5, with a witness of the
+    layout v_1 .. v_5, w, x."""
+    def params(n):
+        return ", ".join(f"p{i}, q{i}" for i in range(1, n + 1)) + ", x"
+
+    bodies = ["p1", "0", "0", "0", "p1*q2*p3*p4*p5"]
+    (tmp_path / "f5.json").write_text(json.dumps({
+        "src": {"carrier_dim": 2, "point_dim": 1}, "dst": {"carrier_dim": 1, "point_dim": 1},
+        "order": 5, "star": "fn(x) -> (x)",
+        "derivs": [f"fn({params(n)}) -> ({body})" for n, body in enumerate(bodies, start=1)]}))
+    (tmp_path / "none.txt").write_text("# the jet alone\n")
+    path = tmp_path / "faa-r.json"
+    code = cli_main(["axioms", "--suite", "faa-r", "--order", "5", "--corpus",
+                     str(tmp_path / "none.txt"), "--jets", str(tmp_path / "f5.json"),
+                     "--json", str(path)])
+    capsys.readouterr()
+    failures = [r for r in json.loads(path.read_text())["results"] if r["status"] == "fail"]
+    caught = (code == 1 and [r["axiom"] for r in failures] == ["jet.multilinear"]
+              and len(failures[0]["witness_point"]) == 6 * 2 + 1)
+    report(8, "a fifth component that is multilinear but not symmetric fails "
+              "jet.multilinear with a witness", caught)

@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import random
 import struct
 from fractions import Fraction
 
@@ -87,13 +88,52 @@ def test_map_keeps_the_domain_of_operations_its_normal_form_drops(text, guard):
     assert str(m.guard) == guard
 
 
-def test_domain_of_dropped_operations_comes_after_the_normal_forms():
-    # the where-clause atoms, then those of the normal coordinates, then the
-    # atoms only the text gives; the where clause itself adds no domain atoms
+def test_domain_atoms_follow_the_where_clause_in_reading_order():
+    # the where-clause atoms, then the atom of each operation as the text
+    # reads it, dropped or not; the where clause itself adds no domain atoms
     m = parse_map("fn(x,y) -> (0*sqrt(y) + x/y) where 1/x > 0")
-    assert str(m.guard) == "1/x1 > 0 && x2 != 0 && x2 > 0"
+    assert str(m.guard) == "1/x1 > 0 && x2 > 0 && x2 != 0"
     # a negative power of a power is guarded by its merged base alone
     assert str(parse_map("fn(x) -> ((x^2)^-1)").guard) == "x1 != 0"
+
+
+def _faulting_texts():
+    """Map texts over x and y built of operations that can fault: quotients,
+    negative powers, log, sqrt and exp, with the cancellations a - a and 0*a
+    that the normal form drops."""
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, st.sampled_from([-3, -2, -1, 2, 3])).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["log", "sqrt", "exp"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda a: f"({a} - {a})"),
+            inner.map(lambda a: f"0*{a}"),
+        )
+    leaves = st.sampled_from(["x", "y", "0", "1", "2", "1/2"])
+    coords = st.lists(extend(st.recursive(leaves, extend, max_leaves=6)), min_size=1, max_size=2)
+    return coords.map(lambda cs: f"fn(x, y) -> ({', '.join(cs)})")
+
+
+# seeded points, with the values at which the atoms of the texts vanish
+_EXACT = [0.0, 1.0, -1.0, 0.5, 2.0]
+_RNG = random.Random(31)
+FAULT_POINTS = [(a, b) for a in _EXACT for b in _EXACT] + [
+    (_RNG.uniform(-3, 3), _RNG.uniform(-3, 3)) for _ in range(40)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_faulting_texts())
+def test_no_domain_fault_where_the_parsed_guard_holds(text):
+    """The guard of a parsed map names the domain of every operation the text
+    reads, so at a point where it holds the coordinates fault only by float
+    overflow."""
+    m = parse_map(text)
+    tape = compile_tape(m.coords, m.guard, 2)
+    for point in FAULT_POINTS:
+        got = tape.run_point(point)
+        if isinstance(got, Exception):
+            assert isinstance(got, OutOfDomainError), (text, point, got)
+            assert str(got) in ("overflow in exp", "overflow in pow"), (text, point, got)
 
 
 def test_parse_error_has_position():
