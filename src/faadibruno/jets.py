@@ -6,7 +6,7 @@ tower, each f_n: A^n x X -> B defined exactly where f_* is.  Composition sums
 over set partitions of the direction slots (the classical higher-order chain
 rule); restriction, products, the additive-map embedding, the counit/
 comultiplication pair and the derivative operator are all computed against a
-small protocol of ten methods (product, then, tuple_map, select, restriction,
+small protocol of nine methods (product, then, tuple_map, select,
 restricted_then, add, vanishing_terms, order_of, equal), so the construction
 applies verbatim to its own output: jets of jets are jets whose base is the
 jet category one level down.  The construction names no base: every base
@@ -320,25 +320,27 @@ def tuple_jets(jets) -> JetMorphism:
 
 
 def restriction_jet(f: JetMorphism) -> JetMorphism:
-    """(rs f_*, rs(pi_1 f_*) pi_0, rs(pi_2 f_*) 0, ...): the restriction
-    idempotent of a jet; guards mention only the point block."""
-    return _restriction_jet(f.base, f.src, f.star, f.order)
+    """(rs f_*, rs(pi_1 f_*) pi_0, rs(pi_2 f_*) 0, ...): the restriction idempotent
+    of a jet, read off r(1 f_*) alone; guards mention only the point block."""
+    cat = f.base
+    ident = cat.select([f.src.point], [0], cat.order_of(f.star))
+    return _restriction_jet(cat, f.src, cat.restricted_then(ident, f.star), f.order)
 
 
-def _restriction_jet(cat, src: FaaObject, star, order: int) -> JetMorphism:
-    """The restriction idempotent of any jet with this source, star and
-    order: it reads no other component."""
-    hint = cat.order_of(star)
+def _restriction_jet(cat, src: FaaObject, idem, order: int) -> JetMorphism:
+    """The restriction jet, to this order, whose star is the restriction
+    idempotent idem on src's point: each component is restricted along idem."""
+    hint = cat.order_of(idem)
     derivs = []
     for n in range(1, order + 1):
         blocks = _vector_blocks(src, n)
-        idem = cat.restricted_then(cat.select(blocks, [n], hint), star)
+        restrict = cat.restricted_then(cat.select(blocks, [n], hint), idem)
         if n == 1:
             body = cat.select(blocks, [0], hint)
         else:
             body = monoid_zero_arrow(cat, cat.product(blocks), src.monoid, hint)
-        derivs.append(cat.then(idem, body))
-    return JetMorphism(cat, src, src, cat.restriction(star), tuple(derivs))
+        derivs.append(cat.then(restrict, body))
+    return JetMorphism(cat, src, src, idem, tuple(derivs))
 
 
 # --- equality, order, compatibility ------------------------------------------------
@@ -455,15 +457,11 @@ class FaaCategory:
     def select(self, blocks, picks, order: int):
         return select_jet(list(blocks), list(picks), order, self.base)
 
-    def restriction(self, f: JetMorphism):
-        return restriction_jet(f)
-
     def restricted_then(self, f: JetMorphism, g: JetMorphism):
-        """restriction(then(f, g)) from the composite's star alone, without
-        its partition sums."""
+        """The restriction of then(f, g), read off the base's for the stars alone."""
         _check_composable(f, g)
         base = self.base
-        return _restriction_jet(base, f.src, base.then(f.star, g.star),
+        return _restriction_jet(base, f.src, base.restricted_then(f.star, g.star),
                                 min(f.order, g.order))
 
     def add(self, jets):

@@ -134,14 +134,19 @@ def _names(n: int) -> tuple[str, ...]:
     return tuple(map(var_name, range(n)))
 
 
-def then(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """Diagrammatic composite: first f, then g."""
+def _pull_back(f: SmoothMap, g: SmoothMap):
+    """The substitution of f's coordinates for g's variables, and the guard
+    of f then g: f's, then g's read at f's coordinates."""
     if f.cod != g.dom:
         raise SmoothMapError(f"cannot compose {f.cod} into {g.dom}")
     mapping = dict(zip(_names(f.cod.dim), f.coords))
-    coords = tuple(subst(e, mapping) for e in g.coords)
-    guard = guard_and(f.guard, guard_subst(g.guard, mapping))
-    return SmoothMap(f.dom, g.cod, coords, guard)
+    return mapping, guard_and(f.guard, guard_subst(g.guard, mapping))
+
+
+def then(f: SmoothMap, g: SmoothMap) -> SmoothMap:
+    """Diagrammatic composite: first f, then g."""
+    mapping, guard = _pull_back(f, g)
+    return SmoothMap(f.dom, g.cod, tuple(subst(e, mapping) for e in g.coords), guard)
 
 
 def tuple_map(maps: Sequence[SmoothMap]) -> SmoothMap:
@@ -220,7 +225,6 @@ class MonoidStructure:
     zero: object
 
 
-@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def componentwise_monoid(dim: int) -> MonoidStructure:
     carrier = SpaceObject(dim)
     plus = add_maps(select([dim, dim], [0]), select([dim, dim], [1]))
@@ -576,11 +580,9 @@ class SmoothCategory:
                order: int | None = None) -> SmoothMap:
         return select([b.dim for b in blocks], picks)
 
-    def restriction(self, f: SmoothMap) -> SmoothMap:
-        return restriction_of(f)
-
     def restricted_then(self, f: SmoothMap, g: SmoothMap) -> SmoothMap:
-        return restriction_of(then(f, g))
+        """The restriction of then(f, g): its guard, and no coordinate of g substituted."""
+        return SmoothMap(f.dom, f.dom, identity(f.dom).coords, _pull_back(f, g)[1])
 
     def add(self, maps: Sequence[SmoothMap]) -> SmoothMap:
         return add_maps(*maps)

@@ -6,6 +6,7 @@ import json
 import time
 import weakref
 
+from faadibruno import jetlaws as jetlaws_module
 from faadibruno import jets as jets_module
 from faadibruno import smooth as smooth_module
 from faadibruno.laws import object_sides
@@ -274,3 +275,69 @@ def test_acceptance_8l_non_symmetric_fifth_component_detected(capsys, tmp_path):
               and len(failures[0]["witness_point"]) == 6 * 2 + 1)
     report(8, "a fifth component that is multilinear but not symmetric fails "
               "jet.multilinear with a witness", caught)
+
+
+class _DirectionForPoint:
+    """A base whose select of the last of several blocks, a component's point
+    block, selects direction block 0 instead."""
+
+    def __init__(self, cat):
+        self.cat = cat
+
+    def __getattr__(self, name):
+        return getattr(self.cat, name)
+
+    def select(self, blocks, picks, order=None):
+        if len(blocks) > 1 and list(picks) == [len(blocks) - 1]:
+            picks = [0]
+        return self.cat.select(blocks, picks, order)
+
+
+def test_acceptance_8m_restriction_along_a_direction_block_detected(monkeypatch, capsys,
+                                                                     tmp_path):
+    original = jets_module._restriction_jet
+
+    def along_direction(cat, src, idem, order):
+        out = original(_DirectionForPoint(cat), src, idem, order)
+        return jets_module.JetMorphism(cat, out.src, out.dst, out.star, out.derivs)
+
+    monkeypatch.setattr(jets_module, "_restriction_jet", along_direction)
+    path = tmp_path / "faa-r.json"
+    code = cli_main(["axioms", "--suite", "faa-r", "--order", "3", "--json", str(path)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    failures = [r for r in json.loads(path.read_text())["results"]
+                if r.get("gating", True) and r["status"] == "fail"]
+    caught = code == 1 and any(r["axiom"] == "jet.R.1" and r["witness_point"] is not None
+                               for r in failures)
+    report(8, "mutation: a restriction jet's components restricted along a "
+              "direction block are detected with a witness", caught)
+
+
+def test_acceptance_8n_dropped_term_of_a_jet_sum_seen_by_deeper_coassociativity(
+        monkeypatch, capsys, tmp_path):
+    """A sum of three or more jets that drops its last term first reaches
+    the delta of a jet of jets at its fourth component, so coassociativity
+    sees it on 4 components (order 4, 5 or 6), and not on 2 or 3."""
+    original = jets_module.FaaCategory.add
+
+    def dropping(self, jets):
+        return original(self, jets[:-1] if len(jets) >= 3 else jets)
+
+    codes, failing = [], []
+    for depth in (2, 4):
+        monkeypatch.setattr(jets_module.FaaCategory, "add", dropping)
+        monkeypatch.setattr(jets_module, "_COMPOSITES", weakref.WeakValueDictionary())
+        monkeypatch.setattr(jetlaws_module, "COASSOCIATIVITY_DEPTH", depth)
+        path = tmp_path / f"comonad-{depth}.json"
+        codes.append(cli_main(["axioms", "--suite", "comonad", "--order", "4",
+                               "--json", str(path)]))
+        monkeypatch.undo()
+        failing.append([r for r in json.loads(path.read_text())["results"]
+                        if r["status"] != "pass"])
+    capsys.readouterr()
+    caught = (codes == [0, 1] and failing[0] == [] and failing[1]
+              and all(r["axiom"] == "comonad.coassociativity"
+                      and r["witness_point"] is not None for r in failing[1]))
+    report(8, "mutation: a dropped term of a sum of jets of jets is detected by "
+              "coassociativity on 4 components, and not on 2", caught)

@@ -429,7 +429,7 @@ def test_intern_table_frees_dropped_nodes():
     from faadibruno.smooth import CLASSICAL, parse_smooth_map
 
     # the first tower of a map of two variables fills the structure caches
-    # it reads (componentwise_monoid(2) keeps its sum's nodes), so one is
+    # it reads (select's cache keeps the nodes of its variables), so one is
     # built and dropped before the table is counted
     cofree_jet(parse_smooth_map("fn(x, y) -> (x*y)"), CLASSICAL, 1)
     gc.collect()

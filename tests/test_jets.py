@@ -565,10 +565,40 @@ def test_restricted_then_is_the_restriction_of_the_composite(level):
     # the longer selection is truncated to the composite's order
     sel = select_jet(objs, [1], order + 1, SMOOTH)
     G = jet("fn(x) -> (log(x) + 1/(x - 1))", order)
-    cat, f, g = (SMOOTH, sel.star, G.star) if level == 0 else (J.faa_over(SMOOTH), sel, G)
+    if level == 0:
+        cat, f, g, literal = SMOOTH, sel.star, G.star, restriction_of(then(sel.star, G.star))
+    else:
+        cat, f, g, literal = J.faa_over(SMOOTH), sel, G, restriction_jet(compose_jets(sel, G))
     got = cat.restricted_then(f, g)
-    assert got == cat.restriction(cat.then(f, g))
+    assert got == literal
     assert got != cat.then(f, g)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_the_restriction_is_restricted_then_after_the_identity(level):
+    # r(f) = r(1 f): the protocol's one restriction operation gives both
+    order = 3
+    F = jet("fn(x, y) -> (log(x) + 1/(y - 1), sqrt(x*y))", order)
+    if level == 0:
+        cat, f, obj, literal = SMOOTH, F.star, F.star.dom, restriction_of(F.star)
+    else:
+        cat, f, obj, literal = J.faa_over(SMOOTH), F, F.src, restriction_jet(F)
+    ident = cat.select([obj], [0], order)
+    assert cat.restricted_then(ident, f) == literal
+    assert literal != ident
+
+
+def test_smooth_restricted_then_substitutes_no_coordinate_of_g(monkeypatch):
+    f = pm("fn(x, y) -> (x*y + 2, exp(y)) where y - 1 > 0")
+    g = pm("fn(u, v) -> (log(u)*v^3, sqrt(v) + u) where u - 3 != 0")
+    literal = restriction_of(then(f, g))
+
+    def refuse(*args):
+        raise AssertionError("a coordinate was substituted")
+
+    monkeypatch.setattr(S, "subst", refuse)
+    got = SMOOTH.restricted_then(f, g)
+    assert got == literal and len(got.guard.atoms) > 1
 
 
 def test_restricted_then_rejects_what_compose_rejects():
@@ -738,8 +768,8 @@ def test_componentwise_product_is_componentwise():
 
 
 def test_category_adapters_define_one_protocol():
-    protocol = {"product", "then", "tuple_map", "select", "restriction",
-                "restricted_then", "add", "vanishing_terms", "order_of", "equal"}
+    protocol = {"product", "then", "tuple_map", "select", "restricted_then", "add",
+                "vanishing_terms", "order_of", "equal"}
     for adapter in (S.SmoothCategory, J.FaaCategory):
         assert {name for name, v in vars(adapter).items()
                 if callable(v) and not name.startswith("_")} == protocol
