@@ -595,16 +595,15 @@ class Tape:
 
 def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
     """Compile a map's guard atoms (each in turn) and then its coordinates
-    over the inputs x1..x{arity}.  Structurally equal nodes share one step
-    (value numbering), so each is evaluated once.  A node's arguments are
-    evaluated left to right, except that a quotient's denominator is tested
-    before its numerator is evaluated; the first fault met is the one
-    raised, and a guard atom whose expression faults is false."""
+    over the inputs x1..x{arity}.  Each node gets one step, and equal nodes
+    are one object (hash-consing), so each is evaluated once.  A node's
+    arguments are evaluated left to right, except that a quotient's
+    denominator is tested before its numerator is evaluated; the first fault
+    met is the one raised, and a guard atom whose expression faults is false."""
     # Refs below arity are inputs.  Until all constants are known, constant
     # c is ref ~c and step k is ref arity + k; `where` gives the final slots.
     inputs = {var_name(i): i for i in range(arity)}
     memo: dict = {}      # id(node) -> ref
-    numbered: dict = {}  # (op, a, b) -> ref
     consts: dict = {}    # (type, value) -> ref; a float 2.0 and an exponent 2 differ
     const_values: list = []
     steps: list = []
@@ -618,12 +617,9 @@ def compile_tape(coords: Sequence[Expr], guard: Guard, arity: int) -> Tape:
         return consts[key]
 
     def emit(step) -> int:
-        ref = numbered.get(step)
-        if ref is None:
-            last[step[1]] = last[step[2]] = len(steps)
-            ref = numbered[step] = arity + len(steps)
-            steps.append(step)
-        return ref
+        last[step[1]] = last[step[2]] = len(steps)
+        steps.append(step)
+        return arity + len(steps) - 1
 
     def may_fault(e: Expr, walked: set) -> bool:
         """Whether evaluating e can reach a not yet evaluated node that raises."""

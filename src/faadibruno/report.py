@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 from .config import RunConfig
 
@@ -60,63 +59,31 @@ def overall_status(results: list[CheckResult]) -> str:
     return PASS
 
 
+# every piece comes from one encoder, so the text is json.dumps's; with an
+# indent it runs in pure Python at a cost per call, so rows go in pieces
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+ROWS_PER_PIECE = 64
+
+
 def write_report(fh, results: list[CheckResult], cfg, suites: list[str]) -> None:
     """Write the report of results, which are in report order (sort_results),
     to fh as json.dumps(report, sort_keys=True, indent=2) + "\n" would, a
-    piece at a time: the keys before "results", then each row as it is
-    rendered, then "status" and "suites".  No piece is longer than the text
-    before the first row or one rendered row, so the whole text is never
-    held.  The text is written here, since json.dumps with an indent falls
-    back to its pure-Python encoder."""
-    document = {
+    piece at a time: the keys before "results", then ROWS_PER_PIECE rows at
+    a time, then "status" and "suites".  No piece is longer than the header
+    or ROWS_PER_PIECE rows, so the whole text is never held."""
+    head, tail = _ENCODER.encode({
         "schema": SCHEMA_VERSION,
         "suites": sorted(suites),
         "seed": cfg.seed,
         "config": {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if f.name != "seed"},
         "status": overall_status(results),
-        "results": map(CheckResult.as_dict, results),
-    }
-    for piece in _pieces(document, "\n", 1):
-        fh.write(piece)
-    fh.write("\n")
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null",
-              "True": "true", "False": "false"}
-_SCALARS = (str, int, float, type(None))
-
-
-def _render(value, newline: str) -> str:
-    """A value of plain JSON types with string keys (any iterable but a str
-    or dict is an array), each nested line starting with newline and two
-    more spaces a level."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, _SCALARS):
-        text = repr(value)
-        return _CONSTANTS.get(text, text)
-    return "".join(_pieces(value, newline, 0))
-
-
-def _pieces(value, newline: str, depth: int):
-    """The text of a dict or array as _render writes it, in pieces: the
-    opening bracket with the first item, each further item with the comma
-    before it, and the closing bracket.  Items that are dicts or arrays are
-    split the same way to depth more levels; deeper ones come whole."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = ((f"{_encode_str(k)}: ", v) for k, v in sorted(value.items()))
-        opening, closing = "{", "}"
-    else:
-        items = zip(repeat(""), value)
-        opening, closing = "[", "]"
-    lead = opening + inner
-    for key, item in items:
-        if depth and not isinstance(item, _SCALARS):
-            yield lead + key
-            yield from _pieces(item, inner, depth - 1)
-        else:
-            yield lead + key + _render(item, inner)
-        lead = "," + inner
-    yield newline + closing if lead[0] == "," else opening + closing
+        "results": [],
+    }).split('"results": []')
+    fh.write(head + '"results": [')
+    comma = ""
+    for start in range(0, len(results), ROWS_PER_PIECE):
+        rows = _ENCODER.encode([r.as_dict() for r in results[start:start + ROWS_PER_PIECE]])
+        # brackets dropped, lines one level in: newlines in strings are escaped
+        fh.write(comma + rows[1:-2].replace("\n", "\n  "))
+        comma = ","
+    fh.write(("\n  ]" if results else "]") + tail + "\n")

@@ -25,8 +25,11 @@ from faadibruno.corpus import (
 from faadibruno.expr import neg
 from faadibruno.jets import (
     compose_jets,
+    d_n_jet,
+    delta,
     enumerate_partitions,
     jet_equal,
+    truncate_jet,
 )
 from faadibruno.jetlaws import cofree_jet, linear_items
 from faadibruno.smooth import (
@@ -277,15 +280,19 @@ def test_acceptance_8l_non_symmetric_fifth_component_detected(capsys, tmp_path):
               "jet.multilinear with a witness", caught)
 
 
-class _DirectionForPoint:
-    """A base whose select of the last of several blocks, a component's point
-    block, selects direction block 0 instead."""
+class _Altered:
+    """A base that answers as cat does, except where a subclass says."""
 
     def __init__(self, cat):
         self.cat = cat
 
     def __getattr__(self, name):
         return getattr(self.cat, name)
+
+
+class _DirectionForPoint(_Altered):
+    """A base whose select of the last of several blocks, a component's point
+    block, selects direction block 0 instead."""
 
     def select(self, blocks, picks, order=None):
         if len(blocks) > 1 and list(picks) == [len(blocks) - 1]:
@@ -341,3 +348,50 @@ def test_acceptance_8n_dropped_term_of_a_jet_sum_seen_by_deeper_coassociativity(
                       and r["witness_point"] is not None for r in failing[1]))
     report(8, "mutation: a dropped term of a sum of jets of jets is detected by "
               "coassociativity on 4 components, and not on 2", caught)
+
+
+class _OneOrderLow(_Altered):
+    """A base whose order_of reads one order less than the map has."""
+
+    def order_of(self, f):
+        return self.cat.order_of(f) - 1
+
+
+def _usable_orders_of_d_n(T) -> bool:
+    """For each n, d_n_jet(T, n) has order T.order - n and a star of order
+    T.derivs[n-1].order; its component k has the order of the shortest term
+    of its sum, the one that reads f_{n+k}: T.derivs[n+k-1].order."""
+    for n in range(1, T.order + 1):
+        dn = d_n_jet(T, n)
+        if (dn.order, dn.star.order) != (T.order - n, T.derivs[n - 1].order):
+            return False
+        if [c.order for c in dn.derivs] != [T.derivs[n + k - 1].order
+                                            for k in range(1, dn.order + 1)]:
+            return False
+    return True
+
+
+def test_acceptance_8o_delta_over_jets_keeps_its_usable_orders(monkeypatch):
+    """The terms of d_n_jet selecting one order too low over a jet base pass
+    every comonad row (jet_equal compares only up to the common order), so
+    the orders are pinned on the jets of jets of the comonad corpus at
+    order 4, whole and truncated to 2."""
+    towers = [cofree_jet(f, CLASSICAL, 4) for f in corpus_maps(parse_corpus(COMONAD_TEXT))]
+
+    def pinned():
+        return all(_usable_orders_of_d_n(T) for F in towers
+                   for T in (delta(F), truncate_jet(delta(F), 2)))
+
+    original = jets_module._injection_terms
+
+    def one_order_low(cat, f, n, k, subset, blocks):
+        over_jets = isinstance(cat, jets_module.FaaCategory)
+        return original(_OneOrderLow(cat) if over_jets else cat, f, n, k, subset, blocks)
+
+    holds = pinned()
+    monkeypatch.setattr(jets_module, "_injection_terms", one_order_low)
+    monkeypatch.setattr(jets_module, "_COMPOSITES", weakref.WeakValueDictionary())
+    mutated = pinned()
+    monkeypatch.undo()
+    report(8, "the usable orders of delta over jets are pinned, and terms that "
+              "select one order too low are detected", holds and not mutated)

@@ -6,7 +6,7 @@ import math
 import pickle
 import random
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial, reduce
 
 import pytest
@@ -68,6 +68,7 @@ from faadibruno.smooth import (
 )
 
 from jet_payloads import jet_to_dict
+from test_compare_row_status import compare
 
 CFG = RunConfig(samples=60)
 
@@ -1122,14 +1123,29 @@ _COMPOSING_CACHES = (J._select_jet, J._product_monoid, J.monoid_zero_arrow, J.je
 
 
 @contextmanager
-def literal_routes():
+def literal_routes(delta=False):
     """Inside, every composite is the literal partition sum: the smooth base
     proves no term zero, and the composite table and the structural caches
     start empty, so they hold nothing built outside, and are emptied again
-    on the way out."""
+    on the way out.  With delta, d_n_jet(f, n) for n >= 2 is the literal
+    zero-insertion faa_d_n(f, D^n f, n), with D^n f built by n calls of the
+    closed form at n = 1.  Both routes share that n = 1 step, so the switch
+    cannot see a fault there."""
+    closed_form = J.d_n_jet
+
+    def zero_insertion(f, n):
+        if n < 2:
+            return closed_form(f, n)
+        dnf = f
+        for _ in range(n):
+            dnf = closed_form(dnf, 1)
+        return J.faa_d_n(f, dnf, n)
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(S.SmoothCategory, "vanishing_terms", lambda *_: None)
         m.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
+        if delta:
+            m.setattr(J, "d_n_jet", zero_insertion)
         for cache in _COMPOSING_CACHES:
             cache.cache_clear()
         try:
@@ -1379,6 +1395,24 @@ def test_the_cli_writes_the_same_reports_by_the_literal_partition_sums(capsys, t
     proven = _cli_outputs(capsys, tmp_path)
     with literal_routes():
         assert _cli_outputs(capsys, tmp_path) == proven
+
+
+def test_the_comonad_keeps_every_verdict_by_the_literal_comultiplication(capsys, tmp_path):
+    """delta's closed form against the zero-insertion into D^n f, through the
+    CLI at orders 3 to 5 (50 samples).  The reports differ in their
+    residuals, so each row is matched by key and keeps its gating and
+    status."""
+    for order in ("3", "4", "5"):
+        verdicts = []
+        for switch in (nullcontext, partial(literal_routes, delta=True)):
+            report = tmp_path / f"comonad-{order}.json"
+            with switch():
+                code = cli_main(["axioms", "--suite", "comonad", "--order", order,
+                                 "--samples", "50", "--json", str(report)])
+            verdicts.append((code, compare.keyed_rows(report)))
+        capsys.readouterr()
+        assert verdicts[1] == verdicts[0]
+        assert len(verdicts[0][1]) == 25 + 5 * int(order)
 
 
 def _jets_the_proof_reads_closely(path):
