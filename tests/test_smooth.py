@@ -617,6 +617,80 @@ def test_identical_sides_still_fail(text, note, witness):
     assert again._tape is None
 
 
+def test_a_map_non_finite_in_its_guard_fails_every_row_with_that_rows_witness():
+    from reference_equality import reference_maps_equal
+
+    # exp overflows past x = 709.78/600 ~ 1.18: no probe, but a fifth of the box
+    f = pm("fn(x) -> (exp(600*x))")
+    witnesses = set()
+    for label in ("row-a", "row-b", "row-c", "row-a"):
+        out = maps_equal(f, pm("fn(x) -> (exp(600*x))"), FAST, label)
+        assert out == reference_maps_equal(f, f, FAST, label)
+        assert (out.status, out.note) == ("fail", "eval fault: overflow in exp")
+        witnesses.add(out.witness)
+    assert len(witnesses) == 3
+    assert f._passed is None
+
+
+def test_a_pass_of_a_map_against_itself_is_kept_for_every_later_label():
+    from reference_equality import reference_maps_equal
+
+    # exp overflows past x ~ 1.91, where the points of "first" reach and
+    # those of "second" do not
+    f = pm("fn(x) -> (exp(1000*(x - 1.2)))")
+    assert reference_maps_equal(f, f, FAST, "first").status == "fail"
+    assert reference_maps_equal(f, f, FAST, "second").status == "pass"
+    assert maps_equal(f, f, FAST, "first").status == "fail"
+    passed = maps_equal(f, f, FAST, "second")
+    assert passed == S.EqOutcome("pass", 0.0, None, "", 60)
+    assert f._passed == FAST
+    assert maps_equal(f, f, FAST, "first") == passed
+
+
+def test_a_kept_pass_holds_only_under_an_equal_config(monkeypatch):
+    runs = []
+    run_columns = E.Tape.run_columns
+    monkeypatch.setattr(E.Tape, "run_columns",
+                        lambda tape, cols, n: runs.append(n) or run_columns(tape, cols, n))
+    f = pm("fn(x, y) -> (x*y)")
+    first = maps_equal(f, f, CFG, "a")
+    assert first == S.EqOutcome("pass", 0.0, None, "", 200)
+    assert runs
+    # an equal config, another label and an equal map built apart: no sampling
+    sampled = len(runs)
+    assert maps_equal(pm("fn(x, y) -> (x*y)"), f, RunConfig(), "b") == first
+    assert len(runs) == sampled
+    for cfg in (CFG.with_(samples=50), CFG.with_(seed=7), CFG):
+        assert maps_equal(f, f, cfg, "a").ok
+        assert len(runs) > sampled
+        sampled = len(runs)
+
+
+def test_equal_maps_built_apart_share_one_tape(monkeypatch):
+    compiled = []
+    compile_tape = S.compile_tape
+    monkeypatch.setattr(S, "compile_tape",
+                        lambda *args: compiled.append(args) or compile_tape(*args))
+    f, g = pm("fn(x) -> (sin(x) + 2)"), pm("fn(y) -> (log(y))")
+    a, b = then(f, g), then(f, g)
+    assert a == b and a is not b
+    assert maps_equal(a, b, FAST, "shared").ok
+    assert maps_equal(b, a, FAST, "shared").ok
+    assert len(compiled) == 1
+
+
+def test_the_live_map_table_frees_the_entries_of_dead_maps():
+    gc.collect()
+    before = len(S._LIVE_MAPS)
+    maps = [pm(f"fn(x) -> (x + {k})") for k in range(1, 21)]
+    for m in maps:
+        assert maps_equal(m, pm(str(m)), FAST, "live").ok
+    assert len(S._LIVE_MAPS) == before + 20
+    del maps, m
+    gc.collect()
+    assert len(S._LIVE_MAPS) == before
+
+
 @pytest.mark.parametrize("f_text, g_text, note, witness", [
     # the probes (0.0,) and (1.0,) are pulled in one batch: the values
     # disagree at the first and evaluation faults at the second
