@@ -525,39 +525,42 @@ def faa_d_n(f: JetMorphism, dnf: JetMorphism, n: int) -> JetMorphism:
     return fb.then(fb.tuple_map(entries), dnf)
 
 
+def _comultiplication(f: JetMorphism, order: int) -> JetMorphism:
+    """delta(f) to the given order: components d_n_jet(f, n) for n <= order,
+    with the objects of the full comultiplication."""
+    cat = f.base
+    derivs = tuple(d_n_jet(f, n) for n in range(1, order + 1))
+    return JetMorphism(faa_over(cat), delta_object(f.src, cat, f.order),
+                       delta_object(f.dst, cat, f.order), f, derivs)
+
+
 def delta(f: JetMorphism) -> JetMorphism:
     """Comultiplication: the jet of jets (f, D_1 f, D_2 f, ...), a morphism
     one level up whose star is f itself.  Component n is d_n_jet(f, n), read
     off f's own components, with usable order N - n; an order-0 jet yields
-    the star-only double jet.  The result is kept on f."""
-    if f._delta is not None:
-        return f._delta
-    cat = f.base
-    derivs = tuple(d_n_jet(f, n) for n in range(1, f.order + 1))
-    src2 = delta_object(f.src, cat, f.order)
-    dst2 = delta_object(f.dst, cat, f.order)
-    out = JetMorphism(faa_over(cat), src2, dst2, f, derivs)
-    object.__setattr__(f, "_delta", out)
-    return out
-
-
-def map_jet(f: JetMorphism, morphism_fn, object_fn, new_base) -> JetMorphism:
-    """Apply a product-preserving functor componentwise (the endofunctor's
-    action on a jet one level up)."""
-    return JetMorphism(
-        new_base, object_fn(f.src), object_fn(f.dst),
-        morphism_fn(f.star), tuple(morphism_fn(d) for d in f.derivs))
+    the star-only double jet.  The result is kept on f.  A comparison reads
+    a jet only to its common usable order with the other side, so a caller
+    that reads fewer components may build fewer (faa_delta_jet)."""
+    if f._delta is None:
+        object.__setattr__(f, "_delta", _comultiplication(f, f.order))
+    return f._delta
 
 
 def faa_epsilon_jet(f: JetMorphism) -> JetMorphism:
     """The endofunctor applied to the counit: extract every component's star."""
-    inner = f.star.base
-    return map_jet(f, epsilon, lambda o: o.point, inner)
+    return JetMorphism(f.star.base, f.src.point, f.dst.point, epsilon(f.star),
+                       tuple(map(epsilon, f.derivs)))
 
 
 def faa_delta_jet(f: JetMorphism) -> JetMorphism:
-    """The endofunctor applied to the comultiplication, componentwise.  The
-    object action sends both the monoid data and the point through delta."""
+    """The endofunctor applied to the comultiplication, componentwise, to
+    the usable order.  Component k of a jet of order N has usable order
+    N - k, which is also the order of component k of delta(f), the other
+    side of coassociativity; jet_equal reads no further.  So component k is
+    f_k's comultiplication to that order (d_n_jet(f_k, n) for n <= N - k,
+    and no further than f_k's own order), with the objects of delta(f_k),
+    and is not kept on f_k.  The star is delta(f_*) in full.  The object
+    action sends both the monoid data and the point through delta."""
     inner = f.star.base
     order = f.star.order
 
@@ -567,7 +570,9 @@ def faa_delta_jet(f: JetMorphism) -> JetMorphism:
                             delta(o.monoid.add), delta(o.monoid.zero)),
             delta_object(o.point, inner, order))
 
-    return map_jet(f, delta, obj_fn, faa_over(inner))
+    derivs = tuple(_comultiplication(d, min(d.order, f.order - k))
+                   for k, d in enumerate(f.derivs, start=1))
+    return JetMorphism(faa_over(inner), obj_fn(f.src), obj_fn(f.dst), delta(f.star), derivs)
 
 
 # --- linearity ----------------------------------------------------------------------------

@@ -144,6 +144,12 @@ def _names(n: int) -> tuple[str, ...]:
     return tuple(map(var_name, range(n)))
 
 
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _variables(n: int) -> tuple[Expr, ...]:
+    """The variable nodes x1 .. xn, which select slices."""
+    return tuple(map(var, _names(n)))
+
+
 def _pull_back(f: SmoothMap, g: SmoothMap):
     """The substitution of f's coordinates for g's variables, and the guard
     of f then g: f's, then g's read at f's coordinates."""
@@ -186,11 +192,9 @@ def _select(block_dims: tuple[int, ...], picks: tuple[int, ...]) -> SmoothMap:
     for d in block_dims:
         offsets.append(total)
         total += d
-    coords = []
-    for i in picks:
-        coords.extend(var(var_name(offsets[i] + k)) for k in range(block_dims[i]))
-    out_dim = sum(block_dims[i] for i in picks)
-    return SmoothMap(SpaceObject(total), SpaceObject(out_dim), tuple(coords))
+    variables = _variables(total)
+    coords = tuple(e for i in picks for e in variables[offsets[i]:offsets[i] + block_dims[i]])
+    return SmoothMap(SpaceObject(total), SpaceObject(len(coords)), coords)
 
 
 def zero_map(dom: SpaceObject, cod: SpaceObject) -> SmoothMap:

@@ -522,6 +522,35 @@ def test_delta_memo_lives_exactly_as_long_as_its_jet():
         gc.enable()
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_faa_delta_jet_builds_each_comultiplication_to_its_usable_order(order):
+    """With dT = delta(F) truncated to depth m, component k of
+    faa_delta_jet(dT) is delta(D_k F) to order m - k, with delta's objects:
+    d_n_jet runs on D_k F for n <= m - k alone, and nothing is kept on
+    D_k F.  The star is delta(F) itself."""
+    closed_form = J.d_n_jet
+    for f in corpus_maps(parse_corpus(COMONAD_TEXT)):
+        dF = delta(cofree_jet(f, CLASSICAL, order))
+        for m in range(1, order + 1):
+            dT = truncate_jet(dF, m)
+            kept = [d._delta for d in dT.derivs]
+            calls = []
+
+            def counting(g, n):
+                if any(g is d for d in dT.derivs):
+                    calls.append(n)
+                return closed_form(g, n)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(J, "d_n_jet", counting)
+                got = J.faa_delta_jet(dT)
+            assert len(calls) == sum(m - k for k in range(1, m + 1))
+            assert all(d._delta is memo for d, memo in zip(dT.derivs, kept))
+            assert got.star is dF
+            assert got.derivs == tuple(truncate_jet(delta(d), m - k)
+                                       for k, d in enumerate(dF.derivs[:m], start=1))
+
+
 def test_equal_factors_share_one_composite_while_it_lives():
     F, G = jet("fn(x) -> (log(x))", 3), jet("fn(y) -> (y^2 + y)", 3)
     F2, G2 = jet("fn(x) -> (log(x))", 3), jet("fn(y) -> (y^2 + y)", 3)
@@ -1123,15 +1152,21 @@ _COMPOSING_CACHES = (J._select_jet, J._product_monoid, J.monoid_zero_arrow, J.je
 
 
 @contextmanager
-def literal_routes(delta=False):
+def literal_routes(delta=False, full_delta=False):
     """Inside, every composite is the literal partition sum: the smooth base
     proves no term zero, and the composite table and the structural caches
     start empty, so they hold nothing built outside, and are emptied again
     on the way out.  With delta, d_n_jet(f, n) for n >= 2 is the literal
     zero-insertion faa_d_n(f, D^n f, n), with D^n f built by n calls of the
     closed form at n = 1.  Both routes share that n = 1 step, so the switch
-    cannot see a fault there."""
+    cannot see a fault there.  With full_delta, faa_delta_jet takes delta of
+    every component in full, not only to its usable order."""
     closed_form = J.d_n_jet
+    to_order = J._comultiplication
+
+    def in_full(f, order):
+        # delta(f) calls back at f's own order
+        return J.delta(f) if order < f.order else to_order(f, order)
 
     def zero_insertion(f, n):
         if n < 2:
@@ -1146,6 +1181,8 @@ def literal_routes(delta=False):
         m.setattr(J, "_COMPOSITES", weakref.WeakValueDictionary())
         if delta:
             m.setattr(J, "d_n_jet", zero_insertion)
+        if full_delta:
+            m.setattr(J, "_comultiplication", in_full)
         for cache in _COMPOSING_CACHES:
             cache.cache_clear()
         try:
@@ -1393,7 +1430,7 @@ def _cli_outputs(capsys, tmp_path):
 
 def test_the_cli_writes_the_same_reports_by_the_literal_partition_sums(capsys, tmp_path):
     proven = _cli_outputs(capsys, tmp_path)
-    with literal_routes():
+    with literal_routes(full_delta=True):
         assert _cli_outputs(capsys, tmp_path) == proven
 
 

@@ -114,6 +114,14 @@ def test_select_returns_one_object_per_layout():
     assert identity(SpaceObject(4)) is identity(SpaceObject(4))
 
 
+def test_select_gives_the_interned_variables_in_block_order():
+    f = select([2, 1, 3], [2, 0])
+    assert (f.dom.dim, f.cod.dim) == (6, 5)
+    assert all(got is var(name)
+               for got, name in zip(f.coords, ["x4", "x5", "x6", "x1", "x2"], strict=True))
+    assert select([2, 1, 3], [2, 0]) is f
+
+
 def test_structural_caches_stay_bounded():
     for n in range(STRUCTURE_CACHE_SIZE + 20):
         select([1, n], [0])
@@ -121,6 +129,7 @@ def test_structural_caches_stay_bounded():
     for n in range(STRUCTURE_CACHE_SIZE + 20):
         identity(SpaceObject(n))  # the layout [n], held by select's cache
     assert S._select.cache_info().currsize <= STRUCTURE_CACHE_SIZE
+    assert S._variables.cache_info().currsize <= STRUCTURE_CACHE_SIZE
     # the sides of the rows on a pair's objects, keyed by equal objects and L
     assert object_sides.cache_parameters()["maxsize"] == STRUCTURE_CACHE_SIZE
     sides = object_sides(SpaceObject(1), SpaceObject(2), CLASSICAL)
