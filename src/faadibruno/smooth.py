@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -84,9 +85,9 @@ class SmoothMap(_WeakReferable):
     guard: Guard = TRUE_GUARD
     _tape: Tape | None = field(default=None, init=False, repr=False,
                                compare=False, hash=False)
-    # the config under which the map's check against itself passed (maps_equal)
-    _passed: RunConfig | None = field(default=None, init=False, repr=False,
-                                      compare=False, hash=False)
+    # the last config of the map's check against itself and its outcome (maps_equal)
+    _checked: tuple[RunConfig, EqOutcome] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False)
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False, hash=False)
 
@@ -160,7 +161,12 @@ def _pull_back(f: SmoothMap, g: SmoothMap):
 
 
 def then(f: SmoothMap, g: SmoothMap) -> SmoothMap:
-    """Diagrammatic composite: first f, then g."""
+    """Diagrammatic composite: first f, then g.  When f's coordinates are
+    its first variables (an identity, a restriction idempotent, a first-block
+    projection), the substitution is the identity on g's normal nodes and
+    guard, so g's coordinates and guard are taken as they are."""
+    if f.coords == _variables(f.cod.dim) and f.cod == g.dom:
+        return SmoothMap(f.dom, g.cod, g.coords, guard_and(f.guard, g.guard))
     mapping, guard = _pull_back(f, g)
     return SmoothMap(f.dom, g.cod, tuple(subst(e, mapping) for e in g.coords), guard)
 
@@ -418,18 +424,94 @@ def probe_points(dim: int) -> tuple[Point, ...]:
     return tuple(probes)
 
 
+class _Draws:
+    """The points of one seeded sequence of random.uniform(-radius, radius)
+    coordinates, drawn point after point, handed out as columns."""
+
+    __slots__ = ("_rng", "_dim", "_lo", "_span")
+
+    def __init__(self, dim: int, rng: random.Random, radius: float):
+        self._rng = rng
+        self._dim = dim
+        self._lo = -radius
+        self._span = radius - self._lo
+
+    def columns(self, n: int) -> list[list[float]]:
+        """The next n points, one list of floats per coordinate."""
+        d = self._dim
+        # random.uniform(a, b) is a + (b - a) * random(), inlined
+        lo, span, draw = self._lo, self._span, self._rng.random
+        flat = [lo + span * draw() for _ in repeat(None, n * d)]
+        return [flat[j::d] for j in range(d)]
+
+    def copy(self) -> "_Draws":
+        """A sequence that goes on from this one's place independently."""
+        rng = random.Random()
+        rng.setstate(self._rng.getstate())
+        return _Draws(self._dim, rng, -self._lo)
+
+
+# The kept draws of the map streams (PointStream with label None), by
+# (dim, seed, radius), while among the MAP_STREAM_KEYS most recently used.
+# Each keeps its first min(2 * BATCH_SIZE, MAP_STREAM_FLOATS // dim) drawn
+# points (the probes are built by probe_points), so the table holds at most
+# MAP_STREAM_BYTES = 64 * 8192 * 8 bytes = 4 MiB of drawn floats.
+MAP_STREAM_KEYS = 64
+MAP_STREAM_FLOATS = 8192
+MAP_STREAM_BYTES = MAP_STREAM_KEYS * MAP_STREAM_FLOATS * 8
+_MAP_DRAWS: dict = {}
+
+
+class _KeptDraws:
+    """The first cap points of a map stream as array('d') columns, and its
+    sequence at the point past them."""
+
+    __slots__ = ("cols", "rest", "cap")
+
+    def __init__(self, dim: int, cfg: RunConfig):
+        self.cap = min(2 * BATCH_SIZE, MAP_STREAM_FLOATS // dim)
+        self.cols = [array("d") for _ in range(dim if self.cap else 0)]
+        rng = random.Random(derive_seed(cfg.seed, f"map:{dim}"))
+        self.rest = _Draws(dim, rng, cfg.radius)
+
+    def read(self, start: int, stop: int) -> list[list[float]]:
+        """Drawn points start .. stop - 1 (stop <= cap), drawing and keeping
+        those not yet kept."""
+        if self.cols and stop > len(self.cols[0]):
+            for col, new in zip(self.cols, self.rest.columns(stop - len(self.cols[0]))):
+                col.fromlist(new)
+        return [col[start:stop].tolist() for col in self.cols]
+
+
+def _kept_draws(dim: int, cfg: RunConfig) -> _KeptDraws:
+    """The kept draws of the map stream of dim under cfg, now the most
+    recently used."""
+    key = (dim, cfg.seed, cfg.radius)
+    kept = _MAP_DRAWS.pop(key, None) or _KeptDraws(dim, cfg)
+    _MAP_DRAWS[key] = kept
+    if len(_MAP_DRAWS) > MAP_STREAM_KEYS:
+        del _MAP_DRAWS[next(iter(_MAP_DRAWS))]
+    return kept
+
+
 class PointStream:
     """The seeded sample points of one check, taken a batch at a time as
     columns: the probes, then retry_cap draws of random.uniform(-radius,
-    radius) per coordinate, point after point; at dim 0, one empty point."""
+    radius) per coordinate, point after point; at dim 0, one empty point.
+    The draws are seeded by the check's label, or, with label None, by
+    map:{dim}: the map stream, which every check of a map against itself
+    reads.  Its first draws are kept (_MAP_DRAWS), so such a check slices
+    them, and draws only the points past them, from a copy of the sequence."""
 
-    def __init__(self, dim: int, cfg: RunConfig, label: str):
+    def __init__(self, dim: int, cfg: RunConfig, label: str | None):
         self._probes = [list(col) for col in zip(*probe_points(dim))]
-        self._taken = 0
+        self._taken = self._drawn = 0
         self._end = len(probe_points(dim)) + cfg.retry_cap if dim else 1
-        self._draw = random.Random(derive_seed(cfg.seed, label)).random
-        self._lo = -cfg.radius
-        self._span = cfg.radius - self._lo
+        self._kept = self._rest = None
+        if label is not None:
+            self._rest = _Draws(dim, random.Random(derive_seed(cfg.seed, label)), cfg.radius)
+        elif dim:
+            self._kept = _kept_draws(dim, cfg)
 
     def take(self, k: int) -> tuple[int, list[list[float]]]:
         """(n, columns): the next n points, k unless the stream runs out, as
@@ -438,13 +520,26 @@ class PointStream:
         n = min(k, self._end - start)
         self._taken += n
         cols = [col[start:start + n] for col in self._probes]
-        d = len(cols)
-        # random.uniform(a, b) is a + (b - a) * random(), inlined
-        lo, span, draw = self._lo, self._span, self._draw
-        flat = [lo + span * draw() for _ in repeat(None, n * d - sum(map(len, cols)))]
-        for j, col in enumerate(cols):
-            col += flat[j::d]
+        if cols and n > len(cols[0]):
+            for col, new in zip(cols, self._draw(n - len(cols[0]))):
+                col += new
         return n, cols
+
+    def _draw(self, m: int) -> list[list[float]]:
+        """The next m drawn points: kept ones sliced, later ones drawn."""
+        start = self._drawn
+        self._drawn += m
+        kept = self._kept
+        if kept is None:
+            return self._rest.columns(m)
+        stop = min(start + m, kept.cap)
+        cols = kept.read(start, stop)
+        if start + m > stop:  # past the kept points, which end at the cap
+            if self._rest is None:
+                self._rest = kept.rest.copy()
+            more = self._rest.columns(start + m - max(start, stop))
+            cols = [a + b for a, b in zip(cols, more)] if cols else more
+        return cols
 
 
 def sample_points(dim: int, cfg: RunConfig, label: str) -> Iterator[Point]:
@@ -474,8 +569,8 @@ def _batch_size(target: int, accepted: int, drawn: int, first: int) -> int:
 
 
 # The live maps by their fields, so that equal maps built apart are checked
-# as one object, with one tape and one kept pass.  Entries are weak: one goes
-# when its map dies.
+# as one object, with one tape and one kept outcome against itself.  Entries
+# are weak: one goes when its map dies.
 _LIVE_MAPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -489,11 +584,14 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     at every sampled point, values agree on the common domain within tol_rel
     (abs floor tol_abs).  A check passes on cfg.samples points, and on at
     least one drawn point past the probes.  Each side is first replaced by
-    the live map of its fields, whose tape is built once.  Equal sides pass
-    when every value is finite where the guard holds, which is a property of
-    the map: a pass is kept on the map with its config, and a later check of
-    the map against itself under an equal config passes without sampling,
-    whatever its label.  A fail or a starvation is not kept.  Each batch is
+    the live map of its fields, whose tape is built once.  Two maps are
+    compared at the points of the label's stream.  A map is compared with
+    itself at the points of the map stream of its dimension (PointStream
+    with label None), whatever the label, so the outcome (equal sides pass
+    when every value is finite where the guard holds) depends on the map and
+    the config alone: it is kept on the map with its config, and a later
+    check of the map against itself under an equal config returns it
+    without sampling.  Each batch is
     taken from a PointStream as columns, sized by the acceptance seen so
     far, and run on each side's tape (equal sides once).  A batch is
     accepted whole, up to the row that reaches the target, when both sides
@@ -508,18 +606,17 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     # coordinate, or all its coordinates equal
     target = max(cfg.samples, len(probe_points(dim)) + 1) if dim > 0 else 1
     f, g = _live(f), _live(g)
-    same = f is g
-    if same and f._passed == cfg:
-        return EqOutcome("pass", 0.0, None, "", target)
-    out = _sample_equal(f, g, cfg, label, target)
-    if same and out.ok:
-        object.__setattr__(f, "_passed", cfg)
-    return out
+    if f is not g:
+        return _sample_equal(f, g, cfg, label, target)
+    if f._checked is None or f._checked[0] != cfg:
+        object.__setattr__(f, "_checked", (cfg, _sample_equal(f, f, cfg, None, target)))
+    return f._checked[1]
 
 
-def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str,
+def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str | None,
                   target: int) -> EqOutcome:
-    """The sampling loop of maps_equal over the live sides f and g."""
+    """The sampling loop of maps_equal over the live sides f and g, at the
+    points of PointStream(dim, cfg, label)."""
     same = f is g
     tf = f.tape()
     tg = tf if same else g.tape()

@@ -1,6 +1,8 @@
 """The point-at-a-time equality check: the seeded points one tuple at a time
 (the probes, then random.uniform draws) and each point's outcome from the
-tree evaluator.  The package draws a batch of points as columns, runs tapes
+tree evaluator.  A check of two maps draws from its label's stream, and a
+check of a map against itself from the map stream of its dimension, seeded
+by the label map:{dim}.  The package draws a batch of points as columns, runs tapes
 on the columns and decides a batch by column reductions (smooth.maps_equal);
 this loop is the reference it must match: status, worst residual, witness,
 note and sample count."""
@@ -52,7 +54,7 @@ def reference_maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str)
     # a pass needs a drawn point past the probes
     dim = f.dom.dim
     target = max(cfg.samples, len(probe_points(dim)) + 1) if dim > 0 else 1
-    for point in reference_points(dim, cfg, label):
+    for point in reference_points(dim, cfg, label if f != g else f"map:{dim}"):
         fv, gv = _value(f, point), _value(g, point)
         if (fv is None) != (gv is None):
             return EqOutcome("fail", math.inf, point, "guard mismatch", accepted)

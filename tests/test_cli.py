@@ -544,7 +544,7 @@ def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys
             assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "20"]) == 0
         capsys.readouterr()
         gc.collect()
-        rounds.append((len(expr._NODES), len(jets._COMPOSITES),
+        rounds.append((len(expr._NODES), len(jets._COMPOSITES), len(smooth._MAP_DRAWS),
                        {name: c.cache_info().currsize for name, c in caches.items()}))
     assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
 
@@ -581,3 +581,28 @@ def test_the_cli_runs_on_the_standard_library_alone(tmp_path):
     assert any(name.startswith("faadibruno.") for name in result["loaded"])
     assert [name for name in result["loaded"] if name.partition(".")[0] != "faadibruno"
             and name.partition(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_one_process_running_two_suites_under_two_seeds_writes_the_reports_of_one_process_per_run(
+        tmp_path, capsys):
+    """Checks of a map against itself keep their draws and outcomes by seed,
+    so a process that runs faa-r and comonad under seed 0 and then seed 7
+    writes what a fresh process writes for each run.  On the second corpus
+    those checks fail, each seed with its own witness."""
+    overflowing = tmp_path / "overflowing.txt"
+    overflowing.write_text("fn(x) -> (exp(1000*(x - 1.2)))\nfn(y) -> (y^2)\n")
+    runs = [["axioms", "--suite", suite, "--order", "3", "--seed", seed, *corpus]
+            for corpus in ([], ["--corpus", str(overflowing), "--samples", "60"])
+            for seed in ("0", "7") for suite in ("faa-r", "comonad")]
+    codes = [main([*argv, "--json", str(tmp_path / f"one-{k}.json")])
+             for k, argv in enumerate(runs)]
+    capsys.readouterr()
+    src = Path(__file__).resolve().parent.parent / "src"
+    for k, argv in enumerate(runs):
+        fresh = [[*argv, "--json", str(tmp_path / f"fresh-{k}.json")]]
+        subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(fresh),
+                        str(tmp_path / f"fresh-{k}.codes")],
+                       env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                       stdout=subprocess.DEVNULL)
+        assert json.loads((tmp_path / f"fresh-{k}.codes").read_text())["codes"] == [codes[k]]
+        assert (tmp_path / f"fresh-{k}.json").read_bytes() == (tmp_path / f"one-{k}.json").read_bytes()

@@ -101,6 +101,9 @@ def test_column_path_matches_the_point_at_a_time_reference(pair, cfg, label):
     f, g = pair
     assert_matches_reference(f, g, cfg, label)
     assert_matches_reference(f, f, cfg, label)
+    # a map against itself draws from the map stream of its dimension, so
+    # another label gives the same outcome
+    assert key(maps_equal(f, f, cfg, label)) == key(reference_maps_equal(f, f, cfg, "other"))
 
 
 CASES = {
@@ -188,3 +191,7 @@ def test_a_guard_rejecting_half_the_points_takes_its_samples_in_few_batches(
     assert twin == (taken[0] == len(probe_points(2)))
     assert len(after_probes) <= 3
     assert key(out) == key(reference_maps_equal(f, g, cfg, "half"))
+    if not twin:  # the map keeps its outcome: another row takes no points
+        batches = len(taken)
+        assert maps_equal(f, gmap(["2*x1*x2"], ATOMS[:1]), cfg, "other") is out
+        assert len(taken) == batches

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import itertools
 import math
 import random
 from pathlib import Path
@@ -9,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faadibruno.config import RunConfig, derive_seed
-from faadibruno.corpus import DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, parse_corpus
+from faadibruno.corpus import (
+    DEFAULT_PAIRS_TEXT, GUARDED_PAIRS_TEXT, corpus_maps, corpus_pairs, parse_corpus,
+)
 from faadibruno.expr import (
     Guard, GuardAtom, OutOfDomainError, UnboundVariableError, guard_subst,
     parse_expression, shift_vars, var,
@@ -69,6 +72,35 @@ def test_then_identity_is_unit():
     f = pm("fn(x,y) -> (x*y, x - y)")
     assert maps_equal(then(f, identity(f.cod)), f, FAST, "unit-r").ok
     assert maps_equal(then(identity(f.dom), f), f, FAST, "unit-l").ok
+
+
+def _substituted(f, g):
+    """then(f, g) by substituting f's coordinates for g's variables."""
+    mapping, guard = S._pull_back(f, g)
+    return SmoothMap(f.dom, g.cod, tuple(E.subst(e, mapping) for e in g.coords), guard)
+
+
+def test_then_after_an_identity_prefix_equals_the_substituted_composite():
+    """then takes g as it is after an identity, a restriction idempotent or a
+    first-block projection: the same map, nodes and guard atoms as the
+    substitution gives, for guarded and unguarded g."""
+    pairs = corpus_pairs(parse_corpus(GUARDED_PAIRS_TEXT + DEFAULT_PAIRS_TEXT))
+    for f, g in pairs:
+        n = g.dom.dim
+        # guards built directly, as DR.6.partial-c builds one
+        last = Guard((GuardAtom("!=0", var(S.var_name(n - 1))),))
+        past = Guard((GuardAtom("!=0", var(S.var_name(n))),))
+        half = E.make_guard([GuardAtom(">0", parse_expression("x1 - 0.5"))])
+        for second in (g, S.restrict_map(g, last), S.restrict_map(g, half)):
+            prefixes = [identity(g.dom), restriction_of(second),
+                        S.restrict_map(identity(g.dom), half),
+                        S.restrict_map(identity(g.dom), last), select([n, 2], [0]),
+                        S.restrict_map(select([n, 1], [0]), past)]
+            for prefix in prefixes:
+                got, want = then(prefix, second), _substituted(prefix, second)
+                assert got == want
+                assert all(a is b for a, b in zip(got.coords, want.coords))
+                assert got.guard.atoms == want.guard.atoms
 
 
 def test_then_pulls_guard_back():
@@ -537,6 +569,26 @@ def test_point_stream_equals_random_uniform_for_any_takes(dim, seed, radius, ret
             == _hex_points(_uniform_points(dim, cfg, "takes")))
 
 
+@given(st.integers(0, 4), st.integers(0, 2**31 - 1), st.sampled_from([0.3, 2.0]),
+       st.integers(1, 1200), st.lists(st.lists(st.integers(0, 700), max_size=4),
+                                      min_size=1, max_size=3))
+def test_map_streams_equal_random_uniform_for_any_takes(dim, seed, radius, retry_cap,
+                                                        takes):
+    """Map streams of one dimension and config, taken in turn from whatever
+    the table keeps, each give the points of the label map:{dim}, past the
+    kept ones too."""
+    cfg = RunConfig(seed=seed, radius=radius, retry_cap=retry_cap)
+    want = _hex_points(_uniform_points(dim, cfg, f"map:{dim}"))
+    streams = [PointStream(dim, cfg, None) for _ in takes]
+    got = [[] for _ in takes]
+    for step in range(max(map(len, takes)) + 1):
+        for sizes, stream, points in zip(takes, streams, got):
+            if step <= len(sizes):
+                n, cols = stream.take(sizes[step] if step < len(sizes) else len(want))
+                points += zip(*cols) if cols else [()] * n
+    assert [_hex_points(points) for points in got] == [want] * len(takes)
+
+
 def test_equal_values_are_zero_apart_under_an_underflowing_floor():
     # tol_abs / tol_rel underflows to 0.0; both sides are 0.0 at the origin
     cfg = RunConfig(tol_abs=1e-300, tol_rel=1e30, samples=20)
@@ -626,34 +678,94 @@ def test_identical_sides_still_fail(text, note, witness):
     assert again._tape is None
 
 
-def test_a_map_non_finite_in_its_guard_fails_every_row_with_that_rows_witness():
+def test_a_map_non_finite_in_its_guard_fails_every_row_with_one_witness():
     from reference_equality import reference_maps_equal
 
     # exp overflows past x = 709.78/600 ~ 1.18: no probe, but a fifth of the box
     f = pm("fn(x) -> (exp(600*x))")
-    witnesses = set()
-    for label in ("row-a", "row-b", "row-c", "row-a"):
-        out = maps_equal(f, pm("fn(x) -> (exp(600*x))"), FAST, label)
-        assert out == reference_maps_equal(f, f, FAST, label)
-        assert (out.status, out.note) == ("fail", "eval fault: overflow in exp")
-        witnesses.add(out.witness)
-    assert len(witnesses) == 3
-    assert f._passed is None
+    outcomes = [maps_equal(f, pm("fn(x) -> (exp(600*x))"), FAST, label)
+                for label in ("row-a", "row-b", "row-c", "row-a")]
+    first = outcomes[0]
+    assert (first.status, first.note) == ("fail", "eval fault: overflow in exp")
+    # the map stream's witness, kept on the map for every later row
+    assert first == reference_maps_equal(f, f, FAST, "row-b")
+    assert all(out is first for out in outcomes)
+    assert f._checked == (FAST, first)
 
 
-def test_a_pass_of_a_map_against_itself_is_kept_for_every_later_label():
+def test_a_pass_of_a_map_against_itself_is_kept_for_every_later_label(monkeypatch):
     from reference_equality import reference_maps_equal
 
-    # exp overflows past x ~ 1.91, where the points of "first" reach and
-    # those of "second" do not
+    # exp overflows past x ~ 1.91, which the first 60 samples of the map
+    # stream of R^1 under seed 7 do not reach
+    cfg = FAST.with_(seed=7)
     f = pm("fn(x) -> (exp(1000*(x - 1.2)))")
-    assert reference_maps_equal(f, f, FAST, "first").status == "fail"
-    assert reference_maps_equal(f, f, FAST, "second").status == "pass"
-    assert maps_equal(f, f, FAST, "first").status == "fail"
-    passed = maps_equal(f, f, FAST, "second")
+    passed = maps_equal(f, f, cfg, "first")
     assert passed == S.EqOutcome("pass", 0.0, None, "", 60)
-    assert f._passed == FAST
-    assert maps_equal(f, f, FAST, "first") == passed
+    assert passed == reference_maps_equal(f, f, cfg, "first")
+    assert f._checked == (cfg, passed)
+    runs = []
+    monkeypatch.setattr(E.Tape, "run_columns", lambda *args: runs.append(args))
+    for label in ("second", "first"):
+        assert maps_equal(f, pm(str(f)), cfg, label) is passed
+    assert runs == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("text, cfg", [
+    # overflows past x ~ 1.91: the map stream reaches that under seeds 0 and 42
+    ("fn(x) -> (exp(1000*(x - 1.2)))", FAST),
+    ("fn(x) -> (exp(600*x))", FAST),
+    ("fn(x, y) -> (x*y, log(x - 1.9))", FAST.with_(retry_cap=200)),  # starves
+    ("fn(x, y, z) -> (x/y + z)", FAST),  # passes
+])
+def test_a_check_of_a_map_against_itself_has_one_outcome_under_every_label_and_row_order(
+        text, cfg, seed, monkeypatch):
+    from reference_equality import reference_maps_equal
+
+    cfg = cfg.with_(seed=seed)
+    outcomes = set()
+    for labels in itertools.permutations(["row-a", "faa-r:0:jet.R.2", "comonad:1:ε"]):
+        # a map that has kept nothing, and a table that has kept no draws
+        monkeypatch.setattr(S, "_MAP_DRAWS", {})
+        gc.collect()
+        f = pm(text)
+        assert S._live(f) is f and f._checked is None
+        outcomes.update(maps_equal(f, pm(text), cfg, label) for label in labels)
+        del f
+    (out,) = outcomes
+    assert out == reference_maps_equal(pm(text), pm(text), cfg, "any label")
+    if text.startswith("fn(x) -> (exp(1000"):
+        assert out.status == ("pass" if seed == 7 else "fail")
+
+
+def test_the_map_stream_table_is_bounded(monkeypatch):
+    from reference_equality import reference_maps_equal
+
+    monkeypatch.setattr(S, "_MAP_DRAWS", {})
+    # x > 1.9 holds at one point in 40, so 60 samples need more than the
+    # 2,000 points of the stream, and more than its kept points
+    cfg = FAST.with_(retry_cap=2000)
+    f = pm("fn(x, y) -> (x*y) where x - 1.9 > 0")
+    out = maps_equal(f, f, cfg, "starving")
+    assert out.status == "starved"
+    assert out == reference_maps_equal(f, f, cfg, "starving")
+    (kept,) = S._MAP_DRAWS.values()
+    assert kept.cap == 2 * BATCH_SIZE
+    assert [len(col) for col in kept.cols] == [kept.cap] * 2
+    # a wide map keeps fewer points; more dimensions than keys keep the
+    # most recently used keys
+    for dim in [40, *range(1, S.MAP_STREAM_KEYS + 6)]:
+        g = SmoothMap(SpaceObject(dim), SpaceObject(1), (var("x1"),))
+        assert maps_equal(g, g, cfg, "dims").ok
+        assert len(S._MAP_DRAWS) <= S.MAP_STREAM_KEYS
+    assert (S.MAP_STREAM_KEYS + 5, cfg.seed, cfg.radius) in S._MAP_DRAWS
+    assert (2, cfg.seed, cfg.radius) not in S._MAP_DRAWS
+    for kept in S._MAP_DRAWS.values():
+        assert kept.cap <= min(2 * BATCH_SIZE, S.MAP_STREAM_FLOATS // len(kept.cols))
+        assert all(len(col) <= kept.cap for col in kept.cols)
+    floats = sum(len(col) for kept in S._MAP_DRAWS.values() for col in kept.cols)
+    assert 8 * floats <= S.MAP_STREAM_BYTES == 4 << 20
 
 
 def test_a_kept_pass_holds_only_under_an_equal_config(monkeypatch):
@@ -866,19 +978,34 @@ def test_identical_sides_take_their_samples_in_one_batch(monkeypatch):
     run_columns = S.Tape.run_columns
 
     def counting(tape, cols, n):
-        runs.append(n)
+        runs.append(_hex_points(zip(*cols)))
         return run_columns(tape, cols, n)
 
     monkeypatch.setattr(S.Tape, "run_columns", counting)
+    cfg = RunConfig(samples=20)
     f = pm("fn(x, y) -> (x*y)")
-    out = maps_equal(f, f, RunConfig(samples=20), "one-batch")
+    out = maps_equal(f, f, cfg, "one-batch")
     assert out.status == "pass" and out.samples == 20
-    assert taken == [20] and runs == [20]
+    # the first 20 points of the map stream of R^2, whatever the label
+    assert taken == [20] and runs == [_hex_points(_uniform_points(2, cfg, "map:2")[:20])]
+    assert maps_equal(pm("fn(x, y) -> (x*y)"), f, cfg, "another-row") is out
+    assert len(taken) == len(runs) == 1
 
 
 def test_passing_check_pulls_exactly_its_samples(monkeypatch):
+    monkeypatch.setattr(S, "_MAP_DRAWS", {})
     taken = _counting_takes(monkeypatch)
+    cfg = RunConfig(samples=300)
     f = pm("fn(x, y) -> (x*y)")
-    out = maps_equal(f, f, RunConfig(samples=300), "all-accepted")
+    out = maps_equal(f, f, cfg, "all-accepted")
     assert out.status == "pass" and out.samples == 300
     assert taken == [BATCH_SIZE, 300 - BATCH_SIZE]
+    # the drawn points past the probes are kept, and another map of R^2
+    # checked against itself takes them again without drawing more
+    (kept,) = S._MAP_DRAWS.values()
+    drawn = 300 - len(probe_points(2))
+    assert [len(col) for col in kept.cols] == [drawn, drawn]
+    g = pm("fn(x, y) -> (x + y)")
+    assert maps_equal(g, g, cfg, "another-map").samples == 300
+    assert taken == [BATCH_SIZE, 300 - BATCH_SIZE] * 2
+    assert [len(col) for col in kept.cols] == [drawn, drawn]
