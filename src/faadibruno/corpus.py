@@ -131,6 +131,9 @@ def jet_from_dict(data) -> JetMorphism:
     derivs = tuple(parse_smooth_map(t) for t in texts)
     if star.dom.dim != x or star.cod.dim != y:
         raise JetError("star dimensions disagree with the declared objects")
+    # no component reads an order-0 jet's carriers, each a block of its point
+    if not derivs and (a > x or b > y):
+        raise JetError("an order-0 jet's carrier_dim must not exceed its point_dim")
     for n, d in enumerate(derivs, start=1):
         if d.dom.dim != n * a + x or d.cod.dim != b:
             raise JetError(f"component {n} has wrong dimensions")

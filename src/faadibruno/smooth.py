@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -71,23 +70,16 @@ class SpaceObject:
 TERMINAL = SpaceObject(0)
 
 
-class _WeakReferable:
-    """A slot base whose instances can be weakly referenced (the dataclass
-    option weakref_slot needs Python 3.11)."""
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(frozen=True, slots=True)
-class SmoothMap(_WeakReferable):
+class SmoothMap:
+    """A guarded map R^dom -> R^cod.  Maps with equal fields are equal however
+    they were built, so maps_equal's kept self-checks find a rebuilt map."""
     dom: SpaceObject
     cod: SpaceObject
     coords: tuple[Expr, ...]
     guard: Guard = TRUE_GUARD
     _tape: Tape | None = field(default=None, init=False, repr=False,
                                compare=False, hash=False)
-    # the last config of the map's check against itself and its outcome (maps_equal)
-    _checked: tuple[RunConfig, EqOutcome] | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False)
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False, hash=False)
 
@@ -451,15 +443,14 @@ class _Draws:
         return _Draws(self._dim, rng, -self._lo)
 
 
-# The kept draws of the map streams (PointStream with label None), by
-# (dim, seed, radius), while among the MAP_STREAM_KEYS most recently used.
-# Each keeps its first min(2 * BATCH_SIZE, MAP_STREAM_FLOATS // dim) drawn
-# points (the probes are built by probe_points), so the table holds at most
+# The kept draws of the map streams (PointStream with label None), for the
+# MAP_STREAM_KEYS most recently used (dim, seed, radius).  Each keeps its
+# first min(2 * BATCH_SIZE, MAP_STREAM_FLOATS // dim) drawn points (the probes
+# are built by probe_points), so the cache holds at most
 # MAP_STREAM_BYTES = 64 * 8192 * 8 bytes = 4 MiB of drawn floats.
 MAP_STREAM_KEYS = 64
 MAP_STREAM_FLOATS = 8192
 MAP_STREAM_BYTES = MAP_STREAM_KEYS * MAP_STREAM_FLOATS * 8
-_MAP_DRAWS: dict = {}
 
 
 class _KeptDraws:
@@ -468,11 +459,10 @@ class _KeptDraws:
 
     __slots__ = ("cols", "rest", "cap")
 
-    def __init__(self, dim: int, cfg: RunConfig):
+    def __init__(self, dim: int, seed: int, radius: float):
         self.cap = min(2 * BATCH_SIZE, MAP_STREAM_FLOATS // dim)
         self.cols = [array("d") for _ in range(dim if self.cap else 0)]
-        rng = random.Random(derive_seed(cfg.seed, f"map:{dim}"))
-        self.rest = _Draws(dim, rng, cfg.radius)
+        self.rest = _Draws(dim, random.Random(derive_seed(seed, f"map:{dim}")), radius)
 
     def read(self, start: int, stop: int) -> list[list[float]]:
         """Drawn points start .. stop - 1 (stop <= cap), drawing and keeping
@@ -483,15 +473,7 @@ class _KeptDraws:
         return [col[start:stop].tolist() for col in self.cols]
 
 
-def _kept_draws(dim: int, cfg: RunConfig) -> _KeptDraws:
-    """The kept draws of the map stream of dim under cfg, now the most
-    recently used."""
-    key = (dim, cfg.seed, cfg.radius)
-    kept = _MAP_DRAWS.pop(key, None) or _KeptDraws(dim, cfg)
-    _MAP_DRAWS[key] = kept
-    if len(_MAP_DRAWS) > MAP_STREAM_KEYS:
-        del _MAP_DRAWS[next(iter(_MAP_DRAWS))]
-    return kept
+_kept_draws = lru_cache(maxsize=MAP_STREAM_KEYS)(_KeptDraws)
 
 
 class PointStream:
@@ -500,8 +482,9 @@ class PointStream:
     radius) per coordinate, point after point; at dim 0, one empty point.
     The draws are seeded by the check's label, or, with label None, by
     map:{dim}: the map stream, which every check of a map against itself
-    reads.  Its first draws are kept (_MAP_DRAWS), so such a check slices
-    them, and draws only the points past them, from a copy of the sequence."""
+    reads.  Its first draws are kept (_kept_draws, for the most recently
+    used keys), so such a check slices them, and draws only the points past
+    them, from a copy of the sequence."""
 
     def __init__(self, dim: int, cfg: RunConfig, label: str | None):
         self._probes = [list(col) for col in zip(*probe_points(dim))]
@@ -511,7 +494,7 @@ class PointStream:
         if label is not None:
             self._rest = _Draws(dim, random.Random(derive_seed(cfg.seed, label)), cfg.radius)
         elif dim:
-            self._kept = _kept_draws(dim, cfg)
+            self._kept = _kept_draws(dim, cfg.seed, cfg.radius)
 
     def take(self, k: int) -> tuple[int, list[list[float]]]:
         """(n, columns): the next n points, k unless the stream runs out, as
@@ -568,36 +551,28 @@ def _batch_size(target: int, accepted: int, drawn: int, first: int) -> int:
     return min(-(-5 * need * drawn // (4 * accepted)), cap)
 
 
-# The live maps by their fields, so that equal maps built apart are checked
-# as one object, with one tape and one kept outcome against itself.  Entries
-# are weak: one goes when its map dies.
-_LIVE_MAPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _live(f: SmoothMap) -> SmoothMap:
-    """The live map of f's fields: the first such map to get here."""
-    return _LIVE_MAPS.setdefault((f.dom, f.cod, f.coords, f.guard), f)
+# The self-check outcomes kept by maps_equal: few, as each keeps a map and its tape alive.
+SELF_CHECKS_KEPT = 64
 
 
 def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutcome:
     """Partial-map equality, the one sampling loop: guards agree as booleans
     at every sampled point, values agree on the common domain within tol_rel
     (abs floor tol_abs).  A check passes on cfg.samples points, and on at
-    least one drawn point past the probes.  Each side is first replaced by
-    the live map of its fields, whose tape is built once.  Two maps are
-    compared at the points of the label's stream.  A map is compared with
-    itself at the points of the map stream of its dimension (PointStream
-    with label None), whatever the label, so the outcome (equal sides pass
-    when every value is finite where the guard holds) depends on the map and
-    the config alone: it is kept on the map with its config, and a later
-    check of the map against itself under an equal config returns it
-    without sampling.  Each batch is
-    taken from a PointStream as columns, sized by the acceptance seen so
-    far, and run on each side's tape (equal sides once).  A batch is
-    accepted whole, up to the row that reaches the target, when both sides
-    keep the same rows there and every residual is within tol_rel (equal
-    sides: every value is finite); any other batch is walked point by point
-    with Tape.run_point up to the deciding point (a guard mismatch first,
+    least one drawn point past the probes.  Two different maps are compared
+    at the points of the label's stream.  Equal maps (equal dom, cod, coords
+    and guard; one object or built apart) are one map compared with itself
+    at the points of the map stream of its dimension (PointStream with label
+    None), whatever the label, so the outcome (pass when every value is
+    finite where the guard holds) depends on the map and the config alone:
+    _self_check keeps it for the most recent (map, config) pairs, and a later
+    check of an equal map under an equal config returns it without sampling.
+    Each batch is taken from a PointStream as columns, sized by the
+    acceptance seen so far, and run on each side's tape (equal sides once).
+    A batch is accepted whole, up to the row that reaches the target, when
+    both sides keep the same rows there and every residual is within tol_rel
+    (equal sides: every value is finite); any other batch is walked point by
+    point with Tape.run_point to the deciding point (a guard mismatch first,
     then f's fault, then g's), so the outcome is the point-at-a-time one."""
     if f.dom != g.dom or f.cod != g.cod:
         return EqOutcome("fail", math.inf, None, "shape mismatch")
@@ -605,17 +580,20 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     # a pass needs a drawn point: each probe has at most one nonzero
     # coordinate, or all its coordinates equal
     target = max(cfg.samples, len(probe_points(dim)) + 1) if dim > 0 else 1
-    f, g = _live(f), _live(g)
-    if f is not g:
+    if f != g:
         return _sample_equal(f, g, cfg, label, target)
-    if f._checked is None or f._checked[0] != cfg:
-        object.__setattr__(f, "_checked", (cfg, _sample_equal(f, f, cfg, None, target)))
-    return f._checked[1]
+    return _self_check(f, cfg, target)
+
+
+@lru_cache(maxsize=SELF_CHECKS_KEPT)
+def _self_check(f: SmoothMap, cfg: RunConfig, target: int) -> EqOutcome:
+    """The check of f against itself under cfg, on the map stream."""
+    return _sample_equal(f, f, cfg, None, target)
 
 
 def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str | None,
                   target: int) -> EqOutcome:
-    """The sampling loop of maps_equal over the live sides f and g, at the
+    """The sampling loop of maps_equal over the sides f and g, at the
     points of PointStream(dim, cfg, label)."""
     same = f is g
     tf = f.tape()

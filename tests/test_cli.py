@@ -514,17 +514,29 @@ def test_cli_rejects_malformed_jets_payload(payload, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("suite", ["faa-r", "comonad"])
-def test_reports_are_byte_identical_without_the_composite_table(suite, tmp_path,
-                                                                monkeypatch, capsys):
-    class NeverStores(dict):
-        def __setitem__(self, key, value):
-            pass
+class _NeverStores(dict):
+    def __setitem__(self, key, value):
+        pass
 
+
+# The second run of each case keeps nothing in one of the caches.
+_NO_CACHE = {
+    "": (jets, "_COMPOSITES", _NeverStores()),
+    "-self-check": (smooth, "_self_check",
+                    functools.lru_cache(maxsize=0)(smooth._self_check.__wrapped__)),
+    "-kept-draws": (smooth, "_kept_draws", functools.lru_cache(maxsize=0)(smooth._KeptDraws)),
+}
+
+
+@pytest.mark.parametrize("suite, table", [
+    pytest.param(suite, table, id=suite + table)
+    for table in _NO_CACHE for suite in ("faa-r", "comonad")])
+def test_reports_are_byte_identical_without_the_composite_table(suite, table, tmp_path,
+                                                                monkeypatch, capsys):
     paths = [tmp_path / "table.json", tmp_path / "no-table.json"]
     for path in paths:
         assert main(["axioms", "--suite", suite, "--order", "3", "--json", str(path)]) == 0
-        monkeypatch.setattr(jets, "_COMPOSITES", NeverStores())
+        monkeypatch.setattr(*_NO_CACHE[table])
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -536,15 +548,19 @@ def test_repeated_runs_in_one_process_hold_no_more_nodes_or_cache_entries(capsys
               for name, obj in vars(mod).items() if isinstance(obj, functools._lru_cache_wrapper)}
     # keyed by a jet order and by a base category, so they stay small
     unbounded = {"faadibruno.jets.enumerate_partitions", "faadibruno.jets.faa_over"}
-    assert all(c.cache_parameters()["maxsize"] == STRUCTURE_CACHE_SIZE
+    # each entry keeps a map and its tape, or up to 2 * BATCH_SIZE drawn points
+    smaller = {"faadibruno.smooth._self_check": smooth.SELF_CHECKS_KEPT,
+               "faadibruno.smooth._kept_draws": smooth.MAP_STREAM_KEYS}
+    assert all(c.cache_parameters()["maxsize"] == smaller.get(name, STRUCTURE_CACHE_SIZE)
                for name, c in caches.items() if name not in unbounded)
+    assert smaller.keys() <= caches.keys()
     rounds = []
     for _ in range(3):
         for suite in ("cd", "dr", "faa-r", "comonad"):
             assert main(["axioms", "--suite", suite, "--order", "3", "--samples", "20"]) == 0
         capsys.readouterr()
         gc.collect()
-        rounds.append((len(expr._NODES), len(jets._COMPOSITES), len(smooth._MAP_DRAWS),
+        rounds.append((len(expr._NODES), len(jets._COMPOSITES),
                        {name: c.cache_info().currsize for name, c in caches.items()}))
     assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
 

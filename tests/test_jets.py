@@ -725,6 +725,7 @@ def test_jet_from_dict_rejects_bad_dims():
     (10**6, "fn(x) -> (x)", ["fn(a, x) -> (a)"], "component 1 has wrong dimensions"),
     (1, "fn(x) -> (x)", ["fn(a, x) -> (a, a)"], "component 1 has wrong dimensions"),
     (1, "fn(x, y) -> (x)", ["fn(a, x) -> (a)"], "star dimensions disagree"),
+    (50_000, "fn(x) -> (x)", [], "carrier_dim must not exceed its point_dim"),
 ])
 def test_jet_from_dict_checks_the_maps_before_it_builds_a_monoid(carrier, star, derivs,
                                                                   message, monkeypatch):
@@ -742,7 +743,7 @@ def test_jet_from_dict_checks_the_maps_before_it_builds_a_monoid(carrier, star, 
     with pytest.raises(JetError, match=message):
         jet_from_dict(payload)
     assert built == []
-    jet_from_dict({**payload, "src": {"carrier_dim": 1, "point_dim": 1},
+    jet_from_dict({**payload, "src": {"carrier_dim": 1, "point_dim": 1}, "order": 1,
                    "star": "fn(x) -> (x)", "derivs": ["fn(a, x) -> (a)"]})
     assert built == [1, 1]
 

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -681,16 +682,17 @@ def test_identical_sides_still_fail(text, note, witness):
 def test_a_map_non_finite_in_its_guard_fails_every_row_with_one_witness():
     from reference_equality import reference_maps_equal
 
+    S._self_check.cache_clear()
     # exp overflows past x = 709.78/600 ~ 1.18: no probe, but a fifth of the box
     f = pm("fn(x) -> (exp(600*x))")
     outcomes = [maps_equal(f, pm("fn(x) -> (exp(600*x))"), FAST, label)
                 for label in ("row-a", "row-b", "row-c", "row-a")]
     first = outcomes[0]
     assert (first.status, first.note) == ("fail", "eval fault: overflow in exp")
-    # the map stream's witness, kept on the map for every later row
+    # the map stream's witness, sampled once and kept for every later row
     assert first == reference_maps_equal(f, f, FAST, "row-b")
     assert all(out is first for out in outcomes)
-    assert f._checked == (FAST, first)
+    assert S._self_check.cache_info()[:2] == (3, 1)  # hits, misses
 
 
 def test_a_pass_of_a_map_against_itself_is_kept_for_every_later_label(monkeypatch):
@@ -698,12 +700,13 @@ def test_a_pass_of_a_map_against_itself_is_kept_for_every_later_label(monkeypatc
 
     # exp overflows past x ~ 1.91, which the first 60 samples of the map
     # stream of R^1 under seed 7 do not reach
+    S._self_check.cache_clear()
     cfg = FAST.with_(seed=7)
     f = pm("fn(x) -> (exp(1000*(x - 1.2)))")
     passed = maps_equal(f, f, cfg, "first")
     assert passed == S.EqOutcome("pass", 0.0, None, "", 60)
     assert passed == reference_maps_equal(f, f, cfg, "first")
-    assert f._checked == (cfg, passed)
+    assert S._self_check.cache_info().currsize == 1
     runs = []
     monkeypatch.setattr(E.Tape, "run_columns", lambda *args: runs.append(args))
     for label in ("second", "first"):
@@ -720,29 +723,28 @@ def test_a_pass_of_a_map_against_itself_is_kept_for_every_later_label(monkeypatc
     ("fn(x, y, z) -> (x/y + z)", FAST),  # passes
 ])
 def test_a_check_of_a_map_against_itself_has_one_outcome_under_every_label_and_row_order(
-        text, cfg, seed, monkeypatch):
+        text, cfg, seed):
     from reference_equality import reference_maps_equal
 
     cfg = cfg.with_(seed=seed)
     outcomes = set()
     for labels in itertools.permutations(["row-a", "faa-r:0:jet.R.2", "comonad:1:ε"]):
-        # a map that has kept nothing, and a table that has kept no draws
-        monkeypatch.setattr(S, "_MAP_DRAWS", {})
-        gc.collect()
+        # no kept outcome and no kept draws
+        S._self_check.cache_clear()
+        S._kept_draws.cache_clear()
         f = pm(text)
-        assert S._live(f) is f and f._checked is None
         outcomes.update(maps_equal(f, pm(text), cfg, label) for label in labels)
-        del f
+        assert S._self_check.cache_info()[:2] == (2, 1)  # hits, misses
     (out,) = outcomes
     assert out == reference_maps_equal(pm(text), pm(text), cfg, "any label")
     if text.startswith("fn(x) -> (exp(1000"):
         assert out.status == ("pass" if seed == 7 else "fail")
 
 
-def test_the_map_stream_table_is_bounded(monkeypatch):
+def test_the_map_stream_table_is_bounded():
     from reference_equality import reference_maps_equal
 
-    monkeypatch.setattr(S, "_MAP_DRAWS", {})
+    S._kept_draws.cache_clear()
     # x > 1.9 holds at one point in 40, so 60 samples need more than the
     # 2,000 points of the stream, and more than its kept points
     cfg = FAST.with_(retry_cap=2000)
@@ -750,25 +752,37 @@ def test_the_map_stream_table_is_bounded(monkeypatch):
     out = maps_equal(f, f, cfg, "starving")
     assert out.status == "starved"
     assert out == reference_maps_equal(f, f, cfg, "starving")
-    (kept,) = S._MAP_DRAWS.values()
+    assert S._kept_draws.cache_info()[1:] == (1, S.MAP_STREAM_KEYS, 1)  # misses, max, size
+    kept = S._kept_draws(2, cfg.seed, cfg.radius)
+    assert S._kept_draws.cache_info().misses == 1
     assert kept.cap == 2 * BATCH_SIZE
     assert [len(col) for col in kept.cols] == [kept.cap] * 2
     # a wide map keeps fewer points; more dimensions than keys keep the
     # most recently used keys
-    for dim in [40, *range(1, S.MAP_STREAM_KEYS + 6)]:
+    dims = range(1, S.MAP_STREAM_KEYS + 6)
+    for dim in dims:
         g = SmoothMap(SpaceObject(dim), SpaceObject(1), (var("x1"),))
         assert maps_equal(g, g, cfg, "dims").ok
-        assert len(S._MAP_DRAWS) <= S.MAP_STREAM_KEYS
-    assert (S.MAP_STREAM_KEYS + 5, cfg.seed, cfg.radius) in S._MAP_DRAWS
-    assert (2, cfg.seed, cfg.radius) not in S._MAP_DRAWS
-    for kept in S._MAP_DRAWS.values():
-        assert kept.cap <= min(2 * BATCH_SIZE, S.MAP_STREAM_FLOATS // len(kept.cols))
-        assert all(len(col) <= kept.cap for col in kept.cols)
-    floats = sum(len(col) for kept in S._MAP_DRAWS.values() for col in kept.cols)
+        assert S._kept_draws.cache_info().currsize <= S.MAP_STREAM_KEYS
+    info = S._kept_draws.cache_info()
+    assert info.maxsize == info.currsize == S.MAP_STREAM_KEYS
+    # the last MAP_STREAM_KEYS dimensions are each answered from the cache
+    kept = [S._kept_draws(dim, cfg.seed, cfg.radius) for dim in dims[-S.MAP_STREAM_KEYS:]]
+    assert S._kept_draws.cache_info().hits == info.hits + S.MAP_STREAM_KEYS
+    assert S._kept_draws.cache_info().currsize == S.MAP_STREAM_KEYS
+    for draws in kept:
+        assert draws.cap <= min(2 * BATCH_SIZE, S.MAP_STREAM_FLOATS // len(draws.cols))
+        assert all(len(col) <= draws.cap for col in draws.cols)
+    floats = sum(len(col) for draws in kept for col in draws.cols)
     assert 8 * floats <= S.MAP_STREAM_BYTES == 4 << 20
+    # dimension 2, used first, has gone
+    misses = S._kept_draws.cache_info().misses
+    S._kept_draws(2, cfg.seed, cfg.radius)
+    assert S._kept_draws.cache_info().misses == misses + 1
 
 
 def test_a_kept_pass_holds_only_under_an_equal_config(monkeypatch):
+    S._self_check.cache_clear()
     runs = []
     run_columns = E.Tape.run_columns
     monkeypatch.setattr(E.Tape, "run_columns",
@@ -781,13 +795,19 @@ def test_a_kept_pass_holds_only_under_an_equal_config(monkeypatch):
     sampled = len(runs)
     assert maps_equal(pm("fn(x, y) -> (x*y)"), f, RunConfig(), "b") == first
     assert len(runs) == sampled
-    for cfg in (CFG.with_(samples=50), CFG.with_(seed=7), CFG):
+    # a new config samples
+    for cfg in (CFG.with_(samples=50), CFG.with_(seed=7)):
         assert maps_equal(f, f, cfg, "a").ok
         assert len(runs) > sampled
         sampled = len(runs)
+    # each config used before is answered from the cache
+    for cfg in (CFG, CFG.with_(samples=50), CFG.with_(seed=7)):
+        assert maps_equal(pm("fn(x, y) -> (x*y)"), f, cfg, "c").ok
+    assert len(runs) == sampled
 
 
 def test_equal_maps_built_apart_share_one_tape(monkeypatch):
+    S._self_check.cache_clear()
     compiled = []
     compile_tape = S.compile_tape
     monkeypatch.setattr(S, "compile_tape",
@@ -800,16 +820,33 @@ def test_equal_maps_built_apart_share_one_tape(monkeypatch):
     assert len(compiled) == 1
 
 
-def test_the_live_map_table_frees_the_entries_of_dead_maps():
-    gc.collect()
-    before = len(S._LIVE_MAPS)
-    maps = [pm(f"fn(x) -> (x + {k})") for k in range(1, 21)]
+def test_the_self_check_cache_keeps_at_most_its_bound_of_maps_alive():
+    S._self_check.cache_clear()
+    kept = S.SELF_CHECKS_KEPT
+    maps = [pm(f"fn(x) -> (x + {k})") for k in range(1001, kept + 1021)]
+    # a map is alive while its coordinate node is, which no other map shares
+    nodes = [weakref.ref(m.coords[0]) for m in maps]
     for m in maps:
-        assert maps_equal(m, pm(str(m)), FAST, "live").ok
-    assert len(S._LIVE_MAPS) == before + 20
+        assert maps_equal(m, pm(str(m)), FAST, "kept").ok
+        assert S._self_check.cache_info().currsize <= kept
     del maps, m
     gc.collect()
-    assert len(S._LIVE_MAPS) == before
+    # the first 20 maps have left the cache and died, the last are kept
+    assert [r() is None for r in nodes] == [True] * 20 + [False] * kept
+
+
+def test_a_map_rebuilt_after_its_first_copy_died_is_not_sampled_again(monkeypatch):
+    S._self_check.cache_clear()
+    text = "fn(x, y) -> (sin(x) * y, log(y)) where y > 0"
+    assert maps_equal(pm(text), pm(text), FAST, "first").ok
+    gc.collect()
+    work = []
+    for owner, name in [(S, "compile_tape"), (E.Tape, "run_columns"), (E.Tape, "run_point")]:
+        done = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, name=name, done=done: work.append(name) or done(*args))
+    assert maps_equal(pm(text), pm(text), FAST, "again").ok
+    assert work == []
 
 
 @pytest.mark.parametrize("f_text, g_text, note, witness", [
@@ -973,6 +1010,7 @@ def test_check_failing_at_its_first_probe_pulls_only_the_probes(text, shifted, m
 
 
 def test_identical_sides_take_their_samples_in_one_batch(monkeypatch):
+    S._self_check.cache_clear()
     taken = _counting_takes(monkeypatch)
     runs = []
     run_columns = S.Tape.run_columns
@@ -993,7 +1031,8 @@ def test_identical_sides_take_their_samples_in_one_batch(monkeypatch):
 
 
 def test_passing_check_pulls_exactly_its_samples(monkeypatch):
-    monkeypatch.setattr(S, "_MAP_DRAWS", {})
+    S._self_check.cache_clear()
+    S._kept_draws.cache_clear()
     taken = _counting_takes(monkeypatch)
     cfg = RunConfig(samples=300)
     f = pm("fn(x, y) -> (x*y)")
@@ -1002,7 +1041,8 @@ def test_passing_check_pulls_exactly_its_samples(monkeypatch):
     assert taken == [BATCH_SIZE, 300 - BATCH_SIZE]
     # the drawn points past the probes are kept, and another map of R^2
     # checked against itself takes them again without drawing more
-    (kept,) = S._MAP_DRAWS.values()
+    assert S._kept_draws.cache_info()[1:] == (1, S.MAP_STREAM_KEYS, 1)  # misses, max, size
+    kept = S._kept_draws(2, cfg.seed, cfg.radius)
     drawn = 300 - len(probe_points(2))
     assert [len(col) for col in kept.cols] == [drawn, drawn]
     g = pm("fn(x, y) -> (x + y)")
