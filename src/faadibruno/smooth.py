@@ -568,7 +568,10 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     _self_check keeps it for the most recent (map, config) pairs, and a later
     check of an equal map under an equal config returns it without sampling.
     Each batch is taken from a PointStream as columns, sized by the
-    acceptance seen so far, and run on each side's tape (equal sides once).
+    acceptance seen so far, and run on one tape per guard: equal sides on
+    the map's kept tape, sides with one guard on a tape compiled for the
+    check and kept nowhere (f's coordinates, then g's, so nodes they share
+    run once), and sides with two guards on each map's kept tape.
     A batch is accepted whole, up to the row that reaches the target, when
     both sides keep the same rows there and every residual is within tol_rel
     (equal sides: every value is finite); any other batch is walked point by
@@ -596,11 +599,17 @@ def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str | None,
     """The sampling loop of maps_equal over the sides f and g, at the
     points of PointStream(dim, cfg, label)."""
     same = f is g
-    tf = f.tape()
-    tg = tf if same else g.tape()
+    dim = f.dom.dim
+    fs = gs = slice(None)  # the roots of tf that are f's, and of tg that are g's
+    if same:
+        tf = tg = f.tape()
+    elif f.guard == g.guard:  # one tape per guard, kept nowhere: f's steps, then g's
+        tf = tg = compile_tape(f.coords + g.coords, f.guard, dim)
+        fs, gs = slice(f.cod.dim), slice(f.cod.dim, None)
+    else:
+        tf, tg = f.tape(), g.tape()
     worst = 0.0
     accepted = drawn = 0
-    dim = f.dom.dim
     points = PointStream(dim, cfg, label)
     first = min(target if same else len(probe_points(dim)), BATCH_SIZE)
     floors = repeat(cfg.abs_floor)
@@ -610,7 +619,8 @@ def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str | None,
         need = target - accepted
         try:  # column reductions settle a batch that holds no deciding event
             rows, fv = tf.run_columns(cols, n)
-            g_rows, gv = (rows, fv) if same else tg.run_columns(cols, n)
+            g_rows, gv = (rows, fv) if tg is tf else tg.run_columns(cols, n)
+            fv, gv = fv[fs], gv[gs]
             if len(rows) > need:  # a point-at-a-time check stops at row need
                 rows, fv = rows[:need], [col[:need] for col in fv]
                 g_rows, gv = g_rows[:need], [col[:need] for col in gv]
@@ -630,7 +640,9 @@ def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str | None,
             continue
         for point in (zip(*cols) if cols else repeat((), n)):
             fv = tf.run_point(point)
-            gv = fv if same else tg.run_point(point)
+            gv = fv if tg is tf else tg.run_point(point)
+            if tg is tf and isinstance(fv, tuple):
+                fv, gv = fv[fs], fv[gs]
             if (fv is None) != (gv is None):
                 return EqOutcome("fail", math.inf, point, "guard mismatch", accepted)
             if fv is None:

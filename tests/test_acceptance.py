@@ -321,6 +321,37 @@ def test_acceptance_8m_restriction_along_a_direction_block_detected(monkeypatch,
               "direction block are detected with a witness", caught)
 
 
+def test_acceptance_8e_partition_sum_point_along_a_direction_block_detected(
+        monkeypatch, capsys, tmp_path):
+    """The point of each partition-sum term, f_* read at the point block
+    [n], read at direction block [0] instead: faa-r fails through the CLI
+    at order 3 with a witness."""
+    original = jets_module._partition_sum
+    bases = set()
+
+    def point_along_direction(f, g, vanishes):
+        bases.add(type(f.base))
+        moved = jets_module.JetMorphism(_DirectionForPoint(f.base), f.src, f.dst, f.star,
+                                        f.derivs)
+        out = original(moved, g, vanishes)
+        return jets_module.JetMorphism(f.base, out.src, out.dst, out.star, out.derivs)
+
+    monkeypatch.setattr(jets_module, "_partition_sum", point_along_direction)
+    monkeypatch.setattr(jets_module, "_COMPOSITES", weakref.WeakValueDictionary())
+    path = tmp_path / "faa-r.json"
+    code = cli_main(["axioms", "--suite", "faa-r", "--order", "3", "--json", str(path)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    failures = [r for r in json.loads(path.read_text())["results"]
+                if r.get("gating", True) and r["status"] == "fail"]
+    # composites over the smooth base alone, so no cached structure of a jet
+    # base was built under the mutation to outlive it
+    assert bases == {smooth_module.SmoothCategory}
+    caught = code == 1 and any(r["witness_point"] is not None for r in failures)
+    report(8, "mutation: the point of a partition-sum term read at a direction "
+              "block is detected with a witness", caught)
+
+
 def test_acceptance_8n_dropped_term_of_a_jet_sum_seen_by_deeper_coassociativity(
         monkeypatch, capsys, tmp_path):
     """A sum of three or more jets that drops its last term first reaches

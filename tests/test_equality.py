@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faadibruno import smooth
 from faadibruno.config import RunConfig
-from faadibruno.expr import GuardAtom, const, make_guard, parse_expression
+from faadibruno.expr import GuardAtom, Tape, const, make_guard, parse_expression
 from faadibruno.smooth import (
     BATCH_SIZE,
     PointStream,
@@ -133,6 +134,26 @@ CASES = {
              gmap(["x2*x1", "x2 + sin(x1)"], ATOMS[:1]), RunConfig(samples=300), "pass", ""),
     "dim 0": (gmap([const(1)], dom=TERMINAL), gmap([const(2)], dom=TERMINAL), RunConfig(),
               "fail", "value mismatch"),
+    # Sides with one guard run on one tape, f's coordinates first.  g's
+    # sqrt faults where the log that f also reads is negative, at the probe
+    # (0.5, 0.5); f reads the log there without a fault.
+    "fault in g on a subterm shared with f": (
+        gmap(["log(x1)*x2"], ATOMS[:1]), gmap(["sqrt(log(x1))*x2"], ATOMS[:1]),
+        RunConfig(), "fail", "eval fault: sqrt of negative argument"),
+    # g's tape alone tests the denominator before the numerator, which may
+    # fault; on the one tape f has evaluated the numerator, so the quotient
+    # itself meets the zero denominator at the probe (1, 0)
+    "quotient in g over a numerator of f": (
+        gmap(["log(x1) + x2"], ATOMS[:1]), gmap(["log(x1)/(x1 - 1)"], ATOMS[:1]), RunConfig(),
+        "fail", "eval fault: division by zero"),
+    # both sides fault at the origin, the first probe: f's fault is reported
+    "faults on both sides": (gmap(["x2 + 1/x1"]), gmap(["x2 + log(x1)"]), RunConfig(), "fail",
+                             "eval fault: division by zero"),
+    # x1 > 0 rejects half the points, and x1 is shared; the mismatch (only
+    # where x2 > 1.98) is met at sample 266, past the batches accepted whole
+    "one guard rejecting half the points": (
+        gmap(["x1 + 0.001*exp(1000*(x2 - 1.99))"], ATOMS[:1]), gmap(["x1"], ATOMS[:1]),
+        RunConfig(samples=300), "fail", "value mismatch"),
 }
 
 
@@ -195,3 +216,47 @@ def test_a_guard_rejecting_half_the_points_takes_its_samples_in_few_batches(
         batches = len(taken)
         assert maps_equal(f, gmap(["2*x1*x2"], ATOMS[:1]), cfg, "other") is out
         assert len(taken) == batches
+
+
+def _counting_tapes(monkeypatch):
+    """The arguments of each smooth.compile_tape call, and the tape of each
+    Tape.run_columns call."""
+    compiled, runs = [], []
+    compile_tape, run_columns = smooth.compile_tape, Tape.run_columns
+    monkeypatch.setattr(smooth, "compile_tape",
+                        lambda *args: compiled.append(args) or compile_tape(*args))
+    monkeypatch.setattr(Tape, "run_columns",
+                        lambda tape, cols, n: runs.append(tape) or run_columns(tape, cols, n))
+    return compiled, runs
+
+
+def test_sides_with_one_guard_run_on_one_tape_kept_by_neither_map(monkeypatch):
+    taken = []
+    take = PointStream.take
+
+    def counting(stream, k):
+        n, cols = take(stream, k)
+        taken.append(n)
+        return n, cols
+
+    monkeypatch.setattr(PointStream, "take", counting)
+    compiled, runs = _counting_tapes(monkeypatch)
+    f = gmap(["x1*x2", "sin(x1) + x2"], ATOMS[:1])
+    g = gmap(["x2*x1", "x2 + sin(x1)"], ATOMS[:1])
+    out = maps_equal(f, g, RunConfig(samples=300), "one tape")
+    assert out.status == "pass"
+    assert compiled == [(f.coords + g.coords, f.guard, 2)]
+    # one run per batch, each on the one tape, and no point walked
+    assert len(runs) == len([n for n in taken if n]) and len(set(map(id, runs))) == 1
+    assert f._tape is None and g._tape is None
+
+
+def test_sides_with_two_guards_run_on_their_own_tapes(monkeypatch):
+    compiled, runs = _counting_tapes(monkeypatch)
+    # 2*x1 > 0 holds where x1 > 0 does, through other nodes
+    f = gmap(["x1*x2"], ATOMS[:1])
+    g = gmap(["x2*x1"], [GuardAtom(">0", parse_expression("2*x1"))])
+    assert f.guard != g.guard
+    assert maps_equal(f, g, RunConfig(), "two tapes").status == "pass"
+    assert compiled == [(f.coords, f.guard, 2), (g.coords, g.guard, 2)]
+    assert set(map(id, runs)) == {id(f._tape), id(g._tape)}
