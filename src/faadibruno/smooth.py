@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
@@ -23,7 +23,6 @@ from .expr import (
     Guard,
     OutOfDomainError,
     TRUE_GUARD,
-    Tape,
     ZERO,
     add,
     compile_tape,
@@ -72,16 +71,14 @@ TERMINAL = SpaceObject(0)
 
 @dataclass(frozen=True, slots=True)
 class SmoothMap:
-    """A guarded map R^dom -> R^cod.  Maps with equal fields are equal however
-    they were built, so maps_equal's kept self-checks find a rebuilt map."""
+    """A guarded map R^dom -> R^cod: its four fields and nothing else, so
+    maps with equal fields are equal however they were built, and
+    maps_equal's kept self-checks find a rebuilt map.  Each evaluation
+    compiles the tape it runs."""
     dom: SpaceObject
     cod: SpaceObject
     coords: tuple[Expr, ...]
     guard: Guard = TRUE_GUARD
-    _tape: Tape | None = field(default=None, init=False, repr=False,
-                               compare=False, hash=False)
-    _hash: int | None = field(default=None, init=False, repr=False,
-                              compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.coords) != self.cod.dim:
@@ -97,28 +94,12 @@ class SmoothMap:
     def __str__(self):
         return pretty_map(self.dom.dim, self.coords, self.guard)
 
-    def __hash__(self):  # the dataclass hash, computed once
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.coords, self.guard)))
-        return self._hash
-
-    def __reduce__(self):  # rebuilt from its fields: the cached hash is per process
-        return (SmoothMap, (self.dom, self.cod, self.coords, self.guard))
-
-    def tape(self) -> Tape:
-        """The guard and coordinates compiled on first evaluation and kept
-        with the map."""
-        if self._tape is None:
-            object.__setattr__(self, "_tape",
-                               compile_tape(self.coords, self.guard, self.dom.dim))
-        return self._tape
-
 
 Point = tuple[float, ...]
 
 
 def apply_map(f: SmoothMap, point: Sequence[float]) -> Point:
-    value = f.tape().run_point(point)
+    value = compile_tape(f.coords, f.guard, f.dom.dim).run_point(point)
     if value is None:
         raise OutOfDomainError(f"point {tuple(point)} outside guard {f.guard}")
     if isinstance(value, Exception):
@@ -551,7 +532,7 @@ def _batch_size(target: int, accepted: int, drawn: int, first: int) -> int:
     return min(-(-5 * need * drawn // (4 * accepted)), cap)
 
 
-# The self-check outcomes kept by maps_equal: few, as each keeps a map and its tape alive.
+# The self-check outcomes kept by maps_equal: few, as each keeps a map alive.
 SELF_CHECKS_KEPT = 64
 
 
@@ -568,10 +549,10 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
     _self_check keeps it for the most recent (map, config) pairs, and a later
     check of an equal map under an equal config returns it without sampling.
     Each batch is taken from a PointStream as columns, sized by the
-    acceptance seen so far, and run on one tape per guard: equal sides on
-    the map's kept tape, sides with one guard on a tape compiled for the
-    check and kept nowhere (f's coordinates, then g's, so nodes they share
-    run once), and sides with two guards on each map's kept tape.
+    acceptance seen so far, and run on one tape per guard, compiled for the
+    check and kept nowhere: sides with one guard (a map and itself
+    included) on one tape over f's coordinates, then g's, so the nodes they
+    share run once, and sides with two guards on one tape each.
     A batch is accepted whole, up to the row that reaches the target, when
     both sides keep the same rows there and every residual is within tol_rel
     (equal sides: every value is finite); any other batch is walked point by
@@ -590,7 +571,8 @@ def maps_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str) -> EqOutc
 
 @lru_cache(maxsize=SELF_CHECKS_KEPT)
 def _self_check(f: SmoothMap, cfg: RunConfig, target: int) -> EqOutcome:
-    """The check of f against itself under cfg, on the map stream."""
+    """The check of f against itself under cfg, on the map stream.  A kept
+    outcome keeps only its map alive: the check's tape is not kept."""
     return _sample_equal(f, f, cfg, None, target)
 
 
@@ -598,20 +580,17 @@ def _sample_equal(f: SmoothMap, g: SmoothMap, cfg: RunConfig, label: str | None,
                   target: int) -> EqOutcome:
     """The sampling loop of maps_equal over the sides f and g, at the
     points of PointStream(dim, cfg, label)."""
-    same = f is g
     dim = f.dom.dim
-    fs = gs = slice(None)  # the roots of tf that are f's, and of tg that are g's
-    if same:
-        tf = tg = f.tape()
-    elif f.guard == g.guard:  # one tape per guard, kept nowhere: f's steps, then g's
+    if f.guard == g.guard:  # f's steps, then g's: a self-check's second roots add none
         tf = tg = compile_tape(f.coords + g.coords, f.guard, dim)
-        fs, gs = slice(f.cod.dim), slice(f.cod.dim, None)
+        fs, gs = slice(f.cod.dim), slice(f.cod.dim, None)  # the roots that are f's, g's
     else:
-        tf, tg = f.tape(), g.tape()
+        tf, tg = (compile_tape(m.coords, m.guard, dim) for m in (f, g))
+        fs = gs = slice(None)
     worst = 0.0
     accepted = drawn = 0
     points = PointStream(dim, cfg, label)
-    first = min(target if same else len(probe_points(dim)), BATCH_SIZE)
+    first = min(target if f is g else len(probe_points(dim)), BATCH_SIZE)
     floors = repeat(cfg.abs_floor)
     while (taken := points.take(_batch_size(target, accepted, drawn, first)))[0]:
         n, cols = taken

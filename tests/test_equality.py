@@ -248,7 +248,9 @@ def test_sides_with_one_guard_run_on_one_tape_kept_by_neither_map(monkeypatch):
     assert compiled == [(f.coords + g.coords, f.guard, 2)]
     # one run per batch, each on the one tape, and no point walked
     assert len(runs) == len([n for n in taken if n]) and len(set(map(id, runs))) == 1
-    assert f._tape is None and g._tape is None
+    # the tape was the check's: an equal check compiles it again
+    assert maps_equal(f, g, RunConfig(samples=300), "one tape") == out
+    assert compiled == [(f.coords + g.coords, f.guard, 2)] * 2
 
 
 def test_sides_with_two_guards_run_on_their_own_tapes(monkeypatch):
@@ -257,6 +259,11 @@ def test_sides_with_two_guards_run_on_their_own_tapes(monkeypatch):
     f = gmap(["x1*x2"], ATOMS[:1])
     g = gmap(["x2*x1"], [GuardAtom(">0", parse_expression("2*x1"))])
     assert f.guard != g.guard
-    assert maps_equal(f, g, RunConfig(), "two tapes").status == "pass"
+    out = maps_equal(f, g, RunConfig(), "two tapes")
+    assert out.status == "pass"
     assert compiled == [(f.coords, f.guard, 2), (g.coords, g.guard, 2)]
-    assert set(map(id, runs)) == {id(f._tape), id(g._tape)}
+    assert len(set(map(id, runs))) == 2
+    # both tapes were the check's alone: an equal check compiles both again
+    assert maps_equal(f, g, RunConfig(), "two tapes") == out
+    assert compiled == [(f.coords, f.guard, 2), (g.coords, g.guard, 2)] * 2
+    assert len(set(map(id, runs))) == 4

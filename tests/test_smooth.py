@@ -233,6 +233,23 @@ def test_d_of_square():
         apply_map(df, (0.5, 4.0)) == (4.0,)
 
 
+def _counting_compiles(monkeypatch) -> list:
+    """The arguments of each smooth.compile_tape call from now on."""
+    compiled = []
+    compile_tape = S.compile_tape
+    monkeypatch.setattr(S, "compile_tape",
+                        lambda *args: compiled.append(args) or compile_tape(*args))
+    return compiled
+
+
+def test_a_map_is_its_four_fields_and_each_evaluation_compiles_its_tape(monkeypatch):
+    assert SmoothMap.__slots__ == ("dom", "cod", "coords", "guard")
+    compiled = _counting_compiles(monkeypatch)
+    f = pm("fn(x, y) -> (x*y, sin(x)) where y > 0")
+    assert apply_map(f, (2.0, 3.0)) == apply_map(f, (2.0, 3.0)) == (6.0, math.sin(2.0))
+    assert compiled == [(f.coords, f.guard, 2)] * 2
+
+
 def test_apply_map_raises_each_points_error():
     with pytest.raises(OutOfDomainError, match=r"^point \(0\.0,\) outside guard "):
         apply_map(pm("fn(x) -> (1/x)"), (0.0,))
@@ -667,7 +684,9 @@ def test_maps_equal_rejects_non_finite_values():
     # exp(exp(7)) overflows at the second probe
     ("fn(x) -> (exp(exp(x + 6)))", "eval fault: overflow in exp", (1.0,)),
 ])
-def test_identical_sides_still_fail(text, note, witness):
+def test_identical_sides_still_fail(text, note, witness, monkeypatch):
+    S._self_check.cache_clear()
+    compiled = _counting_compiles(monkeypatch)
     f = pm(text)
     again = pm(text)
     assert again == f and again is not f
@@ -675,8 +694,9 @@ def test_identical_sides_still_fail(text, note, witness):
         out = maps_equal(f, g, FAST, "self")
         assert (out.status, out.note, out.witness) == ("fail", note, witness)
         assert out.worst_residual == math.inf
-    # the second side equals the first, so its tape is never built
-    assert again._tape is None
+    # one tape over the map's coordinates twice, which hash-consing runs
+    # once; the second side equals the first, so its check is a cache hit
+    assert compiled == [(f.coords + f.coords, f.guard, 1)]
 
 
 def test_a_map_non_finite_in_its_guard_fails_every_row_with_one_witness():
@@ -808,10 +828,7 @@ def test_a_kept_pass_holds_only_under_an_equal_config(monkeypatch):
 
 def test_equal_maps_built_apart_share_one_tape(monkeypatch):
     S._self_check.cache_clear()
-    compiled = []
-    compile_tape = S.compile_tape
-    monkeypatch.setattr(S, "compile_tape",
-                        lambda *args: compiled.append(args) or compile_tape(*args))
+    compiled = _counting_compiles(monkeypatch)
     f, g = pm("fn(x) -> (sin(x) + 2)"), pm("fn(y) -> (log(y))")
     a, b = then(f, g), then(f, g)
     assert a == b and a is not b
@@ -1013,13 +1030,13 @@ def test_identical_sides_take_their_samples_in_one_batch(monkeypatch):
     S._self_check.cache_clear()
     taken = _counting_takes(monkeypatch)
     runs = []
-    run_columns = S.Tape.run_columns
+    run_columns = E.Tape.run_columns
 
     def counting(tape, cols, n):
         runs.append(_hex_points(zip(*cols)))
         return run_columns(tape, cols, n)
 
-    monkeypatch.setattr(S.Tape, "run_columns", counting)
+    monkeypatch.setattr(E.Tape, "run_columns", counting)
     cfg = RunConfig(samples=20)
     f = pm("fn(x, y) -> (x*y)")
     out = maps_equal(f, f, cfg, "one-batch")
